@@ -31,8 +31,9 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
 from .partitions import (distinct_pm1_counts, enumerate_schur,
                          format_partition, parse_partition, schur_counts,
                          schur_gf_oracle)
-from .qpoly import QPoly, XSeries
+from .qpoly import XSeries
 from .schur_sums import (IdentityId, UsageError, VerificationReport,
+                         _perturbation, _qpoly_discrepancy,
                          ali_gf_truncated, bounded_gf, cor1_bounded_sum,
                          even_odd_split_lhs, kursungoz_gf_truncated,
                          lhs_schur, rhs_schur, schur_product_truncated,
@@ -106,18 +107,8 @@ def _run_schur_counts(params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_cor1(params: dict[str, Any]) -> dict[str, Any]:
-    N = params["N"]
-    lhs, rhs = cor1_bounded_sum(N)
-    if "_perturb" in params:
-        hook = params["_perturb"]
-        lhs = lhs + QPoly.monomial(int(hook["delta"]),
-                                   int(hook["exponent_half_steps"]))
-    diff = lhs - rhs
-    disc = None
-    if diff:
-        e = diff.min_half_exponent()
-        disc = {"x_degree": None, "exponent_half_steps": e,
-                "lhs": str(lhs.coefficient(e)), "rhs": str(rhs.coefficient(e))}
+    lhs, rhs = cor1_bounded_sum(params["N"])
+    disc = _qpoly_discrepancy(lhs + _perturbation(params), rhs)
     return _report_dict("cor1-bounded-sum", params, disc)
 
 
@@ -200,35 +191,8 @@ def _jobs(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _poly_pairs(p: QPoly) -> list[list[Any]]:
-    return p.to_pairs()
-
-
 def _strata_pairs(s: XSeries) -> list[list[Any]]:
-    return [[x, _poly_pairs(s.stratum(x))] for x in s.x_degrees()]
-
-
-def _format_poly_text(p: QPoly) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for e, c in sorted(p.items()):
-        if e == 0:
-            terms.append(str(c))
-            continue
-        if c == 1:
-            lead = ""
-        elif c == -1:
-            lead = "-"
-        else:
-            lead = "%d*" % c
-        if e == 2:
-            terms.append("%sq" % lead)
-        elif e % 2 == 0:
-            terms.append("%sq^%d" % (lead, e // 2))
-        else:
-            terms.append("%sq^(%d/2)" % (lead, e))
-    return " + ".join(terms).replace("+ -", "- ")
+    return [[x, s.stratum(x).to_pairs()] for x in s.x_degrees()]
 
 
 def _emit(doc: dict[str, Any], args: argparse.Namespace,
@@ -416,6 +380,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     def need_T() -> int:
         if T is None:
             raise UsageError("series %r needs --T" % name)
+        if T < 0:
+            raise UsageError("T must be >= 0")
         if T > MAX_WINDOW:
             raise UsageError("T=%d exceeds the hard cap %d" % (T, MAX_WINDOW))
         return T
@@ -433,13 +399,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if name in ("lhs", "rhs"):
         N = need_N()
         poly = lhs_schur(N) if name == "lhs" else rhs_schur(N)
-        doc.update(N=N, pairs=_poly_pairs(poly))
-        _emit(doc, args, [_format_poly_text(poly)])
+        doc.update(N=N, pairs=poly.to_pairs())
+        _emit(doc, args, [str(poly)])
         return 0
     if name == "product":
         poly = schur_product_truncated(need_T())
-        doc.update(T=T, pairs=_poly_pairs(poly))
-        _emit(doc, args, [_format_poly_text(poly)])
+        doc.update(T=T, pairs=poly.to_pairs())
+        _emit(doc, args, [str(poly)])
         return 0
 
     if name == "ali":
@@ -459,7 +425,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     doc.update(T=T, strata=_strata_pairs(series))
     if args.largest_part is not None:
         doc["largest_part"] = args.largest_part
-    lines = ["x^%d: %s" % (x, _format_poly_text(series.stratum(x)))
+    lines = ["x^%d: %s" % (x, series.stratum(x))
              for x in series.x_degrees()]
     _emit(doc, args, lines or ["0"])
     return 0
@@ -536,7 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:
+        # UsageError, and the ValueError a library function raises for an
+        # out-of-range argument: both are bad input, never a discrepancy
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

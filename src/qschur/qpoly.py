@@ -270,9 +270,11 @@ class QPoly:
     def from_pairs(cls, pairs: Iterable[Iterable]) -> "QPoly":
         return cls._raw({int(e): int(v) for e, v in pairs if int(v)})
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """Terms in ascending powers, e.g. ``1 + q - 2*q^(3/2)``; ``0`` when
+        zero."""
         if not self._c:
-            return "QPoly(0)"
+            return "0"
         bits = []
         for e in sorted(self._c):
             v = self._c[e]
@@ -291,7 +293,10 @@ class QPoly:
                 bits.append("-" + mono)
             else:
                 bits.append("%d*%s" % (v, mono))
-        return "QPoly(%s)" % " + ".join(bits).replace("+ -", "- ")
+        return " + ".join(bits).replace("+ -", "- ")
+
+    def __repr__(self) -> str:
+        return "QPoly(%s)" % self
 
 
 class XSeries:

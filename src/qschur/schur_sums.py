@@ -5,6 +5,15 @@ Layout: quadratic weights first, then the polynomial side builders (the
 left/right sides of each identity as exact `QPoly` or `XSeries` values),
 then the identity registry (`IdentityId`, `verify`, `VerificationReport`).
 
+Two private walks carry every builder.  `_triple_sum(N, weight)` is the
+triple q-binomial sum over (n1, n2, m); the central left side, the
+q -> 1/q dual and both summation formulas differ only in the weight they
+pass it, and the q = 1 value is the central left side at q = 1.
+`_cells(T, weight)` yields the (n1, n2, m) cells of the bivariate series
+whose weight fits the window; the chain-indexed, pair-indexed, even/odd
+and largest-part-bounded series differ only in the weight and the summand.
+`_add_shifted` is the one accumulate loop under both.
+
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
 a binomial top argument drops below its bottom.  Nothing is truncated
@@ -81,15 +90,53 @@ def weight_q(t: int, m: int, n1: int, y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the triple-sum kernel
+
+def _plain_weight(n1: int, n2: int, m: int, N: int) -> int:
+    return 2 * weight_a(n1, n2, m)
+
+
+def _dual_weight(n1: int, n2: int, m: int, N: int) -> int:
+    # q^(B-A) of the q -> 1/q image, times q^(N/2)
+    return weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
+
+
+def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
+    """sum of q^(weight/2) [3V,m]_q [V+floor(n1/2), floor(n1/2)]_{q^6}
+    [V+floor(n2/2), floor(n2/2)]_{q^6} over n1, n2, m >= 0 with
+    V = N-m-n1-n2 >= 0, the weight taken in half-steps.
+
+    Fixing V and s = n1 + n2 fixes m, so the n1/n2 sum folds into one pair
+    slice per (V, s) and only the slice meets the base-q binomial."""
+    acc: dict[int, int] = {}
+    for v in range(N + 1):
+        for s in range(N - v + 1):
+            m = N - v - s
+            if m > 3 * v:
+                continue
+            pairs: dict[int, int] = {}
+            for n1 in range(s + 1):
+                n2 = s - n1
+                _add_shifted(pairs, gauss_binomial(v + n1 // 2, n1 // 2, 6)
+                             * gauss_binomial(v + n2 // 2, n2 // 2, 6),
+                             weight(n1, n2, m, N))
+            pair_slice = QPoly.from_pairs(pairs.items())
+            _add_shifted(acc, gauss_binomial(3 * v, m) * pair_slice, 0)
+    return QPoly.from_pairs(acc.items())
+
+
+def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
+    for e, c in term.items():
+        key = e + shift
+        s = row.get(key, 0) + c
+        if s:
+            row[key] = s
+        else:
+            del row[key]
+
+
+# ---------------------------------------------------------------------------
 # the central polynomial identity
-
-def _triple_cells(N: int):
-    # (n1, n2, m) with n1 + n2 + m <= N, i.e. V = N - m - n1 - n2 >= 0
-    for n1 in range(N + 1):
-        for n2 in range(N + 1 - n1):
-            for m in range(N + 1 - n1 - n2):
-                yield n1, n2, m, N - m - n1 - n2
-
 
 @lru_cache(maxsize=None)
 def lhs_schur(N: int) -> QPoly:
@@ -98,24 +145,7 @@ def lhs_schur(N: int) -> QPoly:
     over all cells with V = N-m-n1-n2 >= 0.  Zero for negative N."""
     if N < 0:
         return QPoly.zero()
-    acc: dict[int, int] = {}
-    for n1, n2, m, v in _triple_cells(N):
-        if m > 3 * v:
-            continue
-        term = gauss_binomial(3 * v, m)
-        if n1 >= 2:
-            term = term * gauss_binomial(v + n1 // 2, n1 // 2, 6)
-        if n2 >= 2:
-            term = term * gauss_binomial(v + n2 // 2, n2 // 2, 6)
-        shift = 2 * weight_a(n1, n2, m)
-        for e, c in term.items():
-            key = e + shift
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return QPoly.from_pairs(acc.items())
+    return _triple_sum(N, _plain_weight)
 
 
 @lru_cache(maxsize=None)
@@ -207,22 +237,7 @@ def dual_sides(N: int) -> tuple[QPoly, QPoly]:
     q^(3N^2/2 + N/2) * lhs_schur(N)(1/q)."""
     if N < 0:
         raise ValueError("dual sides need N >= 0")
-    acc: dict[int, int] = {}
-    for n1, n2, m, v in _triple_cells(N):
-        if m > 3 * v:
-            continue
-        term = (gauss_binomial(3 * v, m)
-                * gauss_binomial(v + n1 // 2, n1 // 2, 6)
-                * gauss_binomial(v + n2 // 2, n2 // 2, 6))
-        shift = weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
-        for e, c in term.items():
-            key = e + shift
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return QPoly.from_pairs(acc.items()), t0_half_sum(N)
+    return _triple_sum(N, _dual_weight), t0_half_sum(N)
 
 
 def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -261,21 +276,10 @@ def t0_limit_product(T: int) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def _recip_poch6(n: int, T: int) -> QPoly:
+def _recip_poch(modulus: int, n: int, T: int) -> QPoly:
+    # 1 / (q^modulus; q^modulus)_n mod q^(T+1/2)
     return series_reciprocal_truncated(
-        pochhammer_finite(MonomialBase.of_q(1, 6, 6), n), T)
-
-
-@lru_cache(maxsize=None)
-def _recip_poch1(n: int, T: int) -> QPoly:
-    return series_reciprocal_truncated(
-        pochhammer_finite(MonomialBase.of_q(1, 1, 1), n), T)
-
-
-@lru_cache(maxsize=None)
-def _recip_poch3(n: int, T: int) -> QPoly:
-    return series_reciprocal_truncated(
-        pochhammer_finite(MonomialBase.of_q(1, 3, 3), n), T)
+        pochhammer_finite(MonomialBase.of_q(1, modulus, modulus), n), T)
 
 
 def qt_limit_sum(t: int, T: int) -> QPoly:
@@ -290,7 +294,7 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
     acc: dict[int, int] = {}
     y = 0
     while y * (3 * y + 1) // 2 <= T:
-        recip = _recip_poch6(y, T)
+        recip = _recip_poch(6, y, T)
         for m in range(3 * y + 1):
             if m * (m - 1) // 2 + y * (3 * y + 1) // 2 > T:
                 break
@@ -300,14 +304,7 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
                 w = weight_q(t, m, n1, y)
                 if w <= T:
                     term = bin_m * gauss_binomial(y + n1 // 2, y, 6)
-                    term = (term * recip).truncate(T - w)
-                    for e, c in term.items():
-                        key = e + 2 * w
-                        s = acc.get(key, 0) + c
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
+                    _add_shifted(acc, (term * recip).truncate(T - w), 2 * w)
                 n1 += 1
         y += 1
     return QPoly.from_pairs(acc.items())
@@ -321,22 +318,9 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
         raise ValueError("summation sides need M >= 0")
     acc: dict[int, int] = {}
     for N in range(M + 1):
-        bin_outer = gauss_binomial(M, N, 3)
-        for n1, n2, m, v in _triple_cells(N):
-            if m > 3 * v:
-                continue
-            term = (gauss_binomial(3 * v, m) * bin_outer
-                    * gauss_binomial(v + n1 // 2, n1 // 2, 6)
-                    * gauss_binomial(v + n2 // 2, n2 // 2, 6))
-            shift = (3 * N * N + weight_b_half(n1, n2, m, N)
-                     - 2 * weight_a(n1, n2, m))
-            for e, c in term.items():
-                key = e + shift
-                s = acc.get(key, 0) + c
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
+        _add_shifted(acc, gauss_binomial(M, N, 3) * _triple_sum(N, _dual_weight),
+                     N * (3 * N - 1))
     rhs = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), M)
            * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), M))
     return QPoly.from_pairs(acc.items()), rhs
@@ -351,27 +335,8 @@ def summation_limit_sum(T: int) -> QPoly:
     acc: dict[int, int] = {}
     N = 0
     while N * (3 * N - 1) <= 2 * T:
-        recip = _recip_poch3(N, T)
-        for n1, n2, m, v in _triple_cells(N):
-            if m > 3 * v:
-                continue
-            shift = (3 * N * N + weight_b_half(n1, n2, m, N)
-                     - 2 * weight_a(n1, n2, m))
-            if shift > 2 * T:
-                continue
-            term = (gauss_binomial(3 * v, m)
-                    * gauss_binomial(v + n1 // 2, n1 // 2, 6)
-                    * gauss_binomial(v + n2 // 2, n2 // 2, 6))
-            term = (term * recip).truncate((2 * T - shift) // 2)
-            for e, c in term.items():
-                key = e + shift
-                if key > 2 * T:
-                    continue
-                s = acc.get(key, 0) + c
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        layer = _triple_sum(N, _dual_weight).shift(N * (3 * N - 1)).truncate(T)
+        _add_shifted(acc, (layer * _recip_poch(3, N, T)).truncate(T), 0)
         N += 1
     return QPoly.from_pairs(acc.items())
 
@@ -398,13 +363,7 @@ def q1_triple_value(M: int) -> int:
     C(V+floor(n2/2),V) over cells with V = M-n1-n2-m >= 0; equals 3^M."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    total = 0
-    for n1, n2, m, v in _triple_cells(M):
-        if m > 3 * v:
-            continue
-        total += (math.comb(3 * v, m) * math.comb(v + n1 // 2, v)
-                  * math.comb(v + n2 // 2, v))
-    return total
+    return lhs_schur(M).eval_at_one()
 
 
 def q1_quad_value(M: int) -> int:
@@ -431,14 +390,26 @@ def _xseries_from(strata: dict[int, dict[int, int]], T: int) -> XSeries:
                        for x, row in strata.items()})
 
 
-def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
-    for e, c in term.items():
-        key = e + shift
-        s = row.get(key, 0) + c
-        if s:
-            row[key] = s
-        else:
-            del row[key]
+def _cells(T: int, weight: Callable[[int, int, int], int]):
+    # (n1, n2, m, w) for every cell with w = weight(n1, n2, m) <= T; each
+    # weight grows in every index, so each loop stops at its first cell
+    # past the window.
+    n1 = 0
+    while weight(n1, 0, 0) <= T:
+        n2 = 0
+        while weight(n1, n2, 0) <= T:
+            m = 0
+            while (w := weight(n1, n2, m)) <= T:
+                yield n1, n2, m, w
+                m += 1
+            n2 += 1
+        n1 += 1
+
+
+def _recip_cell(h1: int, h2: int, m: int, T: int, room: int) -> QPoly:
+    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m) mod q^(room+1/2)
+    term = (_recip_poch(6, h1, T) * _recip_poch(6, h2, T)).truncate(T)
+    return (term * _recip_poch(1, m, T)).truncate(room)
 
 
 def ali_gf_truncated(T: int) -> XSeries:
@@ -448,21 +419,9 @@ def ali_gf_truncated(T: int) -> XSeries:
     if T < 0:
         raise ValueError("T must be >= 0")
     strata: dict[int, dict[int, int]] = {}
-    n1 = 0
-    while weight_a(n1, 0, 0) <= T:
-        n2 = 0
-        while weight_a(n1, n2, 0) <= T:
-            m = 0
-            while True:
-                a = weight_a(n1, n2, m)
-                if a > T:
-                    break
-                term = (_recip_poch6(n1 // 2, T) * _recip_poch6(n2 // 2, T)).truncate(T)
-                term = (term * _recip_poch1(m, T)).truncate(T - a)
-                _add_shifted(strata.setdefault(n1 + n2 + m, {}), term, 2 * a)
-                m += 1
-            n2 += 1
-        n1 += 1
+    for n1, n2, m, a in _cells(T, weight_a):
+        _add_shifted(strata.setdefault(n1 + n2 + m, {}),
+                     _recip_cell(n1 // 2, n2 // 2, m, T, T - a), 2 * a)
     return _xseries_from(strata, T)
 
 
@@ -473,21 +432,9 @@ def kursungoz_gf_truncated(T: int) -> XSeries:
     if T < 0:
         raise ValueError("T must be >= 0")
     strata: dict[int, dict[int, int]] = {}
-    n1 = 0
-    while weight_k(n1, 0, 0) <= T:
-        n2 = 0
-        while weight_k(n1, n2, 0) <= T:
-            m = 0
-            while True:
-                k = weight_k(n1, n2, m)
-                if k > T:
-                    break
-                term = (_recip_poch6(n1, T) * _recip_poch6(n2, T)).truncate(T)
-                term = (term * _recip_poch1(m, T)).truncate(T - k)
-                _add_shifted(strata.setdefault(2 * n1 + 2 * n2 + m, {}), term, 2 * k)
-                m += 1
-            n2 += 1
-        n1 += 1
+    for n1, n2, m, k in _cells(T, weight_k):
+        _add_shifted(strata.setdefault(2 * n1 + 2 * n2 + m, {}),
+                     _recip_cell(n1, n2, m, T, T - k), 2 * k)
     return _xseries_from(strata, T)
 
 
@@ -499,30 +446,21 @@ def even_odd_split_lhs(T: int) -> XSeries:
     if T < 0:
         raise ValueError("T must be >= 0")
     strata: dict[int, dict[int, int]] = {}
-    n1 = 0
-    while weight_k(n1, 0, 0) <= T:
-        n2 = 0
-        while weight_k(n1, n2, 0) <= T:
-            m = 0
-            while True:
-                base = weight_k(n1, n2, m) + 2 * m
-                if base > T:
-                    break
-                denom = (_recip_poch6(n1, T) * _recip_poch6(n2, T)).truncate(T)
-                denom = (denom * _recip_poch1(m, T)).truncate(T - base)
-                x0 = 2 * n1 + 2 * n2 + m
-                s6 = 6 * n1 + 6 * n2 + 3 * m
-                pieces = ((x0, 0), (x0 + 1, s6 + 1), (x0 + 1, s6 + 2),
-                          (x0 + 2, 2 * s6 + 6))
-                for x_deg, extra in pieces:
-                    tot = base + extra
-                    if tot > T:
-                        continue
-                    _add_shifted(strata.setdefault(x_deg, {}),
-                                 denom.truncate(T - tot), 2 * tot)
-                m += 1
-            n2 += 1
-        n1 += 1
+    def weight(n1: int, n2: int, m: int) -> int:
+        return weight_k(n1, n2, m) + 2 * m
+
+    for n1, n2, m, base in _cells(T, weight):
+        denom = _recip_cell(n1, n2, m, T, T - base)
+        x0 = 2 * n1 + 2 * n2 + m
+        s6 = 6 * n1 + 6 * n2 + 3 * m
+        pieces = ((x0, 0), (x0 + 1, s6 + 1), (x0 + 1, s6 + 2),
+                  (x0 + 2, 2 * s6 + 6))
+        for x_deg, extra in pieces:
+            tot = base + extra
+            if tot > T:
+                continue
+            _add_shifted(strata.setdefault(x_deg, {}),
+                         denom.truncate(T - tot), 2 * tot)
     return _xseries_from(strata, T)
 
 
@@ -556,22 +494,11 @@ def bounded_gf(N: int, T: int) -> XSeries:
     if T < 0:
         raise ValueError("T must be >= 0")
     strata: dict[int, dict[int, int]] = {}
-    n1 = 0
-    while weight_a(n1, 0, 0) <= T:
-        n2 = 0
-        while weight_a(n1, n2, 0) <= T:
-            m = 0
-            while True:
-                a = weight_a(n1, n2, m)
-                if a > T:
-                    break
-                term = _bounded_cell(N, n1, n2, m)
-                if term:
-                    _add_shifted(strata.setdefault(n1 + n2 + m, {}),
-                                 term.truncate(T - a), 2 * a)
-                m += 1
-            n2 += 1
-        n1 += 1
+    for n1, n2, m, a in _cells(T, weight_a):
+        term = _bounded_cell(N, n1, n2, m)
+        if term:
+            _add_shifted(strata.setdefault(n1 + n2 + m, {}),
+                         term.truncate(T - a), 2 * a)
     return _xseries_from(strata, T)
 
 

@@ -139,6 +139,8 @@ def test_enumerate_usage_errors(capsys):
     code, _, err = run(capsys, "enumerate", "--max-n", "10",
                        "--class", "pm1mod3", "--largest-part", "4")
     assert code == 2
+    code, _, err = run(capsys, "enumerate", "--max-n", "-1")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_bijection_decode(capsys):
@@ -219,6 +221,11 @@ def test_series_usage_errors(capsys):
     assert code == 2 and "single" in err
     code, _, err = run(capsys, "series", "lhs")
     assert code == 2
+    code, _, err = run(capsys, "series", "bounded", "--T", "10",
+                       "--largest-part", "-1")
+    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "series", "product", "--T", "-1")
+    assert code == 2 and out == "" and "T must be >= 0" in err
 
 
 def test_out_writes_json_even_in_text_mode(capsys, tmp_path):

@@ -27,6 +27,14 @@ def test_constructors_agree():
         QPoly.one() + QPoly.monomial(2, 10)
 
 
+def test_text_forms():
+    p = QPoly({0: 3, 1: -1, 2: 1, 6: -2})
+    assert str(p) == "3 - q^(1/2) + q - 2*q^3"
+    assert repr(p) == "QPoly(3 - q^(1/2) + q - 2*q^3)"
+    assert str(QPoly.zero()) == "0"
+    assert repr(QPoly.zero()) == "QPoly(0)"
+
+
 def test_zero_coefficients_are_dropped():
     p = QPoly({4: 0, 2: 1})
     assert list(p.items()) == [(2, 1)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
-from qschur.qcoeff import MonomialBase, pochhammer_finite
+from qschur.qcoeff import MonomialBase, gauss_binomial, pochhammer_finite
 from qschur.qpoly import QPoly
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -34,6 +34,37 @@ def test_low_order_goldens(N):
 @pytest.mark.parametrize("N", range(0, 11))
 def test_central_identity_small(N):
     assert ss.lhs_schur(N) == ss.rhs_schur(N)
+
+
+def naive_triple_sum(N, weight_half):
+    # Reference walk: one three-binomial product per (n1, n2, m) cell.
+    total = QPoly.zero()
+    for n1 in range(N + 1):
+        for n2 in range(N + 1 - n1):
+            for m in range(N + 1 - n1 - n2):
+                v = N - m - n1 - n2
+                term = (gauss_binomial(3 * v, m)
+                        * gauss_binomial(v + n1 // 2, n1 // 2, 6)
+                        * gauss_binomial(v + n2 // 2, n2 // 2, 6))
+                total = total + term.shift(weight_half(n1, n2, m))
+    return total
+
+
+def naive_dual(N):
+    return naive_triple_sum(N, lambda n1, n2, m: (
+        ss.weight_b_half(n1, n2, m, N) - 2 * ss.weight_a(n1, n2, m) + N))
+
+
+@pytest.mark.parametrize("N", range(0, 9))
+def test_triple_sum_kernel_matches_naive_walk(N):
+    assert ss.lhs_schur(N) == naive_triple_sum(
+        N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m))
+    assert ss.dual_sides(N)[0] == naive_dual(N)
+    summed = QPoly.zero()
+    for k in range(N + 1):
+        summed = summed + (gauss_binomial(N, k, 3) * naive_dual(k)
+                           ).shift(k * (3 * k - 1))
+    assert ss.summation_formula_sides(N)[0] == summed
 
 
 def test_summands_tile_the_sum():
@@ -85,6 +116,8 @@ def test_termwise_recurrence_needs_all_indices():
 def test_dual_transform(N):
     lhs, rhs = ss.dual_sides(N)
     assert lhs == rhs
+    # the dual weight is the plain one seen from q -> 1/q
+    assert lhs == ss.lhs_schur(N).substitute_q_power(-1).shift(3 * N * N + N)
 
 
 @pytest.mark.parametrize("N", range(0, 13))
@@ -129,7 +162,7 @@ def test_finite_summation_formula(M):
 
 
 def test_summation_limit_reaches_the_product():
-    T = 20
+    T = 25
     assert ss.summation_limit_sum(T) == ss.schur_product_truncated(T)
 
 
