@@ -41,6 +41,7 @@ from .schur_sums import (IdentityId, UsageError, VerificationReport,
 
 MAX_INDEX = 100   # hard cap on N-like parameters
 MAX_WINDOW = 500  # hard cap on truncation windows
+MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
@@ -329,6 +330,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             data = MotionData.from_dict(json.loads(args.motions))
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise UsageError("bad motion data: %s" % exc)
+        # every budget is at most the size, so this caps them all
+        if data.size > MAX_MOTION_SIZE:
+            raise UsageError("motion data of size %d exceeds the hard cap %d"
+                             % (data.size, MAX_MOTION_SIZE))
         try:
             result = apply_motions(data, strict=args.strict)
         except MotionRuleError as exc:
@@ -392,7 +397,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         values = _parse_range(args.N, "--N")
         if len(values) != 1:
             raise UsageError("series takes a single --N")
-        if abs(values[0]) > MAX_INDEX:
+        if values[0] < 0:
+            raise UsageError("N must be >= 0")
+        if values[0] > MAX_INDEX:
             raise UsageError("N exceeds the hard cap %d" % MAX_INDEX)
         return values[0]
 

@@ -60,6 +60,8 @@ def enumerate_schur(n_max: int, largest_part: int | None = None) -> dict[int, li
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if largest_part is not None and largest_part < 0:
+        raise ValueError("largest-part bound must be >= 0")
     bound = n_max if largest_part is None else min(largest_part, n_max)
     by_size: dict[int, list[Partition]] = {n: [] for n in range(n_max + 1)}
     by_size[0].append(())

@@ -124,9 +124,11 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
         raise ValueError("modulus must be >= 1")
     if bottom < 0 or top < bottom:
         return QPoly.zero()
-    coeffs = _gauss_coeffs(top, bottom)
-    return QPoly.from_q_coeffs(
-        {modulus * i: v for i, v in enumerate(coeffs) if v})
+    # every coefficient of a Gaussian binomial is positive, so the dict
+    # is already canonical
+    step = 2 * modulus
+    return QPoly._raw({step * i: v
+                       for i, v in enumerate(_gauss_coeffs(top, bottom))})
 
 
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:

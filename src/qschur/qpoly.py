@@ -21,12 +21,64 @@ stratum at construction time.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import repeat
 from math import gcd
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-# Below this many coefficient pairs the plain dict convolution wins over
-# the packed-integer route (measured on CPython 3.11, generous margin).
-_PACK_THRESHOLD = 2048
+# Up to this many coefficient pairs the plain dict convolution wins over
+# the packed-integer route.  Measured with scripts/mul_crossover.py
+# (products of two [top, 3] binomials, best of 9, microseconds; 2-vCPU
+# Xeon VM, CPython 3.11):
+#
+#   pairs    28   49   70  100  130  169  256  361  484  784 1156 1849
+#   dict      5    9   12   15   20   24   34   42   87  140  208  294
+#   packed   14   15   16   17   18   18   21   24   29   33   37   40
+#
+# Replaying every multi-term product of `qschur report` through both
+# routes put the crossover at the same place: dict ahead up to 128
+# pairs (17.6 against 19.0 us per product at 113-128), packed ahead from
+# 129 on (19.9 against 20.8 at 129-160, 29.8 against 62.9 at 385-512).
+_PACK_THRESHOLD = 128
+
+# Unsigned array typecodes by item size, for the slot widths the packed
+# route moves through `array` in C; wider slots go through `bytes`.
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _sign_classes(c: dict[int, int], emin: int, emax: int, g: int,
+                  lo: int, hi: int) -> list[tuple[int, list[int]]]:
+    """c laid out densely along stride g as (sign, absolute values)
+    classes, lo and hi being its least and greatest coefficient: one
+    class when every coefficient has the same sign, else two."""
+    dense = list(map(c.get, range(emin, emax + 1, g), repeat(0)))
+    if lo > 0:
+        return [(1, dense)]
+    if hi < 0:
+        return [(-1, [-v for v in dense])]
+    return [(1, [v if v > 0 else 0 for v in dense]),
+            (-1, [-v if v < 0 else 0 for v in dense])]
+
+
+def _pack(dense: list[int], w: int, code: str | None) -> int:
+    # Slot i holds dense[i] in w bytes.  The array and the bytes layout
+    # both put slot 0 first in native byte order, which makes it the low
+    # end of the int on little-endian hosts and the high end on big-endian
+    # ones; either way _unpack reads the product's slots back in order.
+    if code:
+        return int.from_bytes(array(code, dense).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(v.to_bytes(w, sys.byteorder)
+                                   for v in dense), sys.byteorder)
+
+
+def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
+    buf = x.to_bytes(n * w, sys.byteorder)
+    if code:
+        return array(code, buf).tolist()
+    return [int.from_bytes(buf[i:i + w], sys.byteorder)
+            for i in range(0, n * w, w)]
 
 
 class QPoly:
@@ -178,10 +230,12 @@ class QPoly:
 
     @staticmethod
     def _mul_packed(a: dict[int, int], b: dict[int, int]) -> "QPoly":
-        # Kronecker substitution: write both factors in base 256^w along a
-        # common exponent stride, multiply as Python bigints, read slots
-        # back.  Positive and negative parts are multiplied separately so
-        # slots never borrow.
+        # Kronecker substitution: lay each factor out over its own exponent
+        # span along one common stride g, one w-byte slot per step, read
+        # the slots as one bigint, multiply, and cut the product back into
+        # slots.  Slots hold absolute values and never carry: a factor
+        # with a negative coefficient is split into its positive and
+        # negative parts, and only the class pairs present are multiplied.
         amin, amax = min(a), max(a)
         bmin, bmax = min(b), max(b)
         g = 0
@@ -190,37 +244,40 @@ class QPoly:
         for e in b:
             g = gcd(g, e - bmin)
         g = g or 1
-        n_slots = (amax - amin) // g + (bmax - bmin) // g + 1
-        bound = min(len(a), len(b)) * max(abs(v) for v in a.values()) \
-            * max(abs(v) for v in b.values())
-        w = (bound.bit_length() + 8) // 8
-        if n_slots * w > 1 << 26:  # refuse >64MB packing, fall back
+        n_out = (amax - amin) // g + (bmax - bmin) // g + 1
+        alo, ahi = min(a.values()), max(a.values())
+        blo, bhi = min(b.values()), max(b.values())
+        bound = min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo)
+        w = (bound.bit_length() + 7) // 8
+        code = None
+        for width in (1, 2, 4, 8):
+            if w <= width and width in _SLOT_CODES:
+                w, code = width, _SLOT_CODES[width]
+                break
+        # a slot costs w packed bytes plus an 8-byte list pointer while it
+        # is laid out; refuse more than 64MB of them and fall back
+        if n_out * (w + 8) > 1 << 26:
             return QPoly._mul_dict(a, b)
-
-        def pack(c: dict[int, int], emin: int, want_pos: bool) -> int:
-            buf = bytearray(n_slots * w)
-            for e, v in c.items():
-                if (v > 0) is want_pos:
-                    off = ((e - emin) // g) * w
-                    buf[off:off + w] = abs(v).to_bytes(w, "little")
-            return int.from_bytes(buf, "little")
-
-        ap, an = pack(a, amin, True), pack(a, amin, False)
-        bp, bn = pack(b, bmin, True), pack(b, bmin, False)
-        pos = ap * bp + an * bn
-        neg = ap * bn + an * bp
-        nbytes = (n_slots + 1) * w  # slot values stay < 256^w, +1 is slack
-        pb = pos.to_bytes(nbytes, "little")
-        nb = neg.to_bytes(nbytes, "little")
-        c: dict[int, int] = {}
+        pb = [(sign, _pack(dense, w, code)) for sign, dense
+              in _sign_classes(b, bmin, bmax, g, blo, bhi)]
+        pos = neg = 0
+        for sa, dense in _sign_classes(a, amin, amax, g, alo, ahi):
+            x = _pack(dense, w, code)
+            for sb, y in pb:
+                if sa == sb:
+                    pos += x * y
+                else:
+                    neg += x * y
+        if not neg:
+            vals = _unpack(pos, n_out, w, code)
+        elif not pos:
+            vals = [-v for v in _unpack(neg, n_out, w, code)]
+        else:
+            vals = list(map(sub, _unpack(pos, n_out, w, code),
+                            _unpack(neg, n_out, w, code)))
         base = amin + bmin
-        for i in range(n_slots):
-            lo = i * w
-            v = int.from_bytes(pb[lo:lo + w], "little") \
-                - int.from_bytes(nb[lo:lo + w], "little")
-            if v:
-                c[base + g * i] = v
-        return QPoly._raw(c)
+        return QPoly._raw({e: v for e, v in
+                           zip(range(base, base + g * n_out, g), vals) if v})
 
     def __pow__(self, n: int) -> "QPoly":
         if not isinstance(n, int) or n < 0:

@@ -632,7 +632,7 @@ def _int_perturbation(params: dict) -> int:
 
 
 def _run_schur_poly(p: dict) -> dict | None:
-    N = _need_int(p, "N")
+    N = _need_int(p, "N", minimum=0)
     return _qpoly_discrepancy(lhs_schur(N) + _perturbation(p), rhs_schur(N))
 
 
@@ -767,31 +767,35 @@ def _run_exponent_diff(p: dict) -> dict | None:
     return None
 
 
-_DISPATCH: dict[IdentityId, Callable[[dict], dict | None]] = {
-    IdentityId.SCHUR_POLY: _run_schur_poly,
-    IdentityId.DUAL: _run_dual,
-    IdentityId.T0_BINOM: _run_t0_binom,
-    IdentityId.T0_LIMIT: _run_t0_limit,
-    IdentityId.QT_LIMIT: _run_qt_limit,
-    IdentityId.SUMMATION_M: _run_summation,
-    IdentityId.WARNAAR: _run_warnaar,
-    IdentityId.REC_ANDREWS: _run_rec_andrews,
-    IdentityId.REC_L: _run_rec_l,
-    IdentityId.REC_SUMMAND: _run_rec_summand,
-    IdentityId.GF_BOUNDED: _run_gf_bounded,
-    IdentityId.GF_ALI_EQ_KURSUNGOZ: _run_gf_ali_eq_kursungoz,
-    IdentityId.GF_EVEN_ODD_SPLIT: _run_gf_even_odd,
-    IdentityId.ANALYTIC_SCHUR: _run_analytic_schur,
-    IdentityId.Q1_TRIPLE: _run_q1_triple,
-    IdentityId.Q1_QUAD: _run_q1_quad,
-    IdentityId.EXPONENT_DIFF: _run_exponent_diff,
+# Each identity's runner and the parameter names it reads; verify rejects
+# any other name that is not an underscore-prefixed testing hook.
+_DISPATCH: dict[IdentityId,
+                tuple[Callable[[dict], dict | None], tuple[str, ...]]] = {
+    IdentityId.SCHUR_POLY: (_run_schur_poly, ("N",)),
+    IdentityId.DUAL: (_run_dual, ("N",)),
+    IdentityId.T0_BINOM: (_run_t0_binom, ("N",)),
+    IdentityId.T0_LIMIT: (_run_t0_limit, ("N", "T")),
+    IdentityId.QT_LIMIT: (_run_qt_limit, ("t", "T")),
+    IdentityId.SUMMATION_M: (_run_summation, ("M",)),
+    IdentityId.WARNAAR: (_run_warnaar, ("L", "a")),
+    IdentityId.REC_ANDREWS: (_run_rec_andrews, ("N",)),
+    IdentityId.REC_L: (_run_rec_l, ("N",)),
+    IdentityId.REC_SUMMAND: (_run_rec_summand, ("N", "m", "n1", "n2")),
+    IdentityId.GF_BOUNDED: (_run_gf_bounded, ("N", "T")),
+    IdentityId.GF_ALI_EQ_KURSUNGOZ: (_run_gf_ali_eq_kursungoz, ("T",)),
+    IdentityId.GF_EVEN_ODD_SPLIT: (_run_gf_even_odd, ("T",)),
+    IdentityId.ANALYTIC_SCHUR: (_run_analytic_schur, ("T",)),
+    IdentityId.Q1_TRIPLE: (_run_q1_triple, ("M",)),
+    IdentityId.Q1_QUAD: (_run_q1_quad, ("M",)),
+    IdentityId.EXPONENT_DIFF: (_run_exponent_diff, ("max",)),
 }
 
 
 def verify(identity: "IdentityId | str", params: dict[str, Any] | None = None,
            timings: bool = False) -> VerificationReport:
     """Build both sides of the named identity at the given parameters and
-    compare exactly.  Returns a report; bad parameters raise UsageError.
+    compare exactly.  Returns a report; bad parameters, and parameter
+    names the identity does not read, raise UsageError.
 
     The params echoed in the report exclude underscore-prefixed testing
     hooks.  elapsed_ms is 0 unless timings is requested, keeping default
@@ -802,8 +806,13 @@ def verify(identity: "IdentityId | str", params: dict[str, Any] | None = None,
     except ValueError:
         raise UsageError("unknown identity %r" % (identity,)) from None
     p = dict(params or {})
+    run, names = _DISPATCH[ident]
+    unknown = [k for k in p if k not in names and not k.startswith("_")]
+    if unknown:
+        raise UsageError("%s does not take parameter %s" % (
+            ident.value, ", ".join(repr(k) for k in unknown)))
     start = time.monotonic()
-    disc = _DISPATCH[ident](p)
+    disc = run(p)
     elapsed = int((time.monotonic() - start) * 1000) if timings else 0
     echo = {k: v for k, v in p.items() if not k.startswith("_")}
     return VerificationReport(

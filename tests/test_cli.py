@@ -65,6 +65,15 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--identity", "schur-poly",
                        "--N", "5..3")
     assert code == 2 and "empty" in err
+    code, out, err = run(capsys, "verify", "--identity", "schur-poly",
+                         "--N", "-3")
+    assert code == 2 and out == "" and ">= 0" in err
+    code, out, err = run(capsys, "verify", "--identity", "schur-poly",
+                         "--N", "0..1", "--T", "5")
+    assert code == 2 and out == "" and "'T'" in err
+    code, out, err = run(capsys, "verify", "--identity", "dual",
+                         "--N", "2", "--L", "3")
+    assert code == 2 and out == "" and "'L'" in err
 
 
 def test_verify_rejects_t_outside_choices(capsys):
@@ -141,6 +150,9 @@ def test_enumerate_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--max-n", "-1")
     assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "enumerate", "--max-n", "10",
+                         "--class", "schur", "--largest-part", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bijection_decode(capsys):
@@ -184,6 +196,9 @@ def test_bijection_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bijection", "--max-n", "101")
     assert code == 2
+    code, out, err = run(capsys, "bijection", "--motions",
+                         '{"n1":0,"n2":2,"m":0,"rho2":[99999999]}')
+    assert code == 2 and out == "" and "hard cap" in err
 
 
 def test_series_polynomial_text(capsys):
@@ -226,6 +241,12 @@ def test_series_usage_errors(capsys):
     assert code == 2 and err.startswith("error:")
     code, out, err = run(capsys, "series", "product", "--T", "-1")
     assert code == 2 and out == "" and "T must be >= 0" in err
+    for name in ("lhs", "rhs"):
+        code, out, err = run(capsys, "series", name, "--N", "-2")
+        assert code == 2 and out == "" and "N must be >= 0" in err
+    code, out, err = run(capsys, "series", "oracle", "--T", "10",
+                         "--largest-part", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_out_writes_json_even_in_text_mode(capsys, tmp_path):

@@ -93,6 +93,10 @@ def test_negative_bound_rejected():
         enumerate_schur(-1)
     with pytest.raises(ValueError):
         enumerate_distinct_pm1_mod3(-2)
+    with pytest.raises(ValueError):
+        enumerate_schur(10, largest_part=-1)
+    with pytest.raises(ValueError):
+        schur_gf_oracle(10, largest_part=-1)
 
 
 @given(st.lists(st.integers(1, 60), max_size=6).map(

@@ -1,7 +1,9 @@
 """Ring and truncation behaviour of the exact polynomial core."""
 
+import operator
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur.qpoly import QPoly, XSeries
@@ -112,11 +114,38 @@ def test_truncate_bound(a, t):
     assert top is None or top <= 2 * t
 
 
-def test_kronecker_product_against_schoolbook():
-    # same pair multiplied through both internal paths
-    a = QPoly._raw({0: 3, 5: -2, 11: 7})
-    b = QPoly._raw({-4: 1, 3: 10 ** 30})
-    assert QPoly._mul_dict(a._c, b._c) == QPoly._mul_packed(a._c, b._c)
+@st.composite
+def factor_terms(draw):
+    """Raw term dicts on one exponent stride (odd and negative exponents
+    included), all positive, all negative or mixed in sign, with
+    coefficients sized to reach every slot width of the packed route."""
+    stride = draw(st.sampled_from((1, 2, 3, 6)))
+    offset = draw(st.integers(-40, 40))
+    coeff = st.integers(1, 1 << draw(st.sampled_from((1, 5, 12, 28, 60, 100))))
+    sign = draw(st.sampled_from(("+", "-", "mixed")))
+    if sign == "-":
+        coeff = coeff.map(operator.neg)
+    elif sign == "mixed":
+        coeff = st.builds(operator.mul, coeff, st.sampled_from((1, -1)))
+    exponent = st.integers(0, 30).map(lambda i: offset + stride * i)
+    return draw(st.dictionaries(exponent, coeff, max_size=8))
+
+
+@example({0: 1, 2: 1}, {0: 1, 2: 1})                      # 1-byte slots
+@example({0: 100, 2: 3}, {0: 100, 4: -1})                 # 2-byte slots
+@example({1: 30000, 3: 1}, {-3: 30000, 5: 7})             # 4-byte slots
+@example({0: 1 << 30, 6: 5}, {0: -(1 << 30), 12: -3})     # 8-byte slots
+@example({0: 3, 5: -2, 11: 7}, {-4: 1, 3: 10 ** 30})      # bytes path
+@example({}, {0: 5, 2: -1})                               # empty factor
+@example({7: -3}, {0: 1, 4: 2})                           # single term
+@given(factor_terms(), factor_terms())
+def test_kronecker_product_against_schoolbook(a, b):
+    expected = QPoly._mul_dict(a, b)
+    # empty and single-term products take their own branch of __mul__
+    assert QPoly._raw(a) * QPoly._raw(b) == expected
+    if a and b:
+        # called directly, so the pair-count threshold does not pick it
+        assert QPoly._mul_packed(a, b) == expected
 
 
 def test_big_coefficients_survive_roundtrip():

@@ -95,6 +95,13 @@ def test_missing_and_malformed_parameters():
         verify(IdentityId.SCHUR_POLY, {"N": True})
     with pytest.raises(UsageError):
         verify(IdentityId.WARNAAR, {"L": -1})
+    with pytest.raises(UsageError):
+        verify(IdentityId.SCHUR_POLY, {"N": -3})
+    # a parameter the identity does not read is an error, not an echo
+    with pytest.raises(UsageError, match="'T'"):
+        verify(IdentityId.SCHUR_POLY, {"N": 1, "T": 5})
+    with pytest.raises(UsageError, match="'L'"):
+        verify(IdentityId.DUAL, {"N": 2, "L": 3})
 
 
 def test_parity_split_t_is_restricted():
