@@ -23,8 +23,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .partitions import Partition, enumerate_schur, is_schur_admissible
-from .schur_sums import weight_a
+from .partitions import (Partition, enumerate_schur, is_schur_admissible,
+                         weight_a)
 
 
 class MotionRuleError(RuntimeError):

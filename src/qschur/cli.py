@@ -5,9 +5,15 @@ Subcommands: `verify` runs one identity over parameter ranges,
 decodes, or sweeps the motion correspondence, `series` prints a builder's
 exact coefficients, and `report` runs the whole verification matrix.
 
+`verify` and `report` run rows of the `schur_sums` registry, composite
+rows (partition counts, the bounded-sum corollary, the bijection sweep)
+included; a row's parameters are checked there.  The hard caps below are
+the CLI's own, applied by `_check_cap` to every subcommand's input before
+any work.
+
 Exit codes: 0 when everything requested verified, 1 when any check found
-a discrepancy, 2 for usage errors.  `--jobs` (or the QSCHUR_JOBS
-environment variable) fans verification rows out over worker processes.
+a discrepancy, 2 for usage errors.  `--jobs` fans verification rows out
+over at most MAX_JOBS worker processes.
 
 Testing hook: setting QSCHUR_FAULT_INJECT to a non-empty value makes
 `report` perturb the first row's left side by +1, so the failure path of
@@ -32,37 +38,41 @@ from .partitions import (distinct_pm1_counts, enumerate_schur,
                          format_partition, parse_partition, schur_counts,
                          schur_gf_oracle)
 from .qpoly import XSeries
-from .schur_sums import (IdentityId, UsageError, VerificationReport,
-                         _perturbation, _qpoly_discrepancy,
-                         ali_gf_truncated, bounded_gf, cor1_bounded_sum,
-                         even_odd_split_lhs, kursungoz_gf_truncated,
-                         lhs_schur, rhs_schur, schur_product_truncated,
-                         verify)
+from .schur_sums import (IdentityId, UsageError, ali_gf_truncated,
+                         bounded_gf, check_params, even_odd_split_lhs,
+                         kursungoz_gf_truncated, lhs_schur, rhs_schur,
+                         schur_product_truncated, verify)
 
 MAX_INDEX = 100   # hard cap on N-like parameters
 MAX_WINDOW = 500  # hard cap on truncation windows
 MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
+MAX_JOBS = 32     # hard cap on worker processes
+
+# each capped value by the name it travels under; the cap bounds |value|
+_CAPS = {"N": MAX_INDEX, "M": MAX_INDEX, "L": MAX_INDEX, "a": MAX_INDEX,
+         "max_n": MAX_INDEX, "largest_part": MAX_INDEX, "T": MAX_WINDOW,
+         "motion_size": MAX_MOTION_SIZE, "jobs": MAX_JOBS}
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
+
+
+def _check_cap(name: str, value: Any) -> None:
+    cap = _CAPS.get(name)
+    if cap is not None and isinstance(value, int) and abs(value) > cap:
+        raise UsageError("%s=%d exceeds the hard cap %d" % (name, value, cap))
 
 
 def _parse_range(text: str, name: str) -> list[int]:
     match = _RANGE_RE.match(text)
     if not match:
-        raise UsageError("%s must be an integer or a..b range, got %r" % (name, text))
+        raise UsageError("--%s must be an integer or a..b range, got %r" % (name, text))
     lo = int(match.group(1))
     hi = int(match.group(2)) if match.group(2) is not None else lo
     if hi < lo:
-        raise UsageError("%s range is empty: %s" % (name, text))
+        raise UsageError("--%s range is empty: %s" % (name, text))
+    _check_cap(name, lo)
+    _check_cap(name, hi)
     return list(range(lo, hi + 1))
-
-
-def _check_caps(params: dict[str, Any]) -> None:
-    for key, value in params.items():
-        if key in ("N", "M", "L", "a", "max") and abs(value) > MAX_INDEX:
-            raise UsageError("%s=%d exceeds the hard cap %d" % (key, value, MAX_INDEX))
-        if key == "T" and value > MAX_WINDOW:
-            raise UsageError("T=%d exceeds the hard cap %d" % (value, MAX_WINDOW))
 
 
 # ---------------------------------------------------------------------------
@@ -70,59 +80,7 @@ def _check_caps(params: dict[str, Any]) -> None:
 
 def _execute_row(row: dict[str, Any]) -> dict[str, Any]:
     """Run one verification row; also the worker entry point."""
-    check = row["check"]
-    params = row["params"]
-    if check == "schur-counts":
-        return _run_schur_counts(params)
-    if check == "cor1-bounded-sum":
-        return _run_cor1(params)
-    if check == "bijection-sweep":
-        return _run_sweep(params)
-    return verify(check, params).as_dict()
-
-
-def _report_dict(check: str, params: dict[str, Any],
-                 disc: dict[str, Any] | None) -> dict[str, Any]:
-    echo = {k: v for k, v in params.items() if not k.startswith("_")}
-    return VerificationReport(
-        identity=check, params=echo,
-        status="verified" if disc is None else "failed",
-        first_discrepancy=disc).as_dict()
-
-
-def _run_schur_counts(params: dict[str, Any]) -> dict[str, Any]:
-    n_max = params.get("max_n", 60)
-    gap = schur_counts(n_max)
-    if "_perturb" in params:
-        gap[0] += int(params["_perturb"]["delta"])
-    pm1 = distinct_pm1_counts(n_max)
-    product = schur_product_truncated(n_max)
-    disc = None
-    for n in range(n_max + 1):
-        want = product.coefficient_q(n)
-        if not (gap[n] == pm1[n] == want):
-            disc = {"x_degree": None, "exponent_half_steps": 2 * n,
-                    "lhs": "%d,%d" % (gap[n], pm1[n]), "rhs": str(want)}
-            break
-    return _report_dict("schur-counts", params, disc)
-
-
-def _run_cor1(params: dict[str, Any]) -> dict[str, Any]:
-    lhs, rhs = cor1_bounded_sum(params["N"])
-    disc = _qpoly_discrepancy(lhs + _perturbation(params), rhs)
-    return _report_dict("cor1-bounded-sum", params, disc)
-
-
-def _run_sweep(params: dict[str, Any]) -> dict[str, Any]:
-    summary = certify_range(params.get("max_size", 40),
-                            strict=params.get("strict", True))
-    disc = None
-    if summary["status"] != "verified":
-        disc = {"x_degree": None, "exponent_half_steps": 0,
-                "lhs": json.dumps(summary["failure"], sort_keys=True),
-                "rhs": "clean sweep"}
-    return _report_dict("bijection-sweep",
-                        {"max_size": params.get("max_size", 40)}, disc)
+    return verify(row["check"], row["params"]).as_dict()
 
 
 def acceptance_matrix() -> list[dict[str, Any]]:
@@ -140,11 +98,11 @@ def acceptance_matrix() -> list[dict[str, Any]]:
         add(IdentityId.REC_L.value, N=N)
     for N in range(4, 13):
         add(IdentityId.REC_SUMMAND.value, N=N)
-    add("schur-counts", max_n=60)
+    add(IdentityId.SCHUR_COUNTS.value, max_n=60)
     for N in range(0, 16):
         add(IdentityId.GF_BOUNDED.value, N=N, T=45)
     for N in range(1, 11):
-        add("cor1-bounded-sum", N=N)
+        add(IdentityId.COR1_BOUNDED_SUM.value, N=N)
     add(IdentityId.GF_ALI_EQ_KURSUNGOZ.value, T=60)
     add(IdentityId.GF_EVEN_ODD_SPLIT.value, T=60)
     add(IdentityId.ANALYTIC_SCHUR.value, T=60)
@@ -163,7 +121,7 @@ def acceptance_matrix() -> list[dict[str, Any]]:
         add(IdentityId.Q1_TRIPLE.value, M=M)
     for M in range(0, 16):
         add(IdentityId.Q1_QUAD.value, M=M)
-    add("bijection-sweep", max_size=40)
+    add(IdentityId.BIJECTION_SWEEP.value, max_size=40)
     add(IdentityId.EXPONENT_DIFF.value, max=20)
     return rows
 
@@ -171,22 +129,9 @@ def acceptance_matrix() -> list[dict[str, Any]]:
 def _run_rows(rows: list[dict[str, Any]], jobs: int) -> list[dict[str, Any]]:
     if jobs <= 1 or len(rows) <= 1:
         return [_execute_row(row) for row in rows]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit: ask for no idle ones
+    with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
         return list(pool.map(_execute_row, rows))
-
-
-def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        value = args.jobs
-    else:
-        env = os.environ.get("QSCHUR_JOBS", "")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise UsageError("QSCHUR_JOBS must be an integer, got %r" % env)
-    if value < 1:
-        raise UsageError("--jobs must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -234,40 +179,36 @@ def _entries_doc(entries: list[dict[str, Any]]) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        ident = IdentityId(args.identity)
-    except ValueError:
-        raise UsageError("unknown identity %r" % args.identity)
-
-    sweeps: dict[str, list[int]] = {}
-    for name in ("N", "M", "L", "a"):
-        raw = getattr(args, name)
-        if raw is not None:
-            sweeps[name] = _parse_range(raw, "--" + name)
-    if args.t is not None:
-        sweeps["t"] = [args.t]
-    elif ident is IdentityId.QT_LIMIT:
-        sweeps["t"] = [1, 2]
-    fixed: dict[str, Any] = {}
-    if args.T is not None:
-        fixed["T"] = args.T
-    if args.max_n is not None:
-        fixed["max"] = args.max_n
-
-    rows: list[dict[str, Any]] = [{"check": ident.value, "params": dict(fixed)}]
-    for name, values in sweeps.items():
-        rows = [{"check": ident.value, "params": {**row["params"], name: v}}
-                for row in rows for v in values]
-    for row in rows:
-        _check_caps(row["params"])
-
-    entries = _run_rows(rows, _jobs(args))
+def _verify_rows(rows: list[dict[str, Any]], args: argparse.Namespace) -> int:
+    # the tail verify and report share: run, emit, exit code
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    entries = _run_rows(rows, args.jobs)
     doc = _entries_doc(entries)
     _emit(doc, args, [_entry_line(e) for e in entries]
           + ["%d verified, %d failed" % (doc["summary"]["verified"],
                                          doc["summary"]["failed"])])
     return 0 if doc["summary"]["failed"] == 0 else 1
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    sweeps = {name: _parse_range(getattr(args, name), name)
+              for name in ("N", "M", "L", "a") if getattr(args, name) is not None}
+    if args.t is not None:
+        sweeps["t"] = [args.t]
+    elif args.identity == IdentityId.QT_LIMIT.value:
+        sweeps["t"] = [1, 2]
+    fixed = {name: value for name, value in (("T", args.T), ("max", args.max_n))
+             if value is not None}
+    # names, types and minimums, on the least value of each range (ranges
+    # ascend), before the sweep product is built
+    check_params(args.identity,
+                 {**fixed, **{name: values[0] for name, values in sweeps.items()}})
+    rows = [{"check": args.identity, "params": fixed}]
+    for name, values in sweeps.items():
+        rows = [{"check": args.identity, "params": {**row["params"], name: v}}
+                for row in rows for v in values]
+    return _verify_rows(rows, args)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -278,20 +219,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rows[0] = {"check": rows[0]["check"],
                    "params": {**rows[0]["params"],
                               "_perturb": {"exponent_half_steps": 0, "delta": 1}}}
-    entries = _run_rows(rows, _jobs(args))
-    doc = _entries_doc(entries)
-    _emit(doc, args, [_entry_line(e) for e in entries]
-          + ["%d verified, %d failed" % (doc["summary"]["verified"],
-                                         doc["summary"]["failed"])])
-    return 0 if doc["summary"]["failed"] == 0 else 1
+    return _verify_rows(rows, args)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n_max = args.max_n
-    if n_max is None:
-        raise UsageError("enumerate needs --max-n")
-    if n_max > MAX_INDEX:
-        raise UsageError("--max-n exceeds the hard cap %d" % MAX_INDEX)
     which = args.cls
     counts: dict[str, list[int]] = {}
     if which in ("schur", "both"):
@@ -328,12 +260,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.motions is not None:
         try:
             data = MotionData.from_dict(json.loads(args.motions))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise UsageError("bad motion data: %s" % exc)
         # every budget is at most the size, so this caps them all
-        if data.size > MAX_MOTION_SIZE:
-            raise UsageError("motion data of size %d exceeds the hard cap %d"
-                             % (data.size, MAX_MOTION_SIZE))
+        _check_cap("motion_size", data.size)
         try:
             result = apply_motions(data, strict=args.strict)
         except MotionRuleError as exc:
@@ -365,8 +295,6 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
                                         json.dumps(data.as_dict()))])
         return 0
 
-    if args.max_n > MAX_INDEX:
-        raise UsageError("--max-n exceeds the hard cap %d" % MAX_INDEX)
     summary = certify_range(args.max_n, strict=args.strict)
     lines = ["sweep to size %d: %s" % (args.max_n, summary["status"])]
     if summary["status"] == "verified":
@@ -387,20 +315,16 @@ def _cmd_series(args: argparse.Namespace) -> int:
             raise UsageError("series %r needs --T" % name)
         if T < 0:
             raise UsageError("T must be >= 0")
-        if T > MAX_WINDOW:
-            raise UsageError("T=%d exceeds the hard cap %d" % (T, MAX_WINDOW))
         return T
 
     def need_N() -> int:
         if args.N is None:
             raise UsageError("series %r needs --N" % name)
-        values = _parse_range(args.N, "--N")
+        values = _parse_range(args.N, "N")
         if len(values) != 1:
             raise UsageError("series takes a single --N")
         if values[0] < 0:
             raise UsageError("N must be >= 0")
-        if values[0] > MAX_INDEX:
-            raise UsageError("N exceeds the hard cap %d" % MAX_INDEX)
         return values[0]
 
     if name in ("lhs", "rhs"):
@@ -461,12 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--T", type=int)
     p_verify.add_argument("--t", type=int, choices=(1, 2))
     p_verify.add_argument("--max-n", dest="max_n", type=int)
-    p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("--jobs", type=int, default=1)
     common(p_verify)
 
     p_report = sub.add_parser("report", help="run the full verification matrix")
     p_report.add_argument("--identity", help="only rows with this check name")
-    p_report.add_argument("--jobs", type=int)
+    p_report.add_argument("--jobs", type=int, default=1)
     common(p_report)
 
     p_enum = sub.add_parser("enumerate", help="partition counts by size")
@@ -508,6 +432,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads --opt=-- as []
+                raise UsageError("%s: '--' is not a value" % name)
+            _check_cap(name, value)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         # UsageError, and the ValueError a library function raises for an

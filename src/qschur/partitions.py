@@ -24,6 +24,14 @@ from .qpoly import QPoly, XSeries
 Partition = tuple[int, ...]
 
 
+def weight_a(n1: int, n2: int, m: int) -> int:
+    """Size of the minimal admissible configuration with chain lengths
+    n1, n2 and m singletons: (2m+s+1)(2m+s)/2 + m*s + s^2 - n1, s=n1+n2."""
+    s = n1 + n2
+    u = 2 * m + s
+    return u * (u + 1) // 2 + m * s + s * s - n1
+
+
 def is_schur_admissible(parts: Iterable[int]) -> bool:
     """Gap >= 3 between consecutive parts, >= 6 when both are multiples
     of 3; parts ascending and positive.  The tightening applies only when

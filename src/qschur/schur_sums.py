@@ -1,9 +1,18 @@
 """Weight functions, side builders for every verified identity, and the
 registry-driven verifier.
 
-Layout: quadratic weights first, then the polynomial side builders (the
-left/right sides of each identity as exact `QPoly` or `XSeries` values),
-then the identity registry (`IdentityId`, `verify`, `VerificationReport`).
+Layout: quadratic weights first (`weight_a` is re-exported from
+`partitions`), then the polynomial side builders (the left/right sides of
+each identity as exact `QPoly` or `XSeries` values), then the identity
+registry (`IdentityId`, `check_params`, `verify`, `VerificationReport`).
+
+The registry holds every row kind of the verification report, the
+composite ones included: brute-force partition counts against the product
+side, the bounded-sum corollary, and the bijection sweep.  Each entry
+declares its integer parameters (a minimum, and a default or none) and a
+runner that returns the (left, right) pairs to compare.  `check_params`
+is the one place a request is validated; `verify` compares the pairs
+exactly and reports the first discrepancy.
 
 Two private walks carry every builder.  `_triple_sum(N, weight)` is the
 triple q-binomial sum over (n1, n2, m); the central left side, the
@@ -26,14 +35,18 @@ process simply warms its own caches.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, NamedTuple
 
-from .partitions import schur_gf_oracle
+from .bijection import certify_range
+# weight_a lives with the partitions whose minimal size it is; re-exported
+from .partitions import (distinct_pm1_counts, schur_counts, schur_gf_oracle,
+                         weight_a)
 from .qcoeff import (
     MonomialBase,
     gauss_binomial,
@@ -52,14 +65,6 @@ _ONE_Q_Q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})  # 1 + q + q^2
 
 # ---------------------------------------------------------------------------
 # quadratic weights
-
-def weight_a(n1: int, n2: int, m: int) -> int:
-    """Size of the minimal admissible configuration with chain lengths
-    n1, n2 and m singletons: (2m+s+1)(2m+s)/2 + m*s + s^2 - n1, s=n1+n2."""
-    s = n1 + n2
-    u = 2 * m + s
-    return u * (u + 1) // 2 + m * s + s * s - n1
-
 
 def weight_k(n1: int, n2: int, m: int) -> int:
     """Companion quadratic weight of the pair-indexed series:
@@ -533,6 +538,9 @@ class IdentityId(str, Enum):
     Q1_TRIPLE = "q1-triple"
     Q1_QUAD = "q1-quad"
     EXPONENT_DIFF = "exponent-diff"
+    SCHUR_COUNTS = "schur-counts"
+    COR1_BOUNDED_SUM = "cor1-bounded-sum"
+    BIJECTION_SWEEP = "bijection-sweep"
 
 
 class UsageError(ValueError):
@@ -579,128 +587,71 @@ def _qpoly_discrepancy(lhs: QPoly, rhs: QPoly,
     }
 
 
-def _xseries_discrepancy(lhs: XSeries, rhs: XSeries) -> dict[str, Any] | None:
-    for x in sorted(set(lhs.x_degrees()) | set(rhs.x_degrees())):
-        d = _qpoly_discrepancy(lhs.stratum(x), rhs.stratum(x), x_degree=x)
-        if d:
-            return d
-    return None
-
-
-def _int_discrepancy(lhs: int, rhs: int) -> dict[str, Any] | None:
+def _discrepancy(lhs: Any, rhs: Any) -> dict[str, Any] | None:
+    # the first place two sides differ: by x-degree, then q-exponent, for
+    # series; a count or a text differs as a whole
+    if isinstance(lhs, XSeries):
+        for x in sorted(set(lhs.x_degrees()) | set(rhs.x_degrees())):
+            d = _qpoly_discrepancy(lhs.stratum(x), rhs.stratum(x), x_degree=x)
+            if d:
+                return d
+        return None
+    if isinstance(lhs, QPoly):
+        return _qpoly_discrepancy(lhs, rhs)
     if lhs == rhs:
         return None
     return {"x_degree": None, "exponent_half_steps": 0,
             "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _need_int(params: dict, name: str, default: int | None = None,
-              minimum: int | None = None) -> int:
-    if name in params:
-        value = params[name]
-    elif default is not None:
-        value = default
-    else:
-        raise UsageError("missing parameter %r" % name)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError("parameter %r must be an integer" % name)
-    if minimum is not None and value < minimum:
-        raise UsageError("parameter %r must be >= %d" % (name, minimum))
-    return value
-
-
-def _perturbation(params: dict) -> QPoly:
+def _perturb(side: Any, hook: dict) -> Any:
     # Testing hook: {"_perturb": {"exponent_half_steps": e, "delta": d}}
-    # adds d*q^(e/2) to the left side before comparing, so report plumbing
-    # can be exercised against a guaranteed discrepancy.
-    hook = params.get("_perturb")
-    if hook is None:
-        return QPoly.zero()
-    return QPoly.monomial(int(hook["delta"]), int(hook["exponent_half_steps"]))
+    # adds d*q^(e/2) to the first left side (d to a count) before
+    # comparing, so report plumbing can be exercised against a guaranteed
+    # discrepancy.  A text side already names a failure and is kept.
+    if isinstance(side, str):
+        return side
+    if isinstance(side, int):
+        return side + int(hook["delta"])
+    poly = QPoly.monomial(int(hook["delta"]), int(hook["exponent_half_steps"]))
+    if isinstance(side, XSeries):
+        return side + XSeries.term(side.truncation, 0, poly)
+    return side + poly
 
 
-def _perturb_xseries(series: XSeries, params: dict) -> XSeries:
-    poly = _perturbation(params)
-    if poly.is_zero():
-        return series
-    return series + XSeries.term(series.truncation, 0, poly)
+class _Param(NamedTuple):
+    # one declared integer parameter; with neither a default nor optional
+    # set, the caller must give it
+    minimum: int | None = None
+    default: int | None = None
+    optional: bool = False   # omitted without a default: the runner sees no key
 
 
-def _int_perturbation(params: dict) -> int:
-    hook = params.get("_perturb")
-    return int(hook["delta"]) if hook else 0
+_Pairs = Iterable[tuple[Any, Any]]
 
 
-def _run_schur_poly(p: dict) -> dict | None:
-    N = _need_int(p, "N", minimum=0)
-    return _qpoly_discrepancy(lhs_schur(N) + _perturbation(p), rhs_schur(N))
-
-
-def _run_dual(p: dict) -> dict | None:
-    lhs, rhs = dual_sides(_need_int(p, "N", minimum=0))
-    return _qpoly_discrepancy(lhs + _perturbation(p), rhs)
-
-
-def _run_t0_binom(p: dict) -> dict | None:
-    lhs, rhs = t0_binomial_sides(_need_int(p, "N", minimum=0))
-    return _qpoly_discrepancy(lhs + _perturbation(p), rhs)
-
-
-def _run_t0_limit(p: dict) -> dict | None:
-    N = _need_int(p, "N", default=40, minimum=0)
-    T = _need_int(p, "T", default=40, minimum=0)
-    if T > N:
+def _run_t0_limit(p: dict) -> _Pairs:
+    if p["T"] > p["N"]:
         raise UsageError(
             "window T=%d exceeds the convergence range of the N=%d partial "
-            "sum (the two sides genuinely differ from q^(N+1) on)" % (T, N))
-    return _qpoly_discrepancy(t0_half_sum_truncated(N, T) + _perturbation(p),
-                              t0_limit_product(T))
+            "sum (the two sides genuinely differ from q^(N+1) on)" % (p["T"], p["N"]))
+    return [(t0_half_sum_truncated(p["N"], p["T"]), t0_limit_product(p["T"]))]
 
 
-def _run_qt_limit(p: dict) -> dict | None:
-    t = _need_int(p, "t")
-    T = _need_int(p, "T", default=50, minimum=0)
-    if t not in (1, 2):
+def _run_qt_limit(p: dict) -> _Pairs:
+    if p["t"] not in (1, 2):
         raise UsageError("t must be 1 or 2")
-    return _qpoly_discrepancy(qt_limit_sum(t, T) + _perturbation(p),
-                              t0_limit_product(T))
+    return [(qt_limit_sum(p["t"], p["T"]), t0_limit_product(p["T"]))]
 
 
-def _run_summation(p: dict) -> dict | None:
-    lhs, rhs = summation_formula_sides(_need_int(p, "M", minimum=0))
-    return _qpoly_discrepancy(lhs + _perturbation(p), rhs)
+def _run_warnaar(p: dict) -> _Pairs:
+    L = p["L"]
+    for a in [p["a"]] if "a" in p else range(-L, L + 1):
+        yield warnaar_sides(L, a)
 
 
-def _run_warnaar(p: dict) -> dict | None:
-    L = _need_int(p, "L", minimum=0)
-    if "a" in p:
-        sweep = [_need_int(p, "a")]
-    else:
-        sweep = range(-L, L + 1)
-    for a in sweep:
-        lhs, rhs = warnaar_sides(L, a)
-        d = _qpoly_discrepancy(lhs + _perturbation(p), rhs)
-        if d:
-            return d
-    return None
-
-
-def _run_rec_andrews(p: dict) -> dict | None:
-    N = _need_int(p, "N", minimum=2)
-    return _qpoly_discrepancy(
-        recurrence_residual(IdentityId.REC_ANDREWS, N) + _perturbation(p),
-        QPoly.zero())
-
-
-def _run_rec_l(p: dict) -> dict | None:
-    N = _need_int(p, "N", minimum=4)
-    return _qpoly_discrepancy(
-        recurrence_residual(IdentityId.REC_L, N) + _perturbation(p),
-        QPoly.zero())
-
-
-def _run_rec_summand(p: dict) -> dict | None:
-    N = _need_int(p, "N", minimum=4)
+def _run_rec_summand(p: dict) -> _Pairs:
+    N = p["N"]
     given = [name for name in ("m", "n1", "n2") if name in p]
     if given and len(given) != 3:
         raise UsageError("give all of m, n1, n2 or none of them")
@@ -712,107 +663,129 @@ def _run_rec_summand(p: dict) -> dict | None:
                  for n1 in range(N + 1 - m)
                  for n2 in range(N + 1 - m - n1)]
     for m, n1, n2 in cells:
-        d = _qpoly_discrepancy(
-            recurrence_residual(IdentityId.REC_SUMMAND, N, m, n1, n2)
-            + _perturbation(p), QPoly.zero())
-        if d:
-            return d
-    return None
+        yield (recurrence_residual(IdentityId.REC_SUMMAND, N, m, n1, n2),
+               QPoly.zero())
 
 
-def _run_gf_bounded(p: dict) -> dict | None:
-    N = _need_int(p, "N", minimum=0)
-    T = _need_int(p, "T", default=45, minimum=0)
-    return _xseries_discrepancy(_perturb_xseries(bounded_gf(N, T), p),
-                                schur_gf_oracle(T, largest_part=N))
+def _run_exponent_diff(p: dict) -> _Pairs:
+    span = range(p["max"] + 1)
+    for n1 in span:
+        for n2 in span:
+            for m in span:
+                yield weight_a(2 * n1, 2 * n2, m) - weight_k(n1, n2, m), 2 * m
 
 
-def _run_gf_ali_eq_kursungoz(p: dict) -> dict | None:
-    T = _need_int(p, "T", default=60, minimum=0)
-    return _xseries_discrepancy(_perturb_xseries(ali_gf_truncated(T), p),
-                                kursungoz_gf_truncated(T))
+def _run_schur_counts(p: dict) -> _Pairs:
+    # both partition classes, counted by brute force, against the product
+    n = p["max_n"]
+    product = schur_product_truncated(n)
+    for counts in (schur_counts(n), distinct_pm1_counts(n)):
+        yield QPoly.from_q_coeffs(dict(enumerate(counts))), product
 
 
-def _run_gf_even_odd(p: dict) -> dict | None:
-    T = _need_int(p, "T", default=60, minimum=0)
-    return _xseries_discrepancy(_perturb_xseries(even_odd_split_lhs(T), p),
-                                kursungoz_gf_truncated(T))
+def _run_bijection_sweep(p: dict) -> _Pairs:
+    # a failed certification is its own discrepancy; a clean one must
+    # round-trip exactly as many partitions as the enumeration finds
+    summary = certify_range(p["max_size"])
+    if summary["status"] != "verified":
+        return [(json.dumps(summary["failure"], sort_keys=True), "clean sweep")]
+    return [(summary["partitions"], sum(schur_counts(p["max_size"])))]
 
 
-def _run_analytic_schur(p: dict) -> dict | None:
-    T = _need_int(p, "T", default=60, minimum=0)
-    return _qpoly_discrepancy(ali_gf_truncated(T).at_x_one() + _perturbation(p),
-                              schur_product_truncated(T))
-
-
-def _run_q1_triple(p: dict) -> dict | None:
-    M = _need_int(p, "M", minimum=0)
-    return _int_discrepancy(q1_triple_value(M) + _int_perturbation(p), 3 ** M)
-
-
-def _run_q1_quad(p: dict) -> dict | None:
-    M = _need_int(p, "M", minimum=0)
-    return _int_discrepancy(q1_quad_value(M) + _int_perturbation(p), 4 ** M)
-
-
-def _run_exponent_diff(p: dict) -> dict | None:
-    bound = _need_int(p, "max", default=20, minimum=0)
-    for n1 in range(bound + 1):
-        for n2 in range(bound + 1):
-            for m in range(bound + 1):
-                lhs = weight_a(2 * n1, 2 * n2, m) - weight_k(n1, n2, m)
-                d = _int_discrepancy(lhs + _int_perturbation(p), 2 * m)
-                if d:
-                    return d
-    return None
-
-
-# Each identity's runner and the parameter names it reads; verify rejects
-# any other name that is not an underscore-prefixed testing hook.
-_DISPATCH: dict[IdentityId,
-                tuple[Callable[[dict], dict | None], tuple[str, ...]]] = {
-    IdentityId.SCHUR_POLY: (_run_schur_poly, ("N",)),
-    IdentityId.DUAL: (_run_dual, ("N",)),
-    IdentityId.T0_BINOM: (_run_t0_binom, ("N",)),
-    IdentityId.T0_LIMIT: (_run_t0_limit, ("N", "T")),
-    IdentityId.QT_LIMIT: (_run_qt_limit, ("t", "T")),
-    IdentityId.SUMMATION_M: (_run_summation, ("M",)),
-    IdentityId.WARNAAR: (_run_warnaar, ("L", "a")),
-    IdentityId.REC_ANDREWS: (_run_rec_andrews, ("N",)),
-    IdentityId.REC_L: (_run_rec_l, ("N",)),
-    IdentityId.REC_SUMMAND: (_run_rec_summand, ("N", "m", "n1", "n2")),
-    IdentityId.GF_BOUNDED: (_run_gf_bounded, ("N", "T")),
-    IdentityId.GF_ALI_EQ_KURSUNGOZ: (_run_gf_ali_eq_kursungoz, ("T",)),
-    IdentityId.GF_EVEN_ODD_SPLIT: (_run_gf_even_odd, ("T",)),
-    IdentityId.ANALYTIC_SCHUR: (_run_analytic_schur, ("T",)),
-    IdentityId.Q1_TRIPLE: (_run_q1_triple, ("M",)),
-    IdentityId.Q1_QUAD: (_run_q1_quad, ("M",)),
-    IdentityId.EXPONENT_DIFF: (_run_exponent_diff, ("max",)),
+# Each identity's declared parameters and its runner: resolved parameters
+# -> the (left, right) side pairs to compare exactly, left side first.
+# Rules that tie parameters together stay in the runners.
+_REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] = {
+    IdentityId.SCHUR_POLY: (
+        {"N": _Param(0)}, lambda p: [(lhs_schur(p["N"]), rhs_schur(p["N"]))]),
+    IdentityId.DUAL: ({"N": _Param(0)}, lambda p: [dual_sides(p["N"])]),
+    IdentityId.T0_BINOM: ({"N": _Param(0)}, lambda p: [t0_binomial_sides(p["N"])]),
+    IdentityId.T0_LIMIT: (
+        {"N": _Param(0, 40), "T": _Param(0, 40)}, _run_t0_limit),
+    IdentityId.QT_LIMIT: ({"t": _Param(), "T": _Param(0, 50)}, _run_qt_limit),
+    IdentityId.SUMMATION_M: (
+        {"M": _Param(0)}, lambda p: [summation_formula_sides(p["M"])]),
+    IdentityId.WARNAAR: (
+        {"L": _Param(0), "a": _Param(optional=True)}, _run_warnaar),
+    IdentityId.REC_ANDREWS: ({"N": _Param(2)}, lambda p: [(
+        recurrence_residual(IdentityId.REC_ANDREWS, p["N"]), QPoly.zero())]),
+    IdentityId.REC_L: ({"N": _Param(4)}, lambda p: [(
+        recurrence_residual(IdentityId.REC_L, p["N"]), QPoly.zero())]),
+    IdentityId.REC_SUMMAND: (
+        {"N": _Param(4), "m": _Param(0, optional=True),
+         "n1": _Param(0, optional=True), "n2": _Param(0, optional=True)},
+        _run_rec_summand),
+    IdentityId.GF_BOUNDED: ({"N": _Param(0), "T": _Param(0, 45)}, lambda p: [(
+        bounded_gf(p["N"], p["T"]), schur_gf_oracle(p["T"], largest_part=p["N"]))]),
+    IdentityId.GF_ALI_EQ_KURSUNGOZ: ({"T": _Param(0, 60)}, lambda p: [(
+        ali_gf_truncated(p["T"]), kursungoz_gf_truncated(p["T"]))]),
+    IdentityId.GF_EVEN_ODD_SPLIT: ({"T": _Param(0, 60)}, lambda p: [(
+        even_odd_split_lhs(p["T"]), kursungoz_gf_truncated(p["T"]))]),
+    IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60)}, lambda p: [(
+        ali_gf_truncated(p["T"]).at_x_one(), schur_product_truncated(p["T"]))]),
+    IdentityId.Q1_TRIPLE: (
+        {"M": _Param(0)}, lambda p: [(q1_triple_value(p["M"]), 3 ** p["M"])]),
+    IdentityId.Q1_QUAD: (
+        {"M": _Param(0)}, lambda p: [(q1_quad_value(p["M"]), 4 ** p["M"])]),
+    IdentityId.EXPONENT_DIFF: ({"max": _Param(0, 20)}, _run_exponent_diff),
+    IdentityId.SCHUR_COUNTS: ({"max_n": _Param(0, 60)}, _run_schur_counts),
+    IdentityId.COR1_BOUNDED_SUM: (
+        {"N": _Param(1)}, lambda p: [cor1_bounded_sum(p["N"])]),
+    IdentityId.BIJECTION_SWEEP: (
+        {"max_size": _Param(0, 40)}, _run_bijection_sweep),
 }
+
+
+def check_params(identity: "IdentityId | str",
+                 params: dict[str, Any]) -> tuple[IdentityId, dict[str, int]]:
+    """Resolve a verification request against the registry: the identity,
+    and every parameter it declares, defaults filled in.  Raises
+    UsageError for an unknown identity, a name it does not declare (other
+    than an underscore-prefixed testing hook), a missing or non-integer
+    value, or a value below its declared minimum."""
+    try:
+        ident = IdentityId(identity)
+    except ValueError:
+        raise UsageError("unknown identity %r" % (identity,)) from None
+    declared = _REGISTRY[ident][0]
+    unknown = [k for k in params if k not in declared and not k.startswith("_")]
+    if unknown:
+        raise UsageError("%s does not take parameter %s" % (
+            ident.value, ", ".join(repr(k) for k in unknown)))
+    resolved: dict[str, int] = {}
+    for name, spec in declared.items():
+        if name not in params and spec.default is None:
+            if spec.optional:
+                continue
+            raise UsageError("missing parameter %r" % name)
+        value = params.get(name, spec.default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError("parameter %r must be an integer" % name)
+        if spec.minimum is not None and value < spec.minimum:
+            raise UsageError("parameter %r must be >= %d" % (name, spec.minimum))
+        resolved[name] = value
+    return ident, resolved
 
 
 def verify(identity: "IdentityId | str", params: dict[str, Any] | None = None,
            timings: bool = False) -> VerificationReport:
     """Build both sides of the named identity at the given parameters and
-    compare exactly.  Returns a report; bad parameters, and parameter
-    names the identity does not read, raise UsageError.
+    compare exactly.  Returns a report with the first discrepancy; bad
+    parameters raise UsageError (see check_params).
 
-    The params echoed in the report exclude underscore-prefixed testing
-    hooks.  elapsed_ms is 0 unless timings is requested, keeping default
-    reports byte-stable across runs.
+    The params echoed in the report are the given ones, without
+    underscore-prefixed testing hooks.  elapsed_ms is 0 unless timings is
+    requested, keeping default reports byte-stable across runs.
     """
-    try:
-        ident = IdentityId(identity)
-    except ValueError:
-        raise UsageError("unknown identity %r" % (identity,)) from None
     p = dict(params or {})
-    run, names = _DISPATCH[ident]
-    unknown = [k for k in p if k not in names and not k.startswith("_")]
-    if unknown:
-        raise UsageError("%s does not take parameter %s" % (
-            ident.value, ", ".join(repr(k) for k in unknown)))
+    ident, resolved = check_params(identity, p)
+    hook = p.get("_perturb")
     start = time.monotonic()
-    disc = run(p)
+    disc = None
+    for i, (lhs, rhs) in enumerate(_REGISTRY[ident][1](resolved)):
+        disc = _discrepancy(_perturb(lhs, hook) if hook and i == 0 else lhs, rhs)
+        if disc:
+            break
     elapsed = int((time.monotonic() - start) * 1000) if timings else 0
     echo = {k: v for k, v in p.items() if not k.startswith("_")}
     return VerificationReport(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qschur import __version__
+from qschur import __version__, cli
 from qschur.cli import acceptance_matrix, main
 from qschur.partitions import distinct_pm1_counts, schur_counts
 
@@ -74,6 +74,62 @@ def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, "verify", "--identity", "dual",
                          "--N", "2", "--L", "3")
     assert code == 2 and out == "" and "'L'" in err
+    # ranges are capped before they are built, names checked before the
+    # sweep product is
+    code, out, err = run(capsys, "verify", "--identity", "schur-poly",
+                         "--N", "0..1000000000000")
+    assert code == 2 and out == "" and "hard cap" in err
+    code, out, err = run(capsys, "verify", "--identity", "dual",
+                         "--N", "0..100", "--M", "0..100", "--L", "0..100",
+                         "--a=-100..100")
+    assert code == 2 and out == "" and "'M'" in err
+    # composite rows take their declared parameters only
+    code, out, err = run(capsys, "verify", "--identity", "cor1-bounded-sum")
+    assert code == 2 and out == "" and "missing parameter 'N'" in err
+    code, out, err = run(capsys, "verify", "--identity", "schur-counts",
+                         "--max-n", "20")
+    assert code == 2 and out == "" and "'max'" in err
+
+
+def test_verify_runs_the_composite_rows(capsys):
+    for argv, params in ((["--identity", "schur-counts"], [{}]),
+                         (["--identity", "bijection-sweep"], [{}]),
+                         (["--identity", "cor1-bounded-sum", "--N", "1..3"],
+                          [{"N": 1}, {"N": 2}, {"N": 3}])):
+        code, doc, _ = run_json(capsys, "verify", *argv)
+        assert code == 0
+        assert [e["params"] for e in doc["entries"]] == params
+        assert all(e["status"] == "verified" for e in doc["entries"])
+
+
+def test_jobs_is_capped_and_sizes_the_pool(capsys, monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, forks nothing
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            return map(fn, rows)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, doc, _ = run_json(capsys, "report", "--identity", "q1-quad",
+                            "--jobs", str(cli.MAX_JOBS))
+    assert code == 0 and len(doc["entries"]) == 16
+    assert asked == [16]     # never more workers than rows
+    code, out, err = run(capsys, "report", "--jobs", str(cli.MAX_JOBS + 1))
+    assert code == 2 and out == "" and "hard cap" in err
+    code, out, err = run(capsys, "verify", "--identity", "dual", "--N", "0..3",
+                         "--jobs", "0")
+    assert code == 2 and out == "" and ">= 1" in err
+    assert asked == [16]
 
 
 def test_verify_rejects_t_outside_choices(capsys):
@@ -153,6 +209,9 @@ def test_enumerate_usage_errors(capsys):
     code, out, err = run(capsys, "enumerate", "--max-n", "10",
                          "--class", "schur", "--largest-part", "-1")
     assert code == 2 and out == "" and err.startswith("error:")
+    # argparse reads --opt=-- as an empty list, skipping the int conversion
+    code, out, err = run(capsys, "enumerate", "--max-n=--")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bijection_decode(capsys):
@@ -199,6 +258,9 @@ def test_bijection_usage_errors(capsys):
     code, out, err = run(capsys, "bijection", "--motions",
                          '{"n1":0,"n2":2,"m":0,"rho2":[99999999]}')
     assert code == 2 and out == "" and "hard cap" in err
+    for motions in ('{"n1": 1e400, "n2": 0, "m": 0}', "[" * 100000):
+        code, out, err = run(capsys, "bijection", "--motions", motions)
+        assert code == 2 and out == "" and "bad motion data" in err
 
 
 def test_series_polynomial_text(capsys):
@@ -247,6 +309,10 @@ def test_series_usage_errors(capsys):
     code, out, err = run(capsys, "series", "oracle", "--T", "10",
                          "--largest-part", "-1")
     assert code == 2 and out == "" and err.startswith("error:")
+    # the bound sets binomial tops, so an uncapped one builds huge polynomials
+    code, out, err = run(capsys, "series", "bounded", "--T", "10",
+                         "--largest-part", "101")
+    assert code == 2 and out == "" and "hard cap" in err
 
 
 def test_out_writes_json_even_in_text_mode(capsys, tmp_path):

@@ -30,6 +30,9 @@ CHEAP_PARAMS = {
     IdentityId.Q1_TRIPLE: {"M": 5},
     IdentityId.Q1_QUAD: {"M": 5},
     IdentityId.EXPONENT_DIFF: {"max": 5},
+    IdentityId.SCHUR_COUNTS: {"max_n": 20},
+    IdentityId.COR1_BOUNDED_SUM: {"N": 2},
+    IdentityId.BIJECTION_SWEEP: {"max_size": 16},
 }
 
 
@@ -127,6 +130,9 @@ def test_termwise_recurrence_cell_selection():
         verify(IdentityId.REC_SUMMAND, {"N": 6, "m": 1})
     with pytest.raises(UsageError):
         verify(IdentityId.REC_SUMMAND, {"N": 3})
+    # a negative index selects a zero summand, which would pass vacuously
+    with pytest.raises(UsageError, match="'m'"):
+        verify(IdentityId.REC_SUMMAND, {"N": 6, "m": -1, "n1": 1, "n2": 1})
 
 
 def test_warnaar_single_a_selection():
