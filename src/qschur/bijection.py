@@ -11,15 +11,19 @@ parts).  `apply_motions` plays the motions forward, `decode` inverts
 them, and `certify_range` sweeps every budget up to a size bound and
 checks the two against brute-force enumeration.
 
-The crossing rules are keyed on part values, not on the role (singleton
-or chain member) a part had at dock time; runs of one or two chain parts
-are crossed by the same rules as one or two singletons, and only runs of
-three or more get the dedicated chain rule.
+The motion rule is one table, `_crossings`: the tuples of parts a step
+may cross, in rule order (none when nothing sits within [top+3, top+5];
+else the next one, two or three parts in a window cluster; else, for
+1 mod 3 pairs, a run of three or more parts 3 apart from top+4).  It is
+keyed on part values, not on the role (singleton or chain member) a part
+had at dock time.  `_jump` is the only code that moves a pair, in either
+direction, and the inverse step tries every crossing size k on the k
+parts just below the pair, so a new rule goes into `_crossings` alone.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -139,77 +143,78 @@ class MotionData:
 
 
 # ---------------------------------------------------------------------------
+# the rule table
+
+# A crossing of k parts (k <= 3) is admitted when part i sits at
+# top + 3 + 4i + slack_i with 0 <= slack_i <= the widest slack for k, and
+# no slack exceeds the one before it by more than 1.  The conditions
+# nest: a cluster that admits k + 1 parts admits its first k.
+_CLUSTERS = ((1, 2), (2, 2), (3, 1))
+
+
+def _crossings(state: list[int], bottom: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of parts a forward step of the pair (bottom, bottom+3)
+    may cross, in rule order; the first admissible jump wins.
+
+    Every crossing is the next k parts above the top, which
+    `_unstep_candidates` relies on: a new rule must keep to that.
+    """
+    top = bottom + 3
+    above = state[bisect_right(state, top):]
+    if not above or above[0] > top + 5:
+        yield ()
+        return
+    slack = [z - (top + 3 + 4 * i) for i, z in enumerate(above[:3])]
+    for k, widest in _CLUSTERS:
+        s = slack[:k]
+        if len(s) == k and all(0 <= v <= widest for v in s) \
+                and all(b - a <= 1 for a, b in zip(s, s[1:])):
+            yield tuple(above[:k])
+    if bottom % 3 == 1 and above[0] == top + 4:
+        run = 1
+        while run < len(above) and above[run] == top + 4 + 3 * run:
+            run += 1
+        if run >= 3:
+            yield tuple(above[:run])
+
+
+def _jump(state: list[int], bottom: int, crossed: tuple[int, ...],
+          direction: int) -> tuple[list[int], int]:
+    """The state after the pair at bottom jumps across the crossed parts,
+    and its new bottom.  Forward (direction 1) the pair rises by
+    3(1 + k) and each of the k crossed parts drops by 6; backward (-1)
+    undoes that, with crossed given as they sit after the forward jump."""
+    shift = 3 * (1 + len(crossed)) * direction
+    gone = {bottom, bottom + 3, *crossed}
+    moved = [z for z in state if z not in gone]
+    moved += [z - 6 * direction for z in crossed]
+    moved += [bottom + shift, bottom + 3 + shift]
+    moved.sort()
+    return moved, bottom + shift
+
+
+# ---------------------------------------------------------------------------
 # forward motions
 
 def _advance_pair(state: list[int], bottom: int, strict: bool) -> int:
     """Apply one forwards motion to the pair (bottom, bottom+3) inside
     state (a sorted list, mutated in place).  Returns the new bottom.
 
-    Rule order: the free motion if nothing sits within [top+3, top+5],
-    otherwise the smallest crossing (one part, two parts, three parts,
-    then the long-run rule for 1 mod 3 pairs) whose outcome satisfies
-    the gap conditions.  Raises MotionRuleError when nothing applies.
+    Takes the first crossing of _crossings whose jump satisfies the gap
+    conditions.  Raises MotionRuleError when none does.
     """
-    top = bottom + 3
-    family = bottom % 3
     before = tuple(state)
-    blockers = [z for z in state if top + 3 <= z <= top + 5]
-
-    candidates: list[tuple[list[int], int, int]] = []
-    if not blockers:
-        moved = [z for z in state if z != bottom and z != top]
-        moved += [bottom + 3, top + 3]
-        moved.sort()
-        candidates.append((moved, bottom + 3, 0))
-    else:
-        u = blockers[0]
-        above = [z for z in state if z > u]
-        # one crossed part
-        moved = [z for z in state if z not in (bottom, top, u)]
-        moved += [u - 6, bottom + 6, top + 6]
-        moved.sort()
-        candidates.append((moved, bottom + 6, 1))
-        # two crossed parts
-        if above and top + 7 <= above[0] <= top + 9 \
-                and (above[0] - (top + 7)) - (u - (top + 3)) <= 1:
-            w = above[0]
-            moved = [z for z in state if z not in (bottom, top, u, w)]
-            moved += [u - 6, w - 6, bottom + 9, top + 9]
-            moved.sort()
-            candidates.append((moved, bottom + 9, 2))
-            # three crossed parts
-            if u <= top + 4 and w <= top + 8 and len(above) >= 2 \
-                    and top + 11 <= above[1] <= top + 12 \
-                    and (above[1] - (top + 11)) - (w - (top + 7)) <= 1:
-                x = above[1]
-                moved = [z for z in state if z not in (bottom, top, u, w, x)]
-                moved += [u - 6, w - 6, x - 6, bottom + 12, top + 12]
-                moved.sort()
-                candidates.append((moved, bottom + 12, 3))
-        # a long run of consecutive 2 mod 3 parts, 1 mod 3 pairs only
-        if family == 1 and u == top + 4:
-            run = 1
-            while top + 4 + 3 * run in state:
-                run += 1
-            if run >= 3:
-                crossed = [top + 4 + 3 * i for i in range(run)]
-                moved = [z for z in state
-                         if z not in crossed and z not in (bottom, top)]
-                moved += [z - 6 for z in crossed]
-                moved += [bottom + 3 * (run + 1), top + 3 * (run + 1)]
-                moved.sort()
-                candidates.append((moved, bottom + 3 * (run + 1), run))
-
-    for moved, new_bottom, crossed in candidates:
+    for crossed in _crossings(state, bottom):
+        moved, new_bottom = _jump(state, bottom, crossed, 1)
         if not is_schur_admissible(tuple(moved)):
             continue
         assert sum(moved) == sum(before) + 6
-        assert new_bottom - bottom == 3 * (1 + crossed)
+        assert new_bottom - bottom == 3 * (1 + len(crossed))
         if strict:
             assert len(moved) == len(before)
         state[:] = moved
         return new_bottom
-    raise MotionRuleError(family, bottom, before)
+    raise MotionRuleError(bottom % 3, bottom, before)
 
 
 def apply_motions(data: MotionData, strict: bool = False) -> Partition:
@@ -263,59 +268,24 @@ def _replay_matches(pre: list[int], pre_bottom: int,
 
 
 def _unstep_candidates(state: list[int], bottom: int) -> Iterator[tuple[list[int], int]]:
-    """All (pre_state, pre_bottom) whose forward step reproduces state."""
+    """All (pre_state, pre_bottom) whose forward step reproduces state.
+
+    A forward step crosses the next k parts above the pair's top (the gap
+    conditions leave nothing within 2 of it), so after the jump those k
+    parts are the k largest below the new bottom, each above
+    bottom - 3k - 6.  Each k is tried until that bound breaks, which it
+    then does for every larger k; the forward replay is the only judge.
+    """
     post = tuple(state)
-    top = bottom + 3
-    in_state = set(state)
-
-    def others(*removed: int) -> list[int]:
-        return [z for z in state if z not in removed]
-
-    # free motion undone
-    pre = others(bottom, top) + [bottom - 3, top - 3]
-    pre.sort()
-    if is_schur_admissible(tuple(pre)) and _replay_matches(pre, bottom - 3, post, bottom):
-        yield pre, bottom - 3
-    # one part crossed
-    for z in state:
-        if bottom - 6 <= z <= bottom - 4:
-            pre = others(bottom, top, z) + [z + 6, bottom - 6, top - 6]
-            pre.sort()
-            if is_schur_admissible(tuple(pre)) and _replay_matches(pre, bottom - 6, post, bottom):
-                yield pre, bottom - 6
-    # two parts crossed
-    z1s = [z for z in state if bottom - 9 <= z <= bottom - 7]
-    z2s = [z for z in state if bottom - 5 <= z <= bottom - 3]
-    for z1 in z1s:
-        for z2 in z2s:
-            pre = others(bottom, top, z1, z2) + [z1 + 6, z2 + 6, bottom - 9, top - 9]
-            pre.sort()
-            if is_schur_admissible(tuple(pre)) and _replay_matches(pre, bottom - 9, post, bottom):
-                yield pre, bottom - 9
-    # three parts crossed
-    z1s = [z for z in state if bottom - 12 <= z <= bottom - 11]
-    z2s = [z for z in state if bottom - 8 <= z <= bottom - 7]
-    z3s = [z for z in state if bottom - 4 <= z <= bottom - 3]
-    for z1 in z1s:
-        for z2 in z2s:
-            for z3 in z3s:
-                pre = others(bottom, top, z1, z2, z3) \
-                    + [z1 + 6, z2 + 6, z3 + 6, bottom - 12, top - 12]
-                pre.sort()
-                if is_schur_admissible(tuple(pre)) and _replay_matches(pre, bottom - 12, post, bottom):
-                    yield pre, bottom - 12
-    # a long run crossed (1 mod 3 pairs only)
-    if bottom % 3 == 1:
-        run = 0
-        while bottom - 5 - 3 * run in in_state:
-            run += 1
-        for l in range(3, run + 1):
-            crossed = [bottom - 5 - 3 * i for i in range(l)]
-            pre = others(bottom, top, *crossed) + [z + 6 for z in crossed]
-            pre += [bottom - 3 * (l + 1), top - 3 * (l + 1)]
-            pre.sort()
-            if is_schur_admissible(tuple(pre)) and _replay_matches(pre, bottom - 3 * (l + 1), post, bottom):
-                yield pre, bottom - 3 * (l + 1)
+    below = bisect_left(state, bottom)
+    for k in range(below + 1):
+        crossed = tuple(state[below - k:below])
+        if crossed and crossed[0] <= bottom - 3 * k - 6:
+            break
+        pre, pre_bottom = _jump(state, bottom, crossed, -1)
+        if is_schur_admissible(tuple(pre)) \
+                and _replay_matches(pre, pre_bottom, post, bottom):
+            yield pre, pre_bottom
 
 
 def _unwind_pairs(state: list[int], pair_bottoms: list[int],

@@ -37,7 +37,6 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
 from .partitions import (distinct_pm1_counts, enumerate_schur,
                          format_partition, parse_partition, schur_counts,
                          schur_gf_oracle)
-from .qpoly import XSeries
 from .schur_sums import (IdentityId, UsageError, ali_gf_truncated,
                          bounded_gf, check_params, even_odd_split_lhs,
                          kursungoz_gf_truncated, lhs_schur, rhs_schur,
@@ -136,10 +135,6 @@ def _run_rows(rows: list[dict[str, Any]], jobs: int) -> list[dict[str, Any]]:
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-def _strata_pairs(s: XSeries) -> list[list[Any]]:
-    return [[x, s.stratum(x).to_pairs()] for x in s.x_degrees()]
-
 
 def _emit(doc: dict[str, Any], args: argparse.Namespace,
           text_lines: list[str]) -> None:
@@ -267,7 +262,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         try:
             result = apply_motions(data, strict=args.strict)
         except MotionRuleError as exc:
-            print("motion failed: %s" % exc, file=sys.stderr)
+            _emit({"motions": data.as_dict(), "status": "failed",
+                   "failure": {"kind": "no-rule", "detail": str(exc)}},
+                  args, ["motion failed: %s" % exc])
             return 1
         doc = {"motions": data.as_dict(),
                "partition": format_partition(result), "size": sum(result)}
@@ -283,12 +280,15 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             raise UsageError(str(exc))
         try:
             data = decode(parts, strict=args.strict)
+        except DecodeError as exc:
+            # a missing pre-image for an admissible partition is a
+            # genuine discrepancy
+            _emit({"partition": format_partition(parts), "status": "failed",
+                   "failure": {"kind": "decode", "detail": str(exc)}},
+                  args, ["decode failed: %s" % exc])
+            return 1
         except ValueError as exc:
-            # inadmissible input is a usage problem; a missing pre-image
-            # for an admissible partition is a genuine discrepancy
-            if isinstance(exc, DecodeError):
-                print("decode failed: %s" % exc, file=sys.stderr)
-                return 1
+            # inadmissible input is a usage problem
             raise UsageError(str(exc))
         doc = {"partition": format_partition(parts), "motions": data.as_dict()}
         _emit(doc, args, ["%s -> %s" % (format_partition(parts) or "(empty)",
@@ -353,7 +353,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         series = schur_gf_oracle(need_T(), largest_part=args.largest_part)
     else:
         raise UsageError("unknown series %r" % name)
-    doc.update(T=T, strata=_strata_pairs(series))
+    doc.update(T=T, strata=series.to_strata_pairs())
     if args.largest_part is not None:
         doc["largest_part"] = args.largest_part
     lines = ["x^%d: %s" % (x, series.stratum(x))

@@ -452,8 +452,8 @@ class XSeries:
             total = total + p
         return total
 
-    def to_strata_pairs(self) -> dict[int, list[list]]:
-        return {x: self._s[x].to_pairs() for x in sorted(self._s)}
+    def to_strata_pairs(self) -> list[list]:
+        return [[x, self._s[x].to_pairs()] for x in sorted(self._s)]
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -1,14 +1,19 @@
 """Motion encoding: examples, invariants, and the certification sweep."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qschur import bijection
 from qschur.bijection import (
     DecodeError,
     MinimalConfig,
     MotionData,
     MotionRuleError,
+    _advance_pair,
+    _unstep_candidates,
     apply_motions,
     certify_range,
     decode,
@@ -107,6 +112,34 @@ def test_decode_inverts_apply(data):
     assert decode(apply_motions(data)) == data
 
 
+@given(motion_data)
+# the rare crossings of three parts: a cluster (8, 11, 15) and a run
+# (8, 11, 14), both faced by the pair (1, 4)
+@example(MotionData(2, 2, 1, r=(0,), rho2=(0,), rho1=(1,)))
+@example(MotionData(2, 3, 0, rho2=(0,), rho1=(1,)))
+def test_every_forward_step_is_undone(data):
+    # the inverse is derived from the jump, not from the rule table: it
+    # must find every step the forward rules take, and nothing else
+    assume(data.size <= 52)
+    steps = []
+
+    def recording(state, bottom, strict):
+        pre = list(state)
+        new_bottom = _advance_pair(state, bottom, strict)
+        steps.append((pre, bottom, tuple(state), new_bottom))
+        return new_bottom
+
+    with mock.patch.object(bijection, "_advance_pair", recording):
+        apply_motions(data)
+    for pre, bottom, post, new_bottom in steps:
+        candidates = list(_unstep_candidates(list(post), new_bottom))
+        assert (pre, bottom) in candidates
+        for cand, cand_bottom in candidates:
+            probe = list(cand)
+            assert _advance_pair(probe, cand_bottom, strict=False) == new_bottom
+            assert tuple(probe) == post
+
+
 def test_decode_examples():
     assert decode(()) == MotionData(0, 0, 0)
     assert decode((5, 8)) == MotionData(0, 2, 0, rho2=(1,))
@@ -192,6 +225,12 @@ def test_uncovered_cluster_signals_instead_of_guessing():
     assert exc.value.family == 1
     assert exc.value.bottom == 4
     assert exc.value.state == (4, 7, 10, 14, 17)
+
+
+def test_decode_finds_no_pre_image_at_the_gap():
+    # the smallest admissible partition without a pre-image (size 58)
+    with pytest.raises(DecodeError):
+        decode((4, 8, 11, 16, 19))
 
 
 def test_certify_reports_the_known_gap_without_raising():

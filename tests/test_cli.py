@@ -245,6 +245,21 @@ def test_bijection_sweep(capsys):
     assert doc["partitions"] == sum(schur_counts(24))
 
 
+def test_bijection_failures_emit_a_failed_document(capsys, tmp_path):
+    # the size-58 motion-rule gap, from both directions: exit 1 with a
+    # document saying what failed, on stdout and in --out
+    out_file = tmp_path / "doc.json"
+    gap = '{"n1":2,"n2":2,"m":1,"r":[1],"rho2":[1],"rho1":[2]}'
+    for argv, kind in ((["--motions", gap], "no-rule"),
+                       (["--partition", "4,8,11,16,19"], "decode")):
+        code, doc, _ = run_json(capsys, "bijection", *argv,
+                                "--out", str(out_file))
+        assert code == 1
+        assert doc["status"] == "failed"
+        assert doc["failure"]["kind"] == kind and doc["failure"]["detail"]
+        assert json.loads(out_file.read_text()) == doc
+
+
 def test_bijection_usage_errors(capsys):
     code, _, err = run(capsys, "bijection", "--partition", "1,3")
     assert code == 2 and "gap conditions" in err

@@ -54,8 +54,13 @@ motion_data = st.fixed_dictionaries(
 # rules are certified, so a decode never fails genuinely
 partitions = st.lists(st.integers(-1, 14), max_size=4).map(
     lambda parts: ",".join(map(str, parts)))
+# the size-58 motion-rule gap, reached from both directions: exit 1
+GAP = [["bijection", '--motions={"n1":2,"n2":2,"m":1,"r":[1],"rho2":[1],'
+                     '"rho1":[2]}'],
+       ["bijection", "--partition=4,8,11,16,19"]]
 
 ARGV = st.one_of(
+    *map(st.just, GAP),
     command("verify", identity=st.sampled_from(
         [i.value for i in IdentityId] + ["no-such-thing"]),
         N=RANGE, M=RANGE, L=RANGE, a=RANGE, T=WINDOW,
