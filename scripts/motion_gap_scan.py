@@ -19,7 +19,7 @@ limit = int(sys.argv[1]) if len(sys.argv) > 1 else 64
 
 for bound in range(0, limit + 1, 2):
     t0 = time.time()
-    summary = certify_range(bound, strict=True)
+    summary = certify_range(bound)
     dt = time.time() - t0
     if summary["status"] == "verified":
         print("size <= %-3d ok   %5d partitions  %.1fs"

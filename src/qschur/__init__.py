@@ -20,7 +20,7 @@ from .partitions import (Partition, distinct_pm1_counts,
 from .qcoeff import (MonomialBase, gauss_binomial, pochhammer_finite,
                      pochhammer_infinite_truncated, round_trinomial,
                      series_reciprocal_truncated, t0_trinomial_nonneg,
-                     t0_trinomial_truncated, t_trinomial)
+                     t_trinomial)
 from .qpoly import QPoly, XSeries
 from .schur_sums import (IdentityId, UsageError, VerificationReport,
                          ali_gf_truncated, bounded_gf, cor1_bounded_sum,
@@ -50,7 +50,6 @@ __all__ = [
     "schur_summand", "series_reciprocal_truncated",
     "summation_formula_sides", "summation_limit_sum", "t0_binomial_sides",
     "t0_half_sum", "t0_half_sum_truncated", "t0_limit_product",
-    "t0_trinomial_nonneg", "t0_trinomial_truncated", "t_trinomial",
-    "verify", "warnaar_sides", "weight_a", "weight_b_half", "weight_k",
-    "weight_q",
+    "t0_trinomial_nonneg", "t_trinomial", "verify", "warnaar_sides",
+    "weight_a", "weight_b_half", "weight_k", "weight_q",
 ]

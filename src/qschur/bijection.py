@@ -196,7 +196,7 @@ def _jump(state: list[int], bottom: int, crossed: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # forward motions
 
-def _advance_pair(state: list[int], bottom: int, strict: bool) -> int:
+def _advance_pair(state: list[int], bottom: int) -> int:
     """Apply one forwards motion to the pair (bottom, bottom+3) inside
     state (a sorted list, mutated in place).  Returns the new bottom.
 
@@ -210,20 +210,19 @@ def _advance_pair(state: list[int], bottom: int, strict: bool) -> int:
             continue
         assert sum(moved) == sum(before) + 6
         assert new_bottom - bottom == 3 * (1 + len(crossed))
-        if strict:
-            assert len(moved) == len(before)
+        assert len(moved) == len(before)
         state[:] = moved
         return new_bottom
     raise MotionRuleError(bottom % 3, bottom, before)
 
 
-def apply_motions(data: MotionData, strict: bool = False) -> Partition:
+def apply_motions(data: MotionData) -> Partition:
     """Play the motion budgets forward from the minimal configuration.
 
     Singletons move first (largest first), then the 2 mod 3 pairs (top
-    pair first), then the 1 mod 3 pairs.  With strict=True every
-    intermediate state is re-checked against the gap conditions; the
-    per-step size and displacement contracts are asserted regardless.
+    pair first), then the 1 mod 3 pairs.  Every intermediate state is
+    re-checked against the gap conditions, and the per-step size and
+    displacement contracts are asserted.
     """
     state = list(minimal_configuration(data.n1, data.n2, data.m))
     base = 3 * (data.n1 + data.n2)
@@ -233,8 +232,7 @@ def apply_motions(data: MotionData, strict: bool = False) -> Partition:
             dock = base + 3 + 4 * (i - 1)
             state.remove(dock)
             insort(state, dock + ri)
-        if strict:
-            assert is_schur_admissible(tuple(state))
+        assert is_schur_admissible(tuple(state))
     assert sum(state) == weight_a(data.n1, data.n2, data.m) + sum(data.r)
 
     for family, chain_base, count, steps_list in (
@@ -244,9 +242,8 @@ def apply_motions(data: MotionData, strict: bool = False) -> Partition:
         for j in range(1, k + 1):
             bottom = chain_base + 3 * (count - 2 * j)
             for _ in range(steps_list[k - j]):
-                bottom = _advance_pair(state, bottom, strict)
-                if strict:
-                    assert is_schur_admissible(tuple(state))
+                bottom = _advance_pair(state, bottom)
+                assert is_schur_admissible(tuple(state))
     result = tuple(state)
     assert sum(result) == data.size
     return result
@@ -261,7 +258,7 @@ def _replay_matches(pre: list[int], pre_bottom: int,
     # precedence, reproduce the post-state exactly.
     probe = list(pre)
     try:
-        nb = _advance_pair(probe, pre_bottom, strict=False)
+        nb = _advance_pair(probe, pre_bottom)
     except MotionRuleError:
         return False
     return nb == post_bottom and tuple(probe) == post
@@ -345,7 +342,7 @@ def _pair_labelings(values: list[int], k: int, reserved: int | None) -> Iterator
     yield from rec(0, k, [])
 
 
-def decode(partition: Partition, strict: bool = False) -> MotionData:
+def decode(partition: Partition) -> MotionData:
     """Invert apply_motions: recover the unique motion data whose forward
     replay produces the given admissible partition.
 
@@ -387,7 +384,7 @@ def decode(partition: Partition, strict: bool = False) -> MotionData:
                 continue
             for bottoms1 in _pair_labelings(res1, k1, rem1):
                 for d in _decode_labeled(p, n1, n2, m, bottoms1, rem2):
-                    if apply_motions(d, strict=strict) == p:
+                    if apply_motions(d) == p:
                         found.append(d)
     distinct = set(found)
     if not distinct:
@@ -501,7 +498,7 @@ def enumerate_motion_data(max_size: int,
         n1 += 1
 
 
-def certify_range(max_size: int, strict: bool = True) -> dict[str, Any]:
+def certify_range(max_size: int) -> dict[str, Any]:
     """Encode every motion budget with size <= max_size, then check the
     round trip: results are admissible and pairwise distinct, they cover
     exactly the brute-force admissible set, and decode returns the exact
@@ -512,7 +509,7 @@ def certify_range(max_size: int, strict: bool = True) -> dict[str, Any]:
     image: dict[Partition, MotionData] = {}
     for data in enumerate_motion_data(max_size):
         try:
-            result = apply_motions(data, strict=strict)
+            result = apply_motions(data)
         except MotionRuleError as exc:
             return {"max_size": max_size, "status": "failed",
                     "failure": {"kind": "no-rule", "data": data.as_dict(),
@@ -540,7 +537,7 @@ def certify_range(max_size: int, strict: bool = True) -> dict[str, Any]:
 
     for result, data in image.items():
         try:
-            back = decode(result, strict=False)
+            back = decode(result)
         except DecodeError as exc:
             return {"max_size": max_size, "status": "failed",
                     "failure": {"kind": "decode", "partition": list(result),

@@ -47,10 +47,12 @@ MAX_WINDOW = 500  # hard cap on truncation windows
 MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
 MAX_JOBS = 32     # hard cap on worker processes
 
-# each capped value by the name it travels under; the cap bounds |value|
+# each capped value by the name it travels under; the cap bounds |value|.
+# The oracle stores every admissible partition up to its window T.
 _CAPS = {"N": MAX_INDEX, "M": MAX_INDEX, "L": MAX_INDEX, "a": MAX_INDEX,
          "max_n": MAX_INDEX, "largest_part": MAX_INDEX, "T": MAX_WINDOW,
-         "motion_size": MAX_MOTION_SIZE, "jobs": MAX_JOBS}
+         "oracle_T": MAX_INDEX, "motion_size": MAX_MOTION_SIZE,
+         "jobs": MAX_JOBS}
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
@@ -195,6 +197,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sweeps["t"] = [1, 2]
     fixed = {name: value for name, value in (("T", args.T), ("max", args.max_n))
              if value is not None}
+    if args.identity == IdentityId.GF_BOUNDED.value:
+        _check_cap("oracle_T", args.T)
     # names, types and minimums, on the least value of each range (ranges
     # ascend), before the sweep product is built
     check_params(args.identity,
@@ -260,7 +264,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         # every budget is at most the size, so this caps them all
         _check_cap("motion_size", data.size)
         try:
-            result = apply_motions(data, strict=args.strict)
+            result = apply_motions(data)
         except MotionRuleError as exc:
             _emit({"motions": data.as_dict(), "status": "failed",
                    "failure": {"kind": "no-rule", "detail": str(exc)}},
@@ -279,7 +283,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
         try:
-            data = decode(parts, strict=args.strict)
+            data = decode(parts)
         except DecodeError as exc:
             # a missing pre-image for an admissible partition is a
             # genuine discrepancy
@@ -295,7 +299,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
                                         json.dumps(data.as_dict()))])
         return 0
 
-    summary = certify_range(args.max_n, strict=args.strict)
+    summary = certify_range(args.max_n)
     lines = ["sweep to size %d: %s" % (args.max_n, summary["status"])]
     if summary["status"] == "verified":
         lines.append("%d partitions round-tripped" % summary["partitions"])
@@ -350,7 +354,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
             raise UsageError("series 'bounded' needs --largest-part")
         series = bounded_gf(args.largest_part, need_T())
     elif name == "oracle":
-        series = schur_gf_oracle(need_T(), largest_part=args.largest_part)
+        _check_cap("oracle_T", need_T())
+        series = schur_gf_oracle(T, largest_part=args.largest_part)
     else:
         raise UsageError("unknown series %r" % name)
     doc.update(T=T, strata=series.to_strata_pairs())
@@ -405,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--partition", help="comma-separated ascending parts")
     p_bij.add_argument("--max-n", dest="max_n", type=int,
                        help="certify all sizes up to this bound")
-    p_bij.add_argument("--strict", action="store_true")
     common(p_bij)
 
     p_series = sub.add_parser("series", help="print a builder's coefficients")

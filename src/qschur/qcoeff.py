@@ -6,6 +6,10 @@ expression in q^3, modulus 6 in q^6, and so on.  Arguments of Pochhammer
 symbols are restricted to signed monomials, which is all the series in
 this package ever need.
 
+Both trinomial families are one k-walk, `_trinomial`, differing only in
+the leading exponent of each k-term; its optional half-step window serves
+the truncated limit sums.  `qpoly._add_shifted` sums the terms in place.
+
 Caching: the coefficient tables of base-q binomials and the finite
 Pochhammer products are memoized (they are requested thousands of times
 by the sum builders).  `functools.lru_cache` is safe under threads; under
@@ -16,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _add_shifted
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,29 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
                        for i, v in enumerate(_gauss_coeffs(top, bottom))})
 
 
+def _trinomial(m: int, a: int, modulus: int, lead: Callable[[int], int],
+               half_bound: int | None = None) -> QPoly:
+    """sum_k q^(lead(k)/2) [m,k] [m-k,k+a] in base q^modulus, lead in
+    half-steps.  With half_bound given only exponents <= half_bound are
+    kept: k-terms that start past it are skipped, factors cut first."""
+    acc: dict[int, int] = {}
+    for k in range(max(0, -a), min(m, (m - a) // 2) + 1):
+        shift = lead(k)
+        if half_bound is not None and shift > half_bound:
+            continue
+        left = gauss_binomial(m, k, modulus)
+        right = gauss_binomial(m - k, k + a, modulus)
+        if half_bound is None:
+            _add_shifted(acc, left * right, shift)
+        else:
+            # binomial exponents are whole q-powers, so the leftover
+            # window floors exactly
+            room = (half_bound - shift) // 2
+            prod = left.truncate(room) * right.truncate(room)
+            _add_shifted(acc, prod.truncate(room), shift)
+    return QPoly._raw(acc)
+
+
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
     """Round q-trinomial: sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a], base q^modulus.
 
@@ -138,14 +166,7 @@ def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
     shifts the start of that range, negative b only tilts the q-weight.
     An empty range (in particular any m < 0) gives 0.
     """
-    total = QPoly.zero()
-    k = max(0, -a)
-    while k <= m and 2 * k + a <= m:
-        prod = gauss_binomial(m, k, modulus) * gauss_binomial(m - k, k + a, modulus)
-        if prod:
-            total = total + prod.shift(2 * modulus * k * (k + b))
-        k += 1
-    return total
+    return _trinomial(m, a, modulus, lambda k: 2 * modulus * k * (k + b))
 
 
 def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
@@ -157,43 +178,17 @@ def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
     return inner.shift(pre_half)
 
 
-def t0_trinomial_nonneg(m: int, a: int, modulus: int = 1) -> QPoly:
+def t0_trinomial_nonneg(m: int, a: int, modulus: int = 1,
+                        half_bound: int | None = None) -> QPoly:
     """t_trinomial(0, m, a) rewritten with all exponents >= 0 for m >= 0:
 
         sum_k q^(modulus*(m-a-2k)^2/2) [m,k] [m-k,k+a]   (base q^modulus).
 
     Same value as the definitional form (binomial inversion folds the
     prefactor into the summand); the tests cross-check the two routes.
-    With non-negative exponents the truncated limit sums can skip any k
-    whose leading exponent already exceeds the window.
+    With half_bound given, only exponents <= half_bound half-steps are
+    kept, and k-terms that start past that window are never built.  The
+    bound is in half-steps because callers shift the result by odd amounts.
     """
-    total = QPoly.zero()
-    k = max(0, -a)
-    while k <= m and 2 * k + a <= m:
-        prod = gauss_binomial(m, k, modulus) * gauss_binomial(m - k, k + a, modulus)
-        if prod:
-            total = total + prod.shift(modulus * (m - a - 2 * k) ** 2)
-        k += 1
-    return total
-
-
-def t0_trinomial_truncated(m: int, a: int, modulus: int, half_bound: int) -> QPoly:
-    """t0_trinomial_nonneg keeping only exponents <= half_bound
-    half-steps, skipping k-terms that start beyond the window and
-    truncating the binomial factors first.  The bound is taken in
-    half-steps because callers shift the result by odd amounts."""
-    total = QPoly.zero()
-    k = max(0, -a)
-    while k <= m and 2 * k + a <= m:
-        lead = modulus * (m - a - 2 * k) ** 2  # half-steps of the k-term
-        if lead <= half_bound:
-            # binomial exponents are whole q-powers, so the leftover
-            # window floors exactly
-            room = (half_bound - lead) // 2
-            prod = gauss_binomial(m, k, modulus).truncate(room) \
-                * gauss_binomial(m - k, k + a, modulus).truncate(room)
-            prod = prod.truncate(room).shift(lead)
-            if prod:
-                total = total + prod
-        k += 1
-    return total
+    return _trinomial(m, a, modulus, lambda k: modulus * (m - a - 2 * k) ** 2,
+                      half_bound)

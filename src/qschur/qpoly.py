@@ -356,6 +356,18 @@ class QPoly:
         return "QPoly(%s)" % self
 
 
+def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
+    # row += term * q^(shift/2) in place, keeping row canonical: the one
+    # accumulate loop of every sum builder (a + b copies the whole sum)
+    for e, c in term._c.items():
+        key = e + shift
+        s = row.get(key, 0) + c
+        if s:
+            row[key] = s
+        else:
+            del row[key]
+
+
 class XSeries:
     """Finite family of q-truncated QPoly strata graded by a power of x.
 
@@ -447,10 +459,10 @@ class XSeries:
         return out
 
     def at_x_one(self) -> QPoly:
-        total = QPoly.zero()
+        acc: dict[int, int] = {}
         for p in self._s.values():
-            total = total + p
-        return total
+            _add_shifted(acc, p, 0)
+        return QPoly._raw(acc)
 
     def to_strata_pairs(self) -> list[list]:
         return [[x, self._s[x].to_pairs()] for x in sorted(self._s)]

@@ -14,14 +14,18 @@ runner that returns the (left, right) pairs to compare.  `check_params`
 is the one place a request is validated; `verify` compares the pairs
 exactly and reports the first discrepancy.
 
-Two private walks carry every builder.  `_triple_sum(N, weight)` is the
-triple q-binomial sum over (n1, n2, m); the central left side, the
+One private walk carries each sum family.  `_triple_sum(N, weight)` is
+the triple q-binomial sum over (n1, n2, m); the central left side, the
 q -> 1/q dual and both summation formulas differ only in the weight they
 pass it, and the q = 1 value is the central left side at q = 1.
-`_cells(T, weight)` yields the (n1, n2, m) cells of the bivariate series
-whose weight fits the window; the chain-indexed, pair-indexed, even/odd
-and largest-part-bounded series differ only in the weight and the summand.
-`_add_shifted` is the one accumulate loop under both.
+`_cells(T, weight)` yields the cells of a three-index series whose weight
+fits the window; the chain-indexed, pair-indexed, even/odd and
+largest-part-bounded series differ only in the weight and the summand,
+and `qt_limit_sum` walks (y, m, n1) on the floor of weight_q, keeps each
+cell on its exact weight, and meets 1/(q^6;q^6)_y once per y-slice.  The
+trinomial sides sum over j of the one k-walk in `qcoeff`; both T0 half
+sums, exact and windowed, share the j-walk `_t0_half_walk`.
+`qpoly._add_shifted` is the one accumulate loop under all of them.
 
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
@@ -55,10 +59,9 @@ from .qcoeff import (
     round_trinomial,
     series_reciprocal_truncated,
     t0_trinomial_nonneg,
-    t0_trinomial_truncated,
     t_trinomial,
 )
-from .qpoly import QPoly, XSeries
+from .qpoly import QPoly, XSeries, _add_shifted
 
 _ONE_Q_Q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})  # 1 + q + q^2
 
@@ -125,19 +128,8 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
                 _add_shifted(pairs, gauss_binomial(v + n1 // 2, n1 // 2, 6)
                              * gauss_binomial(v + n2 // 2, n2 // 2, 6),
                              weight(n1, n2, m, N))
-            pair_slice = QPoly.from_pairs(pairs.items())
-            _add_shifted(acc, gauss_binomial(3 * v, m) * pair_slice, 0)
-    return QPoly.from_pairs(acc.items())
-
-
-def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
-    for e, c in term.items():
-        key = e + shift
-        s = row.get(key, 0) + c
-        if s:
-            row[key] = s
-        else:
-            del row[key]
+            _add_shifted(acc, gauss_binomial(3 * v, m) * QPoly._raw(pairs), 0)
+    return QPoly._raw(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +149,10 @@ def lhs_schur(N: int) -> QPoly:
 def rhs_schur(N: int) -> QPoly:
     """Round-trinomial side: sum over |j| <= N of q^(j(3j-1)/2) times the
     (N; j; q^3 choose j) round trinomial.  Zero for negative N."""
-    if N < 0:
-        return QPoly.zero()
-    total = QPoly.zero()
+    acc: dict[int, int] = {}
     for j in range(-N, N + 1):
-        tri = round_trinomial(N, j, j, 3)
-        if tri:
-            total = total + tri.shift(j * (3 * j - 1))
-    return total
+        _add_shifted(acc, round_trinomial(N, j, j, 3), j * (3 * j - 1))
+    return QPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -222,17 +210,24 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 # ---------------------------------------------------------------------------
 # dual identity and the T0 suite
 
+def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
+    # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
+    # q^(T+1/2) when T is given: then j stops at 2T - N, where the
+    # j-term's leading power q^((N+j)/2) passes the window
+    acc: dict[int, int] = {}
+    top = N if T is None else min(N, 2 * T - N)
+    for j in range(-N, top + 1):
+        window = None if T is None else 2 * T - (N + j)
+        _add_shifted(acc, t0_trinomial_nonneg(N, j, 3, window), N + j)
+    return QPoly._raw(acc)
+
+
 @lru_cache(maxsize=None)
 def t0_half_sum(N: int) -> QPoly:
     """sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), exact.  This
     is the base-change dual of the round-trinomial side, renormalized by
     q^(N/2) so it is a genuine polynomial."""
-    total = QPoly.zero()
-    for j in range(-N, N + 1):
-        t0 = t0_trinomial_nonneg(N, j, 3)
-        if t0:
-            total = total + t0.shift(N + j)
-    return total
+    return _t0_half_walk(N)
 
 
 def dual_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -251,25 +246,18 @@ def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
     if N < 0:
         raise ValueError("t0 binomial sides need N >= 0")
     mq2 = MonomialBase.of_q(-1, 2, 3)
-    rhs = QPoly.zero()
+    rhs: dict[int, int] = {}
     for k in range(N + 1):
-        rhs = rhs + (gauss_binomial(N, k, 3) * pochhammer_finite(mq2, N - k)).shift(2 * k)
-    return t0_half_sum(N), rhs
+        _add_shifted(rhs, gauss_binomial(N, k, 3) * pochhammer_finite(mq2, N - k),
+                     2 * k)
+    return t0_half_sum(N), QPoly._raw(rhs)
 
 
 def t0_half_sum_truncated(N: int, T: int) -> QPoly:
     """t0_half_sum(N) mod q^(T+1/2) without building the full polynomial:
     for large N only a few k survive per j, so the truncated window is
     cheap even at N well beyond exact-computation comfort."""
-    total = QPoly.zero()
-    for j in range(-N, N + 1):
-        outer = N + j  # half-steps contributed by q^((N+j)/2)
-        if outer > 2 * T:
-            continue
-        t0 = t0_trinomial_truncated(N, j, 3, 2 * T - outer)
-        if t0:
-            total = total + t0.shift(outer)
-    return total
+    return _t0_half_walk(N, T)
 
 
 def t0_limit_product(T: int) -> QPoly:
@@ -296,23 +284,23 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
         raise ValueError("t must be 1 or 2")
     if T < 0:
         raise ValueError("T must be >= 0")
+
+    def floor(y: int, m: int, n1: int) -> int:
+        # weight_q without its nonnegative parity terms
+        return m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1
+
+    slices: dict[int, dict[int, int]] = {}
+    for y, m, n1, _ in _cells(T, floor):
+        w = weight_q(t, m, n1, y)
+        if w <= T and m <= 3 * y:
+            room = T - w
+            term = (gauss_binomial(3 * y, m).truncate(room)
+                    * gauss_binomial(y + n1 // 2, y, 6).truncate(room))
+            _add_shifted(slices.setdefault(y, {}), term.truncate(room), 2 * w)
     acc: dict[int, int] = {}
-    y = 0
-    while y * (3 * y + 1) // 2 <= T:
-        recip = _recip_poch(6, y, T)
-        for m in range(3 * y + 1):
-            if m * (m - 1) // 2 + y * (3 * y + 1) // 2 > T:
-                break
-            bin_m = gauss_binomial(3 * y, m)
-            n1 = 0
-            while m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1 <= T:
-                w = weight_q(t, m, n1, y)
-                if w <= T:
-                    term = bin_m * gauss_binomial(y + n1 // 2, y, 6)
-                    _add_shifted(acc, (term * recip).truncate(T - w), 2 * w)
-                n1 += 1
-        y += 1
-    return QPoly.from_pairs(acc.items())
+    for y, row in slices.items():
+        _add_shifted(acc, (QPoly._raw(row) * _recip_poch(6, y, T)).truncate(T), 0)
+    return QPoly._raw(acc)
 
 
 def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
@@ -328,7 +316,7 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
                      N * (3 * N - 1))
     rhs = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), M)
            * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), M))
-    return QPoly.from_pairs(acc.items()), rhs
+    return QPoly._raw(acc), rhs
 
 
 def summation_limit_sum(T: int) -> QPoly:
@@ -343,7 +331,7 @@ def summation_limit_sum(T: int) -> QPoly:
         layer = _triple_sum(N, _dual_weight).shift(N * (3 * N - 1)).truncate(T)
         _add_shifted(acc, (layer * _recip_poch(3, N, T)).truncate(T), 0)
         N += 1
-    return QPoly.from_pairs(acc.items())
+    return QPoly._raw(acc)
 
 
 def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:
@@ -351,13 +339,11 @@ def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:
     against q^(a^2/2) [2L, L-a]_q."""
     if L < 0:
         raise ValueError("warnaar sides need L >= 0")
-    lhs = QPoly.zero()
+    lhs: dict[int, int] = {}
     for i in range(L + 1):
-        t0 = t_trinomial(0, i, a, 1)
-        if t0:
-            lhs = lhs + (gauss_binomial(L, i) * t0).shift(i * i)
+        _add_shifted(lhs, gauss_binomial(L, i) * t_trinomial(0, i, a, 1), i * i)
     rhs = gauss_binomial(2 * L, L - a).shift(a * a)
-    return lhs, rhs
+    return QPoly._raw(lhs), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +377,7 @@ def schur_product_truncated(T: int) -> QPoly:
 
 
 def _xseries_from(strata: dict[int, dict[int, int]], T: int) -> XSeries:
-    return XSeries(T, {x: QPoly.from_pairs(row.items())
-                       for x, row in strata.items()})
+    return XSeries(T, {x: QPoly._raw(row) for x, row in strata.items()})
 
 
 def _cells(T: int, weight: Callable[[int, int, int], int]):

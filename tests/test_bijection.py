@@ -100,7 +100,7 @@ motion_data = st.builds(
 def test_size_additivity_and_admissibility(data):
     # every no-rule gap known in the rule table sits above size 52
     assume(data.size <= 52)
-    result = apply_motions(data, strict=True)
+    result = apply_motions(data)
     assert sum(result) == data.size
     assert is_schur_admissible(result)
     assert len(result) == data.n1 + data.n2 + data.m
@@ -123,9 +123,9 @@ def test_every_forward_step_is_undone(data):
     assume(data.size <= 52)
     steps = []
 
-    def recording(state, bottom, strict):
+    def recording(state, bottom):
         pre = list(state)
-        new_bottom = _advance_pair(state, bottom, strict)
+        new_bottom = _advance_pair(state, bottom)
         steps.append((pre, bottom, tuple(state), new_bottom))
         return new_bottom
 
@@ -136,7 +136,7 @@ def test_every_forward_step_is_undone(data):
         assert (pre, bottom) in candidates
         for cand, cand_bottom in candidates:
             probe = list(cand)
-            assert _advance_pair(probe, cand_bottom, strict=False) == new_bottom
+            assert _advance_pair(probe, cand_bottom) == new_bottom
             assert tuple(probe) == post
 
 
@@ -221,7 +221,7 @@ def test_uncovered_cluster_signals_instead_of_guessing():
     data = MotionData(2, 2, 1, r=(1,), rho2=(1,), rho1=(2,))
     assert data.size == 58
     with pytest.raises(MotionRuleError) as exc:
-        apply_motions(data, strict=True)
+        apply_motions(data)
     assert exc.value.family == 1
     assert exc.value.bottom == 4
     assert exc.value.state == (4, 7, 10, 14, 17)

@@ -62,6 +62,10 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--identity", "qt-limit",
                        "--T", "501")
     assert code == 2 and "hard cap" in err
+    # the oracle side stores every admissible partition up to its window
+    code, out, err = run(capsys, "verify", "--identity", "gf-bounded",
+                         "--N", "3", "--T", "101")
+    assert code == 2 and out == "" and "hard cap" in err
     code, _, err = run(capsys, "verify", "--identity", "schur-poly",
                        "--N", "5..3")
     assert code == 2 and "empty" in err
@@ -239,7 +243,7 @@ def test_bijection_roundtrip_via_cli(capsys):
 
 
 def test_bijection_sweep(capsys):
-    code, doc, _ = run_json(capsys, "bijection", "--max-n", "24", "--strict")
+    code, doc, _ = run_json(capsys, "bijection", "--max-n", "24")
     assert code == 0
     assert doc["status"] == "verified"
     assert doc["partitions"] == sum(schur_counts(24))
@@ -327,6 +331,9 @@ def test_series_usage_errors(capsys):
     # the bound sets binomial tops, so an uncapped one builds huge polynomials
     code, out, err = run(capsys, "series", "bounded", "--T", "10",
                          "--largest-part", "101")
+    assert code == 2 and out == "" and "hard cap" in err
+    # the oracle stores every admissible partition up to its window
+    code, out, err = run(capsys, "series", "oracle", "--T", "101")
     assert code == 2 and out == "" and "hard cap" in err
 
 

@@ -3,7 +3,8 @@
 Exit code 0, 1 or 2; never a traceback; exit 1 only when the JSON
 document reports a failure.  Values are drawn cheap (indices <= 6,
 windows <= 20, sweep sizes <= 16), mixed with malformed tokens, negatives
-and values just over a hard cap, which must be rejected before any work.
+and values just over a hard cap (for windows, both the oracle's and the
+general one), which must be rejected before any work.
 """
 
 import json
@@ -26,7 +27,8 @@ def ints(lo, hi, over):
 
 
 INDEX = ints(-2, 6, MAX_INDEX + 1)
-WINDOW = ints(-1, 20, MAX_WINDOW + 1)
+# an oracle window takes the index cap, every other window MAX_WINDOW
+WINDOW = st.one_of(ints(-1, 20, MAX_WINDOW + 1), st.just(str(MAX_INDEX + 1)))
 RANGE = st.one_of(INDEX, st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
     lambda ab: "%d..%d" % ab), st.just("0..%d" % (MAX_INDEX + 1)))
 JOBS = st.sampled_from(["-1", "0", "1", "2", "x"])
@@ -72,12 +74,10 @@ ARGV = st.one_of(
                             "class": st.sampled_from(["schur", "pm1mod3",
                                                       "both", "x"]),
                             "largest-part": INDEX}),
-    st.tuples(options(motions=st.one_of(motion_data, JUNK,
-                                        st.just('{"n1": 1e400}')),
-                      partition=st.one_of(partitions, JUNK),
-                      **{"max-n": ints(-2, 16, MAX_INDEX + 1)}),
-              st.booleans()).map(
-        lambda t: ["bijection", *t[0]] + (["--strict"] if t[1] else [])),
+    command("bijection", motions=st.one_of(motion_data, JUNK,
+                                           st.just('{"n1": 1e400}')),
+            partition=st.one_of(partitions, JUNK),
+            **{"max-n": ints(-2, 16, MAX_INDEX + 1)}),
     st.tuples(st.sampled_from(["lhs", "rhs", "ali", "kursungoz", "even-odd",
                                "bounded", "oracle", "product", "x"]),
               options(N=RANGE, T=WINDOW, **{"largest-part": INDEX})).map(

@@ -14,7 +14,6 @@ from qschur.qcoeff import (
     round_trinomial,
     series_reciprocal_truncated,
     t0_trinomial_nonneg,
-    t0_trinomial_truncated,
     t_trinomial,
 )
 from qschur.qpoly import QPoly
@@ -157,10 +156,47 @@ def test_t0_nonneg_has_no_negative_exponents(m, a):
     assert lo is None or lo >= 0
 
 
+def naive_trinomial(m, a, modulus, lead):
+    # Reference walk: every k whose binomials could be nonzero, and more;
+    # gauss_binomial is zero outside its range.
+    total = QPoly.zero()
+    for k in range(-abs(a) - 2, m + abs(a) + 3):
+        term = (gauss_binomial(m, k, modulus)
+                * gauss_binomial(m - k, k + a, modulus))
+        total = total + term.shift(lead(k))
+    return total
+
+
+def window(p, half_bound):
+    return QPoly._raw({e: c for e, c in p.items() if e <= half_bound})
+
+
+@pytest.mark.parametrize("mod", [1, 2, 3])
+def test_round_trinomial_matches_naive_walk(mod):
+    for m in range(-1, 10):
+        for a in range(-4, 5):
+            for b in range(-3, 4):
+                want = naive_trinomial(m, a, mod,
+                                       lambda k: 2 * mod * k * (k + b))
+                assert round_trinomial(m, b, a, mod) == want, (m, a, b)
+
+
+@pytest.mark.parametrize("mod", [1, 2, 3])
+def test_t0_nonneg_matches_naive_walk_windowed_and_not(mod):
+    for m in range(-1, 10):
+        for a in range(-4, 5):
+            want = naive_trinomial(m, a, mod,
+                                   lambda k: mod * (m - a - 2 * k) ** 2)
+            assert t0_trinomial_nonneg(m, a, mod) == want, (m, a)
+            for half_bound in range(41):
+                assert t0_trinomial_nonneg(m, a, mod, half_bound) \
+                    == window(want, half_bound), (m, a, half_bound)
+
+
 @given(st.integers(0, 9), st.integers(-4, 4), st.integers(0, 40))
 def test_t0_truncated_is_a_window(m, a, half_bound):
     full = t0_trinomial_nonneg(m, a, 3)
-    cut = t0_trinomial_truncated(m, a, 3, half_bound)
+    cut = t0_trinomial_nonneg(m, a, 3, half_bound)
     want = QPoly._raw(
         {e: c for e, c in full.items() if e <= half_bound})
     assert cut == want

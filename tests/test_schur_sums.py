@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
-from qschur.qcoeff import MonomialBase, gauss_binomial, pochhammer_finite
+from qschur.qcoeff import (MonomialBase, gauss_binomial, pochhammer_finite,
+                           series_reciprocal_truncated)
 from qschur.qpoly import QPoly
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -153,6 +154,34 @@ def test_parity_split_limits(t):
 def test_parity_split_rejects_other_t():
     with pytest.raises(ValueError):
         ss.qt_limit_sum(3, 10)
+
+
+def naive_qt_limit_sum(t, T):
+    # Reference walk: one product with 1/(q^6;q^6)_y per (y, m, n1) cell.
+    total = QPoly.zero()
+    y = 0
+    while y * (3 * y + 1) // 2 <= T:
+        recip = series_reciprocal_truncated(
+            pochhammer_finite(MonomialBase.of_q(1, 6, 6), y), T)
+        for m in range(3 * y + 1):
+            if m * (m - 1) // 2 + y * (3 * y + 1) // 2 > T:
+                break
+            n1 = 0
+            while m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1 <= T:
+                w = ss.weight_q(t, m, n1, y)
+                if w <= T:
+                    term = (gauss_binomial(3 * y, m)
+                            * gauss_binomial(y + n1 // 2, y, 6) * recip)
+                    total = total + term.truncate(T - w).shift(2 * w)
+                n1 += 1
+        y += 1
+    return total
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_parity_split_kernel_matches_naive_walk(t):
+    for T in range(31):
+        assert ss.qt_limit_sum(t, T) == naive_qt_limit_sum(t, T), T
 
 
 @pytest.mark.parametrize("M", range(0, 8))
