@@ -62,7 +62,8 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--identity", "qt-limit",
                        "--T", "501")
     assert code == 2 and "hard cap" in err
-    # the oracle side stores every admissible partition up to its window
+    # the oracle side stores every admissible partition up to its window;
+    # the cap holds even when the largest part keeps that store small
     code, out, err = run(capsys, "verify", "--identity", "gf-bounded",
                          "--N", "3", "--T", "101")
     assert code == 2 and out == "" and "hard cap" in err

@@ -3,8 +3,9 @@
 Exit code 0, 1 or 2; never a traceback; exit 1 only when the JSON
 document reports a failure.  Values are drawn cheap (indices <= 6,
 windows <= 20, sweep sizes <= 16), mixed with malformed tokens, negatives
-and values just over a hard cap (for windows, both the oracle's and the
-general one), which must be rejected before any work.
+and values just over a hard cap, which must be rejected before any work.
+The two commands that run the partition oracle also draw a window just
+over its cap.
 """
 
 import json
@@ -27,8 +28,9 @@ def ints(lo, hi, over):
 
 
 INDEX = ints(-2, 6, MAX_INDEX + 1)
-# an oracle window takes the index cap, every other window MAX_WINDOW
-WINDOW = st.one_of(ints(-1, 20, MAX_WINDOW + 1), st.just(str(MAX_INDEX + 1)))
+WINDOW = ints(-1, 20, MAX_WINDOW + 1)
+# the partition oracle's window takes the index cap instead
+ORACLE_OVER = "--T=%d" % (MAX_INDEX + 1)
 RANGE = st.one_of(INDEX, st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
     lambda ab: "%d..%d" % ab), st.just("0..%d" % (MAX_INDEX + 1)))
 JOBS = st.sampled_from(["-1", "0", "1", "2", "x"])
@@ -82,6 +84,10 @@ ARGV = st.one_of(
                                "bounded", "oracle", "product", "x"]),
               options(N=RANGE, T=WINDOW, **{"largest-part": INDEX})).map(
         lambda t: ["series", t[0], *t[1]]),
+    options(**{"largest-part": INDEX}).map(
+        lambda opts: ["series", "oracle", ORACLE_OVER, *opts]),
+    options(N=RANGE).map(
+        lambda opts: ["verify", "--identity=gf-bounded", ORACLE_OVER, *opts]),
 )
 
 
