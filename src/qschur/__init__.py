@@ -9,9 +9,9 @@ bijection (`bijection`), and a command line front end (`cli`).
 
 __version__ = "0.1.0"
 
-from .bijection import (DecodeError, MinimalConfig, MotionData,
-                        MotionRuleError, apply_motions, certify_range,
-                        decode, enumerate_motion_data, max_motions,
+from .bijection import (DecodeError, MotionData, MotionRuleError,
+                        apply_motions, certify_range, decode,
+                        enumerate_motion_data, max_motions,
                         minimal_configuration)
 from .partitions import (Partition, distinct_pm1_counts,
                          enumerate_distinct_pm1_mod3, enumerate_schur,
@@ -35,8 +35,8 @@ from .schur_sums import (IdentityId, UsageError, VerificationReport,
                          weight_q)
 
 __all__ = [
-    "DecodeError", "IdentityId", "MinimalConfig", "MonomialBase",
-    "MotionData", "MotionRuleError", "Partition", "QPoly", "UsageError",
+    "DecodeError", "IdentityId", "MonomialBase", "MotionData",
+    "MotionRuleError", "Partition", "QPoly", "UsageError",
     "VerificationReport", "XSeries", "ali_gf_truncated", "apply_motions",
     "bounded_gf", "certify_range", "cor1_bounded_sum", "decode",
     "distinct_pm1_counts", "dual_sides", "enumerate_distinct_pm1_mod3",

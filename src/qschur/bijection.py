@@ -11,6 +11,11 @@ parts).  `apply_motions` plays the motions forward, `decode` inverts
 them, and `certify_range` sweeps every budget up to a size bound and
 checks the two against brute-force enumeration.
 
+`minimal_configuration` is the only code that knows the layout; every
+other dock is read off its tuple (chain 1 is dock[:n1], chain 2 is
+dock[n1:n1+n2], the singletons dock[n1+n2:]), and the budgets are walked
+on `_cells`, the cell walk of the series builders.
+
 The motion rule is one table, `_crossings`: the tuples of parts a step
 may cross, in rule order (none when nothing sits within [top+3, top+5];
 else the next one, two or three parts in a window cluster; else, for
@@ -27,8 +32,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .partitions import (Partition, enumerate_schur, is_schur_admissible,
-                         weight_a)
+from .partitions import (Partition, _cells, enumerate_schur,
+                         is_schur_admissible, weight_a)
 
 
 class MotionRuleError(RuntimeError):
@@ -51,25 +56,6 @@ class DecodeError(ValueError):
     """The partition has no (or no unique) motion pre-image."""
 
 
-@dataclass(frozen=True)
-class MinimalConfig:
-    """Chain lengths and singleton count of a minimal configuration."""
-    n1: int
-    n2: int
-    m: int
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0 or self.m < 0:
-            raise ValueError("chain lengths and singleton count must be >= 0")
-
-    def partition(self) -> Partition:
-        return minimal_configuration(self.n1, self.n2, self.m)
-
-    @property
-    def size(self) -> int:
-        return weight_a(self.n1, self.n2, self.m)
-
-
 def minimal_configuration(n1: int, n2: int, m: int) -> Partition:
     """n1 consecutive 1 mod 3 parts, then n2 consecutive 2 mod 3 parts,
     then m parts exactly 4 apart; the unique smallest admissible
@@ -83,6 +69,12 @@ def minimal_configuration(n1: int, n2: int, m: int) -> Partition:
     out = tuple(parts)
     assert sum(out) == weight_a(n1, n2, m)
     return out
+
+
+def _pair_docks(dock: Partition, start: int, count: int) -> Partition:
+    # chain dock[start:start+count]'s pair bottoms, lowest first (j-th from
+    # the top at dock[start + count - 2j]); an odd chain's lowest part stays
+    return dock[start + count % 2:start + count:2]
 
 
 @dataclass(frozen=True)
@@ -116,10 +108,6 @@ class MotionData:
                 raise ValueError("%s entries must be >= 0" % name)
             if any(a > b for a, b in zip(lst, lst[1:])):
                 raise ValueError("%s must be weakly increasing" % name)
-
-    @property
-    def config(self) -> MinimalConfig:
-        return MinimalConfig(self.n1, self.n2, self.m)
 
     @property
     def size(self) -> int:
@@ -221,29 +209,25 @@ def apply_motions(data: MotionData) -> Partition:
 
     Singletons move first (largest first), then the 2 mod 3 pairs (top
     pair first), then the 1 mod 3 pairs.  Every intermediate state is
-    re-checked against the gap conditions, and the per-step size and
-    displacement contracts are asserted.
+    checked against the gap conditions (a pair step by `_advance_pair`
+    before it commits), and the per-step size and displacement contracts
+    are asserted.
     """
-    state = list(minimal_configuration(data.n1, data.n2, data.m))
-    base = 3 * (data.n1 + data.n2)
-    for i in range(data.m, 0, -1):
-        ri = data.r[i - 1]
+    n1, n2 = data.n1, data.n2
+    dock = minimal_configuration(n1, n2, data.m)
+    state = list(dock)
+    for z, ri in zip(dock[n1 + n2:][::-1], data.r[::-1]):
         if ri:
-            dock = base + 3 + 4 * (i - 1)
-            state.remove(dock)
-            insort(state, dock + ri)
+            state.remove(z)
+            insort(state, z + ri)
         assert is_schur_admissible(tuple(state))
-    assert sum(state) == weight_a(data.n1, data.n2, data.m) + sum(data.r)
+    assert sum(state) == sum(dock) + sum(data.r)
 
-    for family, chain_base, count, steps_list in (
-            (2, 3 * data.n1 + 2, data.n2, data.rho2),
-            (1, 1, data.n1, data.rho1)):
-        k = count // 2
-        for j in range(1, k + 1):
-            bottom = chain_base + 3 * (count - 2 * j)
-            for _ in range(steps_list[k - j]):
+    for docks, steps_list in ((_pair_docks(dock, n1, n2), data.rho2),
+                              (_pair_docks(dock, 0, n1), data.rho1)):
+        for bottom, steps in zip(docks[::-1], steps_list[::-1]):
+            for _ in range(steps):
                 bottom = _advance_pair(state, bottom)
-                assert is_schur_admissible(tuple(state))
     result = tuple(state)
     assert sum(result) == data.size
     return result
@@ -397,29 +381,25 @@ def decode(partition: Partition) -> MotionData:
 
 def _decode_labeled(p: Partition, n1: int, n2: int, m: int,
                     bottoms1: list[int], rem2: int | None) -> Iterator[MotionData]:
-    k1, k2 = n1 // 2, n2 // 2
-    docks1 = [3 * (n1 - 2 * j) + 1 for j in range(k1, 0, -1)]
-    docks2 = [3 * (n1 + n2 - 2 * j) + 2 for j in range(k2, 0, -1)]
-    chain = set(range(1, 3 * n1 - 2 + 1, 3)) if n1 else set()
-    chain |= set(range(3 * n1 + 2, 3 * (n1 + n2 - 1) + 2 + 1, 3)) if n2 else set()
-    base = 3 * (n1 + n2)
+    dock = minimal_configuration(n1, n2, m)
+    chain = set(dock[:n1 + n2])
+    docks1, docks2 = _pair_docks(dock, 0, n1), _pair_docks(dock, n1, n2)
 
     # 1 mod 3 pairs were the last to move forward, so they unwind first.
     # Their crossings can have displaced whole 2 mod 3 pairs, so those
     # pairs are only identified afterwards, in the intermediate state.
     for state1, rho1 in _unwind_pairs(list(p), sorted(bottoms1), docks1):
         res2 = [v for v in state1 if v % 3 == 2]
-        for bottoms2 in _pair_labelings(res2, k2, rem2):
+        for bottoms2 in _pair_labelings(res2, n2 // 2, rem2):
             for state0, rho2 in _unwind_pairs(state1, sorted(bottoms2), docks2):
                 if not chain <= set(state0):
                     continue
                 singles = sorted(v for v in state0 if v not in chain)
                 if len(singles) != m:
                     continue
-                r = tuple(v - (base + 3 + 4 * i) for i, v in enumerate(singles))
-                if any(v < 0 for v in r):
-                    continue
-                if any(a > b for a, b in zip(r, r[1:])):
+                r = tuple(v - z for v, z in zip(singles, dock[n1 + n2:]))
+                # 0 <= r[0] <= r[1] <= ...
+                if any(a > b for a, b in zip((0,) + r, r)):
                     continue
                 yield MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
 
@@ -427,17 +407,17 @@ def _decode_labeled(p: Partition, n1: int, n2: int, m: int,
 # ---------------------------------------------------------------------------
 # bounds and sweeps
 
-def max_motions(config: MinimalConfig, N: int) -> dict[str, int | None]:
+def max_motions(n1: int, n2: int, m: int, N: int) -> dict[str, int | None]:
     """Largest admissible motion values under a largest-part bound N:
     caps for the top singleton displacement and for any single pair's
     step count, or None for an absent component.  A negative cap means
     the component cannot fit under the bound at all."""
+    dock = minimal_configuration(n1, n2, m)
     if N < 0:
         raise ValueError("largest-part bound must be >= 0")
-    n1, n2, m = config.n1, config.n2, config.m
-    r_cap = N - (3 * (n1 + n2) + 3 + 4 * (m - 1)) if m else None
-    rho2_cap = (N - (3 * (n1 + n2 - 1) + 2)) // 3 - m if n2 >= 2 else None
-    rho1_cap = (N - (3 * (n1 - 1) + 1)) // 3 - m - n2 if n1 >= 2 else None
+    r_cap = N - dock[-1] if m else None
+    rho2_cap = (N - dock[n1 + n2 - 1]) // 3 - m if n2 >= 2 else None
+    rho1_cap = (N - dock[n1 - 1]) // 3 - m - n2 if n1 >= 2 else None
     return {"r": r_cap, "rho2": rho2_cap, "rho1": rho1_cap}
 
 
@@ -468,34 +448,21 @@ def enumerate_motion_data(max_size: int,
     """All motion data whose resulting partition has size <= max_size;
     with largest_part given, also restrict every budget to the caps of
     max_motions, which bounds the resulting largest part."""
-    n1 = 0
-    while weight_a(n1, 0, 0) <= max_size:
-        n2 = 0
-        while weight_a(n1, n2, 0) <= max_size:
-            m = 0
-            while True:
-                a = weight_a(n1, n2, m)
-                if a > max_size:
-                    break
-                if largest_part is not None:
-                    caps = max_motions(MinimalConfig(n1, n2, m), largest_part)
-                    # immobile chain remainders are not covered by any cap
-                    if (n1 % 2 and largest_part < 1) or \
-                            (n2 % 2 and largest_part < 3 * n1 + 2):
-                        m += 1
-                        continue
-                else:
-                    caps = {"r": None, "rho2": None, "rho1": None}
-                budget = max_size - a
-                for r in _weakly_increasing(m, budget, caps["r"]):
-                    left = budget - sum(r)
-                    for rho2 in _weakly_increasing(n2 // 2, left // 6, caps["rho2"]):
-                        left2 = left - 6 * sum(rho2)
-                        for rho1 in _weakly_increasing(n1 // 2, left2 // 6, caps["rho1"]):
-                            yield MotionData(n1, n2, m, r, rho2, rho1)
-                m += 1
-            n2 += 1
-        n1 += 1
+    caps: dict[str, int | None] = {"r": None, "rho2": None, "rho1": None}
+    for n1, n2, m, a in _cells(max_size, weight_a):
+        if largest_part is not None:
+            # immobile chain remainders are not covered by any cap
+            if (n1 % 2 and largest_part < 1) or \
+                    (n2 % 2 and largest_part < 3 * n1 + 2):
+                continue
+            caps = max_motions(n1, n2, m, largest_part)
+        budget = max_size - a
+        for r in _weakly_increasing(m, budget, caps["r"]):
+            left = budget - sum(r)
+            for rho2 in _weakly_increasing(n2 // 2, left // 6, caps["rho2"]):
+                left2 = left - 6 * sum(rho2)
+                for rho1 in _weakly_increasing(n1 // 2, left2 // 6, caps["rho1"]):
+                    yield MotionData(n1, n2, m, r, rho2, rho1)
 
 
 def certify_range(max_size: int) -> dict[str, Any]:

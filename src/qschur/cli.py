@@ -214,6 +214,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = acceptance_matrix()
     if args.identity is not None:
         rows = [r for r in rows if r["check"] == args.identity]
+        # every registry identity has rows, so an empty filter is a bad name
+        if not rows:
+            raise UsageError("unknown identity %r" % (args.identity,))
     if os.environ.get("QSCHUR_FAULT_INJECT") and rows:
         rows[0] = {"check": rows[0]["check"],
                    "params": {**rows[0]["params"],
@@ -309,8 +312,21 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0 if summary["status"] == "verified" else 1
 
 
+# the options each series reads; any other one is refused, not dropped
+_SERIES_READS = {
+    "lhs": ("N",), "rhs": ("N",), "ali": ("T",), "kursungoz": ("T",),
+    "even-odd": ("T",), "bounded": ("T", "largest_part"),
+    "oracle": ("T", "largest_part"), "product": ("T",),
+}
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
+    for option in ("N", "T", "largest_part"):
+        if getattr(args, option) is not None \
+                and option not in _SERIES_READS[name]:
+            raise UsageError("series %r does not read --%s"
+                             % (name, option.replace("_", "-")))
     T = args.T
     doc: dict[str, Any] = {"series": name}
 
@@ -353,11 +369,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if args.largest_part is None:
             raise UsageError("series 'bounded' needs --largest-part")
         series = bounded_gf(args.largest_part, need_T())
-    elif name == "oracle":
+    else:  # "oracle"
         _check_cap("oracle_T", need_T())
         series = schur_gf_oracle(T, largest_part=args.largest_part)
-    else:
-        raise UsageError("unknown series %r" % name)
     doc.update(T=T, strata=series.to_strata_pairs())
     if args.largest_part is not None:
         doc["largest_part"] = args.largest_part
@@ -413,9 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_bij)
 
     p_series = sub.add_parser("series", help="print a builder's coefficients")
-    p_series.add_argument("name", choices=(
-        "lhs", "rhs", "ali", "kursungoz", "even-odd", "bounded", "oracle",
-        "product"))
+    p_series.add_argument("name", choices=tuple(_SERIES_READS))
     p_series.add_argument("--N")
     p_series.add_argument("--T", type=int)
     p_series.add_argument("--largest-part", dest="largest_part", type=int)

@@ -6,10 +6,12 @@ Two partition classes are enumerated here:
   by at least 6 whenever both parts are multiples of 3;
 * partitions into distinct parts congruent to 1 or 2 mod 3.
 
-Everything in this module works by direct search over part choices.  It
+Every enumerator here works by direct search over part choices.  It
 deliberately knows nothing about the series builders it is used to
 validate, so an error would have to be made twice, in two unrelated
-ways, to go unnoticed.
+ways, to go unnoticed.  The module also hosts `weight_a` and the cell
+walk `_cells`, which `bijection` and `schur_sums` share without an
+import cycle; the enumerators use neither, so the oracle stays apart.
 
 Partitions are ascending tuples of positive ints; the empty tuple is the
 unique partition of 0.
@@ -17,7 +19,7 @@ unique partition of 0.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .qpoly import QPoly, XSeries
 
@@ -30,6 +32,22 @@ def weight_a(n1: int, n2: int, m: int) -> int:
     s = n1 + n2
     u = 2 * m + s
     return u * (u + 1) // 2 + m * s + s * s - n1
+
+
+def _cells(T: int, weight: Callable[[int, int, int], int]):
+    # (n1, n2, m, w) for every cell with w = weight(n1, n2, m) <= T; each
+    # weight grows in every index, so each loop stops at its first cell
+    # past the window.
+    n1 = 0
+    while weight(n1, 0, 0) <= T:
+        n2 = 0
+        while weight(n1, n2, 0) <= T:
+            m = 0
+            while (w := weight(n1, n2, m)) <= T:
+                yield n1, n2, m, w
+                m += 1
+            n2 += 1
+        n1 += 1
 
 
 def is_schur_admissible(parts: Iterable[int]) -> bool:

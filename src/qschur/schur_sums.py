@@ -18,11 +18,12 @@ One private walk carries each sum family.  `_triple_sum(N, weight)` is
 the triple q-binomial sum over (n1, n2, m); the central left side, the
 q -> 1/q dual and both summation formulas differ only in the weight they
 pass it, and the q = 1 value is the central left side at q = 1.
-`_cells(T, weight)` yields the cells of a three-index series whose weight
-fits the window; the chain-indexed, pair-indexed, even/odd and
-largest-part-bounded series differ only in the weight and the summand,
-and `qt_limit_sum` walks (y, m, n1) on the floor of weight_q, keeps each
-cell on its exact weight, and meets 1/(q^6;q^6)_y once per y-slice.  The
+`partitions._cells(T, weight)`, shared with the motion sweep, yields the
+cells of a three-index series whose weight fits the window; the
+chain-indexed, pair-indexed, even/odd and largest-part-bounded series
+differ only in the weight and the summand, and `qt_limit_sum` walks
+(y, m, n1) on the floor of weight_q, keeps each cell on its exact
+weight, and meets 1/(q^6;q^6)_y once per y-slice.  The
 trinomial sides sum over j of the one k-walk in `qcoeff`; both T0 half
 sums, exact and windowed, share the j-walk `_t0_half_walk`.
 `qpoly._add_shifted` is the one accumulate loop under all of them.
@@ -48,9 +49,9 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .bijection import certify_range
-# weight_a lives with the partitions whose minimal size it is; re-exported
-from .partitions import (distinct_pm1_counts, schur_counts, schur_gf_oracle,
-                         weight_a)
+# weight_a (re-exported) and _cells live in partitions, free of cycles
+from .partitions import (_cells, distinct_pm1_counts, schur_counts,
+                         schur_gf_oracle, weight_a)
 from .qcoeff import (
     MonomialBase,
     gauss_binomial,
@@ -378,22 +379,6 @@ def schur_product_truncated(T: int) -> QPoly:
 
 def _xseries_from(strata: dict[int, dict[int, int]], T: int) -> XSeries:
     return XSeries(T, {x: QPoly._raw(row) for x, row in strata.items()})
-
-
-def _cells(T: int, weight: Callable[[int, int, int], int]):
-    # (n1, n2, m, w) for every cell with w = weight(n1, n2, m) <= T; each
-    # weight grows in every index, so each loop stops at its first cell
-    # past the window.
-    n1 = 0
-    while weight(n1, 0, 0) <= T:
-        n2 = 0
-        while weight(n1, n2, 0) <= T:
-            m = 0
-            while (w := weight(n1, n2, m)) <= T:
-                yield n1, n2, m, w
-                m += 1
-            n2 += 1
-        n1 += 1
 
 
 def _recip_cell(h1: int, h2: int, m: int, T: int, room: int) -> QPoly:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qschur import bijection
 from qschur.bijection import (
     DecodeError,
-    MinimalConfig,
     MotionData,
     MotionRuleError,
     _advance_pair,
@@ -80,7 +79,6 @@ def test_motion_data_validation():
 def test_motion_data_dict_roundtrip():
     d = MotionData(3, 2, 2, r=(0, 4), rho2=(2,), rho1=(1,))
     assert MotionData.from_dict(d.as_dict()) == d
-    assert d.config == MinimalConfig(3, 2, 2)
 
 
 motion_data = st.builds(
@@ -154,29 +152,76 @@ def test_decode_rejects_inadmissible():
         decode((3, 6))
 
 
+def _closed_form_caps(n1, n2, m, N):
+    # the caps written out as arithmetic on n1, n2, m: a reference that
+    # shares no dock lookup with max_motions
+    r_cap = N - (3 * (n1 + n2) + 3 + 4 * (m - 1)) if m else None
+    rho2_cap = (N - (3 * (n1 + n2 - 1) + 2)) // 3 - m if n2 >= 2 else None
+    rho1_cap = (N - (3 * (n1 - 1) + 1)) // 3 - m - n2 if n1 >= 2 else None
+    return {"r": r_cap, "rho2": rho2_cap, "rho1": rho1_cap}
+
+
+def _nested_walk(max_size, largest_part=None):
+    # enumerate_motion_data written as its own (n1, n2, m) while-nest: a
+    # reference for the order and stops of the walk on _cells
+    n1 = 0
+    while weight_a(n1, 0, 0) <= max_size:
+        n2 = 0
+        while weight_a(n1, n2, 0) <= max_size:
+            m = 0
+            while True:
+                a = weight_a(n1, n2, m)
+                if a > max_size:
+                    break
+                if largest_part is not None:
+                    caps = _closed_form_caps(n1, n2, m, largest_part)
+                    if (n1 % 2 and largest_part < 1) or \
+                            (n2 % 2 and largest_part < 3 * n1 + 2):
+                        m += 1
+                        continue
+                else:
+                    caps = {"r": None, "rho2": None, "rho1": None}
+                budget = max_size - a
+                for r in bijection._weakly_increasing(m, budget, caps["r"]):
+                    left = budget - sum(r)
+                    for rho2 in bijection._weakly_increasing(
+                            n2 // 2, left // 6, caps["rho2"]):
+                        left2 = left - 6 * sum(rho2)
+                        for rho1 in bijection._weakly_increasing(
+                                n1 // 2, left2 // 6, caps["rho1"]):
+                            yield MotionData(n1, n2, m, r, rho2, rho1)
+                m += 1
+            n2 += 1
+        n1 += 1
+
+
 def test_max_motions_examples():
-    caps = max_motions(MinimalConfig(0, 0, 1), 5)
+    caps = max_motions(0, 0, 1, 5)
     assert caps["r"] == 2
     assert caps["rho2"] is None and caps["rho1"] is None
-    caps = max_motions(MinimalConfig(0, 2, 0), 8)
+    caps = max_motions(0, 2, 0, 8)
     assert caps["rho2"] == 1
-    caps = max_motions(MinimalConfig(0, 0, 0), 0)
+    caps = max_motions(0, 0, 0, 0)
     assert caps == {"r": None, "rho2": None, "rho1": None}
+    for n1 in range(7):
+        for n2 in range(7):
+            for m in range(7):
+                for N in range(41):
+                    assert max_motions(n1, n2, m, N) == \
+                        _closed_form_caps(n1, n2, m, N), (n1, n2, m, N)
 
 
 def test_max_motions_caps_are_sharp():
     # the cap value is reachable, one more breaks the bound
     for config, key, budget in (
-            (MinimalConfig(0, 0, 1), "r", lambda v: MotionData(0, 0, 1, r=(v,))),
-            (MinimalConfig(0, 2, 0), "rho2",
-             lambda v: MotionData(0, 2, 0, rho2=(v,))),
-            (MinimalConfig(2, 0, 0), "rho1",
-             lambda v: MotionData(2, 0, 0, rho1=(v,)))):
+            ((0, 0, 1), "r", lambda v: MotionData(0, 0, 1, r=(v,))),
+            ((0, 2, 0), "rho2", lambda v: MotionData(0, 2, 0, rho2=(v,))),
+            ((2, 0, 0), "rho1", lambda v: MotionData(2, 0, 0, rho1=(v,)))):
         for N in range(4, 14):
-            cap = max_motions(config, N)[key]
+            cap = max_motions(*config, N)[key]
             if cap < 0:
                 # the component cannot fit under the bound at all
-                assert max(config.partition()) > N
+                assert max(minimal_configuration(*config)) > N
                 continue
             assert max(apply_motions(budget(cap))) <= N
             assert max(apply_motions(budget(cap + 1))) > N
@@ -191,6 +236,13 @@ def test_enumeration_respects_size_bound():
     # and its image is exactly the admissible partitions up to 18
     images = sorted(apply_motions(d) for d in seen)
     assert len(images) == len(set(images)) == sum(schur_counts(18))
+    # the walk order is the old nest's: certify_range reports the first
+    # failure in it
+    for max_size in range(25):
+        for largest_part in (None, 0, 1, 4, 7, 10):
+            assert list(enumerate_motion_data(max_size, largest_part)) == \
+                list(_nested_walk(max_size, largest_part)), \
+                (max_size, largest_part)
 
 
 def test_enumeration_with_largest_part_bound():

@@ -151,10 +151,10 @@ def test_report_filter_runs_only_matching_rows(capsys):
 
 
 def test_report_empty_filter_is_clean(capsys):
-    code, doc, _ = run_json(capsys, "report", "--identity", "nothing-here")
-    assert code == 0
-    assert doc["entries"] == []
-    assert doc["summary"] == {"verified": 0, "failed": 0}
+    # every registry identity has rows, so an empty filter is a bad name
+    code, out, err = run(capsys, "report", "--identity", "nothing-here",
+                         "--format", "json")
+    assert code == 2 and out == "" and "unknown identity" in err
 
 
 def test_report_parallel_equals_serial(capsys):
@@ -336,6 +336,14 @@ def test_series_usage_errors(capsys):
     # the oracle stores every admissible partition up to its window
     code, out, err = run(capsys, "series", "oracle", "--T", "101")
     assert code == 2 and out == "" and "hard cap" in err
+    # an option the series does not read is refused, not dropped: the
+    # bounded label on an unbounded series would be a wrong document
+    for argv in (("ali", "--T", "4", "--largest-part", "3", "--format", "json"),
+                 ("lhs", "--N", "2", "--T", "5"),
+                 ("product", "--T", "3", "--N", "7"),
+                 ("kursungoz", "--T", "3", "--N", "9")):
+        code, out, err = run(capsys, "series", *argv)
+        assert code == 2 and out == "" and "does not read" in err, argv
 
 
 def test_out_writes_json_even_in_text_mode(capsys, tmp_path):
