@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .partitions import (Partition, _cells, enumerate_schur,
+from .partitions import (Partition, _cells, _schur_walk,
                          is_schur_admissible, weight_a)
 
 
@@ -282,48 +282,51 @@ def _unwind_pairs(state: list[int], pair_bottoms: list[int],
     if not pair_bottoms:
         yield list(state), ()
         return
-    bottom, dock = pair_bottoms[0], docks[0]
-
-    def dfs(cur: list[int], b: int, steps: int) -> Iterator[tuple[list[int], int]]:
-        # forward motion strictly raises the bottom, so reaching the dock
-        # pins the step count; below the dock is unreachable
-        if b == dock:
-            yield list(cur), steps
-            return
-        if b < dock:
-            return
-        for pre, pre_b in _unstep_candidates(cur, b):
-            yield from dfs(pre, pre_b, steps + 1)
-
-    for unwound, sigma in dfs(list(state), bottom, 0):
+    for unwound, sigma in _unwind_steps(list(state), pair_bottoms[0], docks[0], 0):
         for rest_state, rest_sigmas in _unwind_pairs(unwound, pair_bottoms[1:], docks[1:]):
             combined = (sigma,) + rest_sigmas
             if all(a <= b for a, b in zip(combined, combined[1:])):
                 yield rest_state, combined
 
 
+def _unwind_steps(cur: list[int], b: int, dock: int,
+                  steps: int) -> Iterator[tuple[list[int], int]]:
+    # (state, steps + inverse steps taken) for every run of inverse steps
+    # that brings the pair bottom b down to dock; forward motion strictly
+    # raises the bottom, so reaching the dock pins the step count and
+    # below the dock is unreachable
+    if b == dock:
+        yield list(cur), steps
+        return
+    if b < dock:
+        return
+    for pre, pre_b in _unstep_candidates(cur, b):
+        yield from _unwind_steps(pre, pre_b, dock, steps + 1)
+
+
 def _pair_labelings(values: list[int], k: int, reserved: int | None) -> Iterator[list[int]]:
     """Choose k disjoint (v, v+3) pairs among same-residue values; yields
     the list of pair bottoms, ascending.  reserved is a value that must
     stay unpaired (the immobile chain remainder), or None."""
-    usable = [v for v in values if v != reserved]
+    yield from _labelings_from([v for v in values if v != reserved], 0, k, [])
 
-    def rec(idx: int, need: int, acc: list[int]) -> Iterator[list[int]]:
-        if need == 0:
-            yield list(acc)
-            return
-        if idx >= len(usable):
-            return
-        # pair usable[idx] with its +3 neighbor if present
-        v = usable[idx]
-        if idx + 1 < len(usable) and usable[idx + 1] == v + 3:
-            acc.append(v)
-            yield from rec(idx + 2, need - 1, acc)
-            acc.pop()
-        # or leave it as a singleton
-        yield from rec(idx + 1, need, acc)
 
-    yield from rec(0, k, [])
+def _labelings_from(usable: list[int], idx: int, need: int,
+                    acc: list[int]) -> Iterator[list[int]]:
+    # the labelings of usable[idx:] with need more pairs, after acc
+    if need == 0:
+        yield list(acc)
+        return
+    if idx >= len(usable):
+        return
+    # pair usable[idx] with its +3 neighbor if present
+    v = usable[idx]
+    if idx + 1 < len(usable) and usable[idx + 1] == v + 3:
+        acc.append(v)
+        yield from _labelings_from(usable, idx + 2, need - 1, acc)
+        acc.pop()
+    # or leave it as a singleton
+    yield from _labelings_from(usable, idx + 1, need, acc)
 
 
 def decode(partition: Partition) -> MotionData:
@@ -427,20 +430,23 @@ def _weakly_increasing(count: int, total: int,
     <= total, optionally with entries <= max_value."""
     if total < 0 or (max_value is not None and max_value < 0 and count > 0):
         return
+    yield from _increasing_from(count, total, 0, max_value, [])
 
-    def rec(left: int, budget: int, lo: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield tuple(acc)
-            return
-        hi = budget // left
-        if max_value is not None:
-            hi = min(hi, max_value)
-        for v in range(lo, hi + 1):
-            acc.append(v)
-            yield from rec(left - 1, budget - v, v, acc)
-            acc.pop()
 
-    yield from rec(count, total, 0, [])
+def _increasing_from(left: int, budget: int, lo: int, max_value: int | None,
+                     acc: list[int]) -> Iterator[tuple[int, ...]]:
+    # acc extended by left more entries in [lo, max_value], weakly
+    # increasing, summing to at most budget
+    if left == 0:
+        yield tuple(acc)
+        return
+    hi = budget // left
+    if max_value is not None:
+        hi = min(hi, max_value)
+    for v in range(lo, hi + 1):
+        acc.append(v)
+        yield from _increasing_from(left - 1, budget - v, v, max_value, acc)
+        acc.pop()
 
 
 def enumerate_motion_data(max_size: int,
@@ -493,7 +499,7 @@ def certify_range(max_size: int) -> dict[str, Any]:
                                 "partition": list(result)}}
         image[result] = data
 
-    expected = {p for rows in enumerate_schur(max_size).values() for p in rows}
+    expected = {p for _, p in _schur_walk(max_size)}
     missing = expected - set(image)
     extra = set(image) - expected
     if missing or extra:

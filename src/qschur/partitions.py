@@ -6,7 +6,10 @@ Two partition classes are enumerated here:
   by at least 6 whenever both parts are multiples of 3;
 * partitions into distinct parts congruent to 1 or 2 mod 3.
 
-Every enumerator here works by direct search over part choices.  It
+Each class has one streamed walk, a depth-first search over part
+choices that yields (size, parts) in lexicographic order of the part
+tuples and stores nothing: the counting functions consume it directly,
+and only the two `enumerate_*` functions collect it by size.  The oracle
 deliberately knows nothing about the series builders it is used to
 validate, so an error would have to be made twice, in two unrelated
 ways, to go unnoticed.  The module also hosts `weight_a` and the cell
@@ -19,7 +22,7 @@ unique partition of 0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .qpoly import QPoly, XSeries
 
@@ -77,72 +80,97 @@ def _min_gap(prev: int, nxt: int) -> bool:
     return gap >= 6 or nxt % 3 != 0 or prev % 3 != 0
 
 
-def enumerate_schur(n_max: int, largest_part: int | None = None) -> dict[int, list[Partition]]:
-    """All gap-admissible partitions of every size <= n_max, grouped by
-    size, each list in lexicographic order of the ascending part tuples.
-
-    `largest_part` bounds every part when given.  Depth-first search over
-    the smallest part first; the remaining-size bound n_max prunes.
-    """
+def _schur_walk(n_max: int, largest_part: int | None = None
+                ) -> Iterator[tuple[int, Partition]]:
+    # (size, parts) for every gap-admissible partition of size <= n_max
+    # with parts <= largest_part, in lexicographic order of the ascending
+    # part tuples (the empty one first): depth-first, smallest part
+    # first, one range of next parts per depth
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if largest_part is not None and largest_part < 0:
         raise ValueError("largest-part bound must be >= 0")
     bound = n_max if largest_part is None else min(largest_part, n_max)
-    by_size: dict[int, list[Partition]] = {n: [] for n in range(n_max + 1)}
-    by_size[0].append(())
-
-    def extend(prefix: Partition, size: int, lo: int) -> None:
-        last = prefix[-1] if prefix else None
-        for p in range(lo, min(bound, n_max - size) + 1):
-            if last is not None and not _min_gap(last, p):
+    yield 0, ()
+    stack = [((), 0, iter(range(1, bound + 1)))]
+    while stack:
+        prefix, size, choices = stack[-1]
+        for p in choices:
+            if prefix and not _min_gap(prefix[-1], p):
                 continue
-            nxt = prefix + (p,)
-            by_size[size + p].append(nxt)
-            extend(nxt, size + p, p + 3)
+            nxt, total = prefix + (p,), size + p
+            yield total, nxt
+            stack.append((nxt, total, iter(range(p + 3, min(bound, n_max - total) + 1))))
+            break
+        else:
+            stack.pop()
 
-    extend((), 0, 1)
+
+def _pm1_walk(n_max: int) -> Iterator[tuple[int, Partition]]:
+    # (size, parts) for every partition into distinct parts +-1 mod 3 of
+    # size <= n_max, in lexicographic order: the walk of _schur_walk
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    yield 0, ()
+    stack = [((), 0, iter(range(1, n_max + 1)))]
+    while stack:
+        prefix, size, choices = stack[-1]
+        for p in choices:
+            if p % 3 == 0:
+                continue
+            nxt, total = prefix + (p,), size + p
+            yield total, nxt
+            stack.append((nxt, total, iter(range(p + 1, n_max - total + 1))))
+            break
+        else:
+            stack.pop()
+
+
+def _by_size(n_max: int, walk: Iterable[tuple[int, Partition]]) -> dict[int, list[Partition]]:
+    by_size: dict[int, list[Partition]] = {n: [] for n in range(n_max + 1)}
+    for size, parts in walk:
+        by_size[size].append(parts)
     return by_size
+
+
+def _counts(n_max: int, walk: Iterable[tuple[int, Partition]]) -> list[int]:
+    counts = [0] * (n_max + 1)
+    for size, _ in walk:
+        counts[size] += 1
+    return counts
+
+
+def enumerate_schur(n_max: int, largest_part: int | None = None) -> dict[int, list[Partition]]:
+    """All gap-admissible partitions of every size <= n_max, grouped by
+    size, each list in lexicographic order of the ascending part tuples.
+
+    `largest_part` bounds every part when given.  Collects `_schur_walk`,
+    a depth-first search over the smallest part first.
+    """
+    return _by_size(n_max, _schur_walk(n_max, largest_part))
 
 
 def enumerate_distinct_pm1_mod3(n_max: int) -> dict[int, list[Partition]]:
     """All partitions into distinct parts congruent to +-1 mod 3, of every
     size <= n_max, grouped by size, lists in lexicographic order."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    by_size: dict[int, list[Partition]] = {n: [] for n in range(n_max + 1)}
-    by_size[0].append(())
-
-    def extend(prefix: Partition, size: int, lo: int) -> None:
-        for p in range(lo, n_max - size + 1):
-            if p % 3 == 0:
-                continue
-            nxt = prefix + (p,)
-            by_size[size + p].append(nxt)
-            extend(nxt, size + p, p + 1)
-
-    extend((), 0, 1)
-    return by_size
+    return _by_size(n_max, _pm1_walk(n_max))
 
 
 def schur_counts(n_max: int, largest_part: int | None = None) -> list[int]:
-    by_size = enumerate_schur(n_max, largest_part)
-    return [len(by_size[n]) for n in range(n_max + 1)]
+    return _counts(n_max, _schur_walk(n_max, largest_part))
 
 
 def distinct_pm1_counts(n_max: int) -> list[int]:
-    by_size = enumerate_distinct_pm1_mod3(n_max)
-    return [len(by_size[n]) for n in range(n_max + 1)]
+    return _counts(n_max, _pm1_walk(n_max))
 
 
 def schur_gf_oracle(T: int, largest_part: int | None = None) -> XSeries:
     """Sum of x^(number of parts) q^size over gap-admissible partitions
-    of size <= T, straight from the enumeration."""
+    of size <= T, counted straight off the walk."""
     strata: dict[int, dict[int, int]] = {}
-    for n, plist in enumerate_schur(T, largest_part).items():
-        for parts in plist:
-            row = strata.setdefault(len(parts), {})
-            row[n] = row.get(n, 0) + 1
+    for n, parts in _schur_walk(T, largest_part):
+        row = strata.setdefault(len(parts), {})
+        row[n] = row.get(n, 0) + 1
     return XSeries(T, {x: QPoly.from_q_coeffs(row) for x, row in strata.items()})
 
 

@@ -17,7 +17,14 @@ exactly and reports the first discrepancy.
 One private walk carries each sum family.  `_triple_sum(N, weight)` is
 the triple q-binomial sum over (n1, n2, m); the central left side, the
 q -> 1/q dual and both summation formulas differ only in the weight they
-pass it, and the q = 1 value is the central left side at q = 1.
+pass it, and the q = 1 value is the central left side at q = 1.  Its
+(n1, n2) pair slices come from one cached family shared across N and
+both weights, `_pair_sum(v, k)` = E_v(k), the sum of
+q^(2b) [v+a, a]_{q^6} [v+b, b]_{q^6} over a + b = k: with
+a = floor(n1/2), b = floor(n2/2) and s = n1 + n2, the (even, even)
+cells of s = 2k are E_v(k) and the (odd, odd) ones E_v(k-1), while the
+(even, odd) and (odd, even) cells of s = 2k+1 are E_v(k) twice, one q
+apart, each class shifted by its least weight.
 `partitions._cells(T, weight)`, shared with the motion sweep, yields the
 cells of a three-index series whose weight fits the window; the
 chain-indexed, pair-indexed, even/odd and largest-part-bounded series
@@ -110,13 +117,36 @@ def _dual_weight(n1: int, n2: int, m: int, N: int) -> int:
     return weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
 
 
+@lru_cache(maxsize=None)
+def _pair_sum(v: int, k: int) -> QPoly:
+    """E_v(k): sum of q^(2b) A_v(a) A_v(b) over a + b = k, with
+    A_v(j) = [v+j, j]_{q^6}.  Symmetric in a and b, so it is also the sum
+    of q^(2a) A_v(a) A_v(b); each product is built once for both orders."""
+    acc: dict[int, int] = {}
+    for b in range(k // 2 + 1):
+        a = k - b
+        term = gauss_binomial(v + a, a, 6) * gauss_binomial(v + b, b, 6)
+        _add_shifted(acc, term, 4 * b)
+        if a != b:
+            _add_shifted(acc, term, 4 * a)
+    return QPoly._raw(acc)
+
+
 def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
     """sum of q^(weight/2) [3V,m]_q [V+floor(n1/2), floor(n1/2)]_{q^6}
     [V+floor(n2/2), floor(n2/2)]_{q^6} over n1, n2, m >= 0 with
     V = N-m-n1-n2 >= 0, the weight taken in half-steps.
 
     Fixing V and s = n1 + n2 fixes m, so the n1/n2 sum folds into one pair
-    slice per (V, s) and only the slice meets the base-q binomial."""
+    slice per (V, s) and only the slice meets the base-q binomial.  With
+    a = floor(n1/2), the slice's cells split by the parities (p1, p2) of
+    (n1, n2), and each class is one shifted `_pair_sum` E_V(k),
+    k = (s - p1 - p2)/2: for s = 2k the (even, even) class is E_V(k) and
+    the (odd, odd) class E_V(k-1); for s = 2k+1 the (even, odd) and
+    (odd, even) classes are both E_V(k), one q apart.  Inside a class the
+    weight is affine in a with slope -4 (`_plain_weight`) or +4
+    (`_dual_weight`), so the class's shift is the smaller weight at its
+    two end cells, n1 = p1 and n2 = p2."""
     acc: dict[int, int] = {}
     for v in range(N + 1):
         for s in range(N - v + 1):
@@ -124,11 +154,11 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
             if m > 3 * v:
                 continue
             pairs: dict[int, int] = {}
-            for n1 in range(s + 1):
-                n2 = s - n1
-                _add_shifted(pairs, gauss_binomial(v + n1 // 2, n1 // 2, 6)
-                             * gauss_binomial(v + n2 // 2, n2 // 2, 6),
-                             weight(n1, n2, m, N))
+            for p1 in (0, 1):
+                p2 = (s - p1) % 2
+                if p1 + p2 <= s:
+                    shift = min(weight(p1, s - p1, m, N), weight(s - p2, p2, m, N))
+                    _add_shifted(pairs, _pair_sum(v, (s - p1 - p2) // 2), shift)
             _add_shifted(acc, gauss_binomial(3 * v, m) * QPoly._raw(pairs), 0)
     return QPoly._raw(acc)
 

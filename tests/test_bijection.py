@@ -1,5 +1,6 @@
 """Motion encoding: examples, invariants, and the certification sweep."""
 
+import gc
 from unittest import mock
 
 import pytest
@@ -258,6 +259,20 @@ def test_certification_sweep():
     assert report["status"] == "verified"
     assert report["failure"] is None
     assert report["partitions"] == sum(schur_counts(30))
+
+
+def test_certify_and_decode_leave_no_reference_cycles():
+    # the search generators are module-level, so no call leaves a
+    # function <-> cell cycle for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert certify_range(24)["status"] == "verified"
+        for data in enumerate_motion_data(24):
+            assert decode(apply_motions(data)) == data
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_certification_rejects_negative_bound():

@@ -14,6 +14,7 @@ from qschur.partitions import (
     schur_counts,
     schur_gf_oracle,
 )
+from qschur.qpoly import QPoly
 
 # counts of gap-admissible partitions of 0..20, frozen from a one-off
 # subset-sum enumeration over distinct parts +-1 mod 3 (a third route,
@@ -86,6 +87,24 @@ def test_oracle_at_x_one_counts_everything():
     counts = schur_counts(T)
     for n in range(T + 1):
         assert totals.coefficient_q(n) == counts[n]
+
+
+@pytest.mark.parametrize("largest_part", [None, 0, 1, 4, 7, 10])
+def test_streamed_counts_match_enumeration(largest_part):
+    # the counting functions read the walk without storing it; the
+    # enumerators collect the same walk
+    for n in range(41):
+        by_size = enumerate_schur(n, largest_part)
+        assert schur_counts(n, largest_part) == [len(by_size[k]) for k in range(n + 1)]
+        series = schur_gf_oracle(n, largest_part)
+        assert set(series.x_degrees()) == {
+            len(p) for plist in by_size.values() for p in plist}
+        for x in series.x_degrees():
+            assert series.stratum(x) == QPoly.from_q_coeffs(
+                {k: sum(1 for p in by_size[k] if len(p) == x) for k in range(n + 1)})
+        if largest_part is None:
+            pm1 = enumerate_distinct_pm1_mod3(n)
+            assert distinct_pm1_counts(n) == [len(pm1[k]) for k in range(n + 1)]
 
 
 def test_negative_bound_rejected():

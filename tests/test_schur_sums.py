@@ -68,6 +68,33 @@ def test_triple_sum_kernel_matches_naive_walk(N):
     assert ss.summation_formula_sides(N)[0] == summed
 
 
+def test_pair_sum_cache_serves_every_N_and_both_weights():
+    # one process, N up then down: a stale or mis-keyed _pair_sum entry
+    # would show against the naive walk
+    for N in list(range(15)) + list(range(14, -1, -1)):
+        assert ss._triple_sum(N, ss._plain_weight) == naive_triple_sum(
+            N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m)), N
+        assert ss._triple_sum(N, ss._dual_weight) == naive_dual(N), N
+    # E_v(k) is the direct convolution, in either orientation
+    for v in range(9):
+        A = lambda j: gauss_binomial(v + j, j, 6)
+        for k in range(7):
+            direct = QPoly.zero()
+            for a in range(k + 1):
+                direct = direct + (A(a) * A(k - a)).shift(4 * (k - a))
+            assert ss._pair_sum(v, k) == direct, (v, k)
+    # inside every parity class of a (V, s) slice the weight steps by -4
+    # (plain) or +4 (dual) per unit of floor(n1/2)
+    for weight, slope in ((ss._plain_weight, -4), (ss._dual_weight, 4)):
+        for N in range(15):
+            for v in range(N + 1):
+                for s in range(N - v + 1):
+                    m = N - v - s
+                    for n1 in range(s - 1):
+                        assert (weight(n1 + 2, s - n1 - 2, m, N)
+                                - weight(n1, s - n1, m, N)) == slope
+
+
 def test_summands_tile_the_sum():
     for N in range(7):
         total = QPoly.zero()
