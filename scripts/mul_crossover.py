@@ -3,11 +3,14 @@
 Usage: PYTHONPATH=src python3 scripts/mul_crossover.py [--repeat 7]
 
 For each size it multiplies two Gaussian binomials [top, 3] (all
-coefficients positive, exponents on stride 2 half-steps, as in the
-triple-sum builders) once by `_mul_dict` and once by `_mul_packed`, and
-prints the coefficient pairs with the best time of each route in
-microseconds.  `_PACK_THRESHOLD` in `qpoly.py` is read off this table:
-the largest pair count at which `_mul_dict` still wins.
+coefficients positive, exponents on stride 2 half-steps) once by
+`_mul_dict` and once by `_mul_packed`, and prints the coefficient pairs
+with the best time of each route in microseconds.  `_PACK_THRESHOLD` in
+`qpoly.py` is read off this table: the largest pair count at which
+`_mul_dict` still wins.  The triple and trinomial sums do not multiply
+through `QPoly.__mul__` (they sum dense tables in `qpoly._packed_sum`),
+so the threshold serves the summands, the recurrences and the truncated
+series.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ expression in q^3, modulus 6 in q^6, and so on.  Arguments of Pochhammer
 symbols are restricted to signed monomials, which is all the series in
 this package ever need.
 
-Both trinomial families are one k-walk, `_trinomial`, differing only in
-the leading exponent of each k-term; its optional half-step window serves
-the truncated limit sums.  `qpoly._add_shifted` sums the terms in place.
+Both trinomial families are one k-walk, `_trinomial_terms`, differing
+only in the leading exponent of each k-term; its optional half-step
+window serves the truncated limit sums.  Its terms are pairs of dense
+binomial tables, summed by `qpoly._packed_sum`; the round-trinomial side
+and the T0 half sums of `schur_sums` feed every j's walk to one such sum.
 
 Caching: the coefficient tables of base-q binomials and the finite
 Pochhammer products are memoized (they are requested thousands of times
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .qpoly import QPoly, _add_shifted
+from .qpoly import QPoly, _packed_sum
 
 
 @dataclass(frozen=True)
@@ -136,27 +138,32 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
                        for i, v in enumerate(_gauss_coeffs(top, bottom))})
 
 
+def _trinomial_terms(m: int, a: int, lead: Callable[[int], int],
+                     cut: int | None = None):
+    """(lead(k), [m-k,k+a], [m,k]) for every k where both binomials are
+    nonzero, the binomials as `_gauss_coeffs` tables.  [m,k] is the right
+    table: the walks for every a of one m share it, so a `_packed_sum`
+    over them multiplies it once per k.  With cut given, k-terms whose
+    lead passes it are never built."""
+    for k in range(max(0, -a), min(m, (m - a) // 2) + 1):
+        shift = lead(k)
+        if cut is None or shift <= cut:
+            yield shift, _gauss_coeffs(m - k, k + a), _gauss_coeffs(m, k)
+
+
 def _trinomial(m: int, a: int, modulus: int, lead: Callable[[int], int],
                half_bound: int | None = None) -> QPoly:
     """sum_k q^(lead(k)/2) [m,k] [m-k,k+a] in base q^modulus, lead in
     half-steps.  With half_bound given only exponents <= half_bound are
     kept: k-terms that start past it are skipped, factors cut first."""
-    acc: dict[int, int] = {}
-    for k in range(max(0, -a), min(m, (m - a) // 2) + 1):
-        shift = lead(k)
-        if half_bound is not None and shift > half_bound:
-            continue
-        left = gauss_binomial(m, k, modulus)
-        right = gauss_binomial(m - k, k + a, modulus)
-        if half_bound is None:
-            _add_shifted(acc, left * right, shift)
-        else:
-            # binomial exponents are whole q-powers, so the leftover
-            # window floors exactly
-            room = (half_bound - shift) // 2
-            prod = left.truncate(room) * right.truncate(room)
-            _add_shifted(acc, prod.truncate(room), shift)
-    return QPoly._raw(acc)
+    terms = list(_trinomial_terms(m, a, lead, half_bound))
+    # a round trinomial with b < a can lead below q^0: sum from its least
+    # lead, then move the sum back down
+    base = min([0] + [shift for shift, _, _ in terms])
+    cut = None if half_bound is None else half_bound - base
+    return _packed_sum([(shift - base, left, right)
+                        for shift, left, right in terms],
+                       2 * modulus, cut).shift(base)
 
 
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:

@@ -17,6 +17,14 @@ and to memoize.
 `XSeries` grades `QPoly` values by a power of a formal marker x (we use it
 to count parts of a partition) and fixes one q-truncation bound for every
 stratum at construction time.
+
+Sums are built by one of two accumulators.  `_packed_sum` adds up
+products of dense nonnegative coefficient tables as one big integer per
+residue class of the shifts (Kronecker substitution over the whole sum,
+the slot width taken from an exact bound on every output coefficient);
+the triple and trinomial sums go through it.  `_add_shifted` adds a
+`QPoly` into a dict in place, for the builders whose terms may be signed
+or are graded by x.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from array import array
 from itertools import repeat
 from math import gcd
 from operator import sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Up to this many coefficient pairs the plain dict convolution wins over
 # the packed-integer route.  Measured with scripts/mul_crossover.py
@@ -41,11 +49,21 @@ from typing import Iterable, Iterator, Mapping
 # routes put the crossover at the same place: dict ahead up to 128
 # pairs (17.6 against 19.0 us per product at 113-128), packed ahead from
 # 129 on (19.9 against 20.8 at 129-160, 29.8 against 62.9 at 385-512).
+# The replay counted the triple and trinomial sums' products, which now
+# go through `_packed_sum`; `__mul__`'s report callers are the summands,
+# the recurrences and the truncated series.
 _PACK_THRESHOLD = 128
 
 # Unsigned array typecodes by item size, for the slot widths the packed
 # route moves through `array` in C; wider slots go through `bytes`.
 _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _dense(c: dict[int, int], lo: int, hi: int, g: int) -> list[int]:
+    """c's coefficients at exponents lo, lo + g, ..., hi, zero where c has
+    none."""
+    return list(map(c.get, range(lo, hi + 1, g), repeat(0)))
 
 
 def _sign_classes(c: dict[int, int], emin: int, emax: int, g: int,
@@ -53,7 +71,7 @@ def _sign_classes(c: dict[int, int], emin: int, emax: int, g: int,
     """c laid out densely along stride g as (sign, absolute values)
     classes, lo and hi being its least and greatest coefficient: one
     class when every coefficient has the same sign, else two."""
-    dense = list(map(c.get, range(emin, emax + 1, g), repeat(0)))
+    dense = _dense(c, emin, emax, g)
     if lo > 0:
         return [(1, dense)]
     if hi < 0:
@@ -62,22 +80,39 @@ def _sign_classes(c: dict[int, int], emin: int, emax: int, g: int,
             (-1, [-v if v < 0 else 0 for v in dense])]
 
 
-def _pack(dense: list[int], w: int, code: str | None) -> int:
-    # Slot i holds dense[i] in w bytes.  The array and the bytes layout
-    # both put slot 0 first in native byte order, which makes it the low
-    # end of the int on little-endian hosts and the high end on big-endian
-    # ones; either way _unpack reads the product's slots back in order.
+def _slot(bound: int) -> tuple[int, str | None]:
+    """Slot width in bytes for values up to bound, and the array typecode
+    that moves it: 1, 2, 4 or 8 bytes through `array`, wider through
+    `bytes`."""
+    w = max(1, (bound.bit_length() + 7) // 8)
+    for width in (1, 2, 4, 8):
+        if w <= width and width in _SLOT_CODES:
+            return width, _SLOT_CODES[width]
+    return w, None
+
+
+def _pack(dense: Sequence[int], w: int, code: str | None) -> int:
+    # Slot i holds dense[i] in w bytes, slot 0 at the low end of the int
+    # on every host, so a packed value shifted left by j slots is the same
+    # table moved j steps up.  Slots are unsigned: a negative entry raises
+    # OverflowError.
     if code:
-        return int.from_bytes(array(code, dense).tobytes(), sys.byteorder)
-    return int.from_bytes(b"".join(v.to_bytes(w, sys.byteorder)
-                                   for v in dense), sys.byteorder)
+        slots = array(code, dense)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return int.from_bytes(slots.tobytes(), "little")
+    return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in dense),
+                          "little")
 
 
 def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
-    buf = x.to_bytes(n * w, sys.byteorder)
+    buf = x.to_bytes(n * w, "little")
     if code:
-        return array(code, buf).tolist()
-    return [int.from_bytes(buf[i:i + w], sys.byteorder)
+        slots = array(code, buf)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots.tolist()
+    return [int.from_bytes(buf[i:i + w], "little")
             for i in range(0, n * w, w)]
 
 
@@ -238,22 +273,11 @@ class QPoly:
         # negative parts, and only the class pairs present are multiplied.
         amin, amax = min(a), max(a)
         bmin, bmax = min(b), max(b)
-        g = 0
-        for e in a:
-            g = gcd(g, e - amin)
-        for e in b:
-            g = gcd(g, e - bmin)
-        g = g or 1
+        g = gcd(*[e - amin for e in a], *[e - bmin for e in b]) or 1
         n_out = (amax - amin) // g + (bmax - bmin) // g + 1
         alo, ahi = min(a.values()), max(a.values())
         blo, bhi = min(b.values()), max(b.values())
-        bound = min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo)
-        w = (bound.bit_length() + 7) // 8
-        code = None
-        for width in (1, 2, 4, 8):
-            if w <= width and width in _SLOT_CODES:
-                w, code = width, _SLOT_CODES[width]
-                break
+        w, code = _slot(min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo))
         # a slot costs w packed bytes plus an 8-byte list pointer while it
         # is laid out; refuse more than 64MB of them and fall back
         if n_out * (w + 8) > 1 << 26:
@@ -356,9 +380,76 @@ class QPoly:
         return "QPoly(%s)" % self
 
 
+def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
+                g: int, cut: int | None = None) -> QPoly:
+    """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, where L
+    and R are dense coefficient tables on stride g half-steps (L[i] is
+    the coefficient of q^(g*i/2)), every entry and every shift >= 0.
+    With cut given, only exponents <= cut half-steps are kept: terms that
+    start past it are skipped, each table is cut to the prefix that can
+    reach the window, and the sum is cut once at the end.
+
+    Kronecker substitution over a whole sum: a table packed w bytes a
+    slot is its polynomial at X = 2^(8w), so sums and products of packed
+    values are exact whatever their slots hold, and the whole sum is one
+    integer per residue class of the shifts mod g, unpacked once.  It
+    reads back right when every coefficient of the sum, and every entry
+    packed, is below X.  No entry is negative, so no coefficient of the
+    sum exceeds the sum over terms of sum(L) sum(R), and no entry its own
+    table's sum; the slot width covers both.  Terms of one class that
+    share their right table (the same object) are multiplied once: their
+    left tables are summed first, shifted by whole slots.  A negative
+    entry or shift raises ValueError."""
+    kept = []
+    bound = top = 0
+    groups: dict[tuple[int, int], list] = {}  # (residue, id(R)) -> [i, R]
+    ends: dict[int, int] = {}                # residue -> slots in the sum
+    for shift, left, right in terms:
+        if shift < 0:
+            raise ValueError("packed sum needs shifts >= 0")
+        if cut is not None:
+            if shift > cut:
+                continue
+            room = (cut - shift) // g + 1
+            left, right = left[:room], right[:room]
+        if left and right:
+            i, r = divmod(shift, g)
+            key = r, id(right)
+            kept.append((i, key, left))
+            group = groups.setdefault(key, [i, right])
+            group[0] = min(group[0], i)
+            ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
+            sl, sr = sum(left), sum(right)
+            bound += sl * sr
+            top = max(top, sl, sr)
+    w, code = _slot(max(bound, top))
+    lefts = dict.fromkeys(groups, 0)
+    sums: dict[int, int] = {}
+    try:
+        for i, key, left in kept:
+            lefts[key] += _pack(left, w, code) << 8 * w * (i - groups[key][0])
+        for key, (i, right) in groups.items():
+            r = key[0]
+            sums[r] = (sums.get(r, 0)
+                       + (lefts[key] * _pack(right, w, code) << 8 * w * i))
+    except OverflowError:
+        raise ValueError("packed sum needs entries >= 0") from None
+    out: dict[int, int] = {}
+    for r, x in sums.items():
+        n = ends[r]
+        if cut is not None and r + g * (n - 1) > cut:
+            n = (cut - r) // g + 1
+            x &= (1 << 8 * w * n) - 1
+        for e, v in zip(range(r, r + g * n, g), _unpack(x, n, w, code)):
+            if v:
+                out[e] = v
+    return QPoly._raw(out)
+
+
 def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
-    # row += term * q^(shift/2) in place, keeping row canonical: the one
-    # accumulate loop of every sum builder (a + b copies the whole sum)
+    # row += term * q^(shift/2) in place, keeping row canonical (a + b
+    # copies the whole sum): the accumulate loop of the builders whose
+    # terms may be signed or are graded by x; _packed_sum serves the rest
     for e, c in term._c.items():
         key = e + shift
         s = row.get(key, 0) + c

@@ -33,7 +33,14 @@ differ only in the weight and the summand, and `qt_limit_sum` walks
 weight, and meets 1/(q^6;q^6)_y once per y-slice.  The
 trinomial sides sum over j of the one k-walk in `qcoeff`; both T0 half
 sums, exact and windowed, share the j-walk `_t0_half_walk`.
-`qpoly._add_shifted` is the one accumulate loop under all of them.
+
+Two accumulators sum the terms.  `qpoly._packed_sum` takes products of
+dense nonnegative coefficient tables and keeps the sum as big integers:
+the triple sum, its pair family, the round-trinomial side (all j and k in
+one sum), both T0 half sums, the single-binomial T0 form and the
+summation and Warnaar left sides.  `qpoly._add_shifted` adds `QPoly`
+values into a dict for the rest: the x-graded series over `_cells` and
+the truncated limit sums, whose terms meet reciprocal Pochhammer series.
 
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
@@ -61,15 +68,15 @@ from .partitions import (_cells, distinct_pm1_counts, schur_counts,
                          schur_gf_oracle, weight_a)
 from .qcoeff import (
     MonomialBase,
+    _gauss_coeffs,
+    _trinomial_terms,
     gauss_binomial,
     pochhammer_finite,
     pochhammer_infinite_truncated,
-    round_trinomial,
     series_reciprocal_truncated,
-    t0_trinomial_nonneg,
     t_trinomial,
 )
-from .qpoly import QPoly, XSeries, _add_shifted
+from .qpoly import QPoly, XSeries, _add_shifted, _dense, _packed_sum
 
 _ONE_Q_Q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})  # 1 + q + q^2
 
@@ -117,19 +124,37 @@ def _dual_weight(n1: int, n2: int, m: int, N: int) -> int:
     return weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
 
 
+def _product_term(shift: int, a: QPoly, b: QPoly
+                  ) -> tuple[int, list[int], list[int]]:
+    # q^(shift/2) a b as a `_packed_sum` term on whole q-steps: each
+    # factor's table starts at its least exponent, folded into the shift
+    tables = []
+    for p in (a, b):
+        c = p._c
+        lo = min(c) if c else 0
+        dense = _dense(c, lo, max(c), 2) if c else []
+        if len(dense) - dense.count(0) != len(c):
+            raise ValueError("product term needs whole q-steps")
+        shift += lo
+        tables.append(dense)
+    return shift, *tables
+
+
 @lru_cache(maxsize=None)
-def _pair_sum(v: int, k: int) -> QPoly:
+def _pair_sum(v: int, k: int) -> tuple[int, ...]:
     """E_v(k): sum of q^(2b) A_v(a) A_v(b) over a + b = k, with
-    A_v(j) = [v+j, j]_{q^6}.  Symmetric in a and b, so it is also the sum
-    of q^(2a) A_v(a) A_v(b); each product is built once for both orders."""
-    acc: dict[int, int] = {}
+    A_v(j) = [v+j, j]_{q^6}, as a dense coefficient table in whole
+    q-steps from q^0.  Symmetric in a and b, so it is also the sum of
+    q^(2a) A_v(a) A_v(b); each pair of tables serves both orders."""
+    terms = []
     for b in range(k // 2 + 1):
         a = k - b
-        term = gauss_binomial(v + a, a, 6) * gauss_binomial(v + b, b, 6)
-        _add_shifted(acc, term, 4 * b)
+        pair = _gauss_coeffs(v + a, a), _gauss_coeffs(v + b, b)
+        terms.append((4 * b, *pair))
         if a != b:
-            _add_shifted(acc, term, 4 * a)
-    return QPoly._raw(acc)
+            terms.append((4 * a, *pair))
+    c = _packed_sum(terms, 12)._c
+    return tuple(_dense(c, 0, max(c), 2))
 
 
 def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
@@ -146,21 +171,21 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
     (odd, even) classes are both E_V(k), one q apart.  Inside a class the
     weight is affine in a with slope -4 (`_plain_weight`) or +4
     (`_dual_weight`), so the class's shift is the smaller weight at its
-    two end cells, n1 = p1 and n2 = p2."""
-    acc: dict[int, int] = {}
+    two end cells, n1 = p1 and n2 = p2.  Each class times [3V,m]_q is one
+    term of a `_packed_sum`."""
+    terms = []
     for v in range(N + 1):
         for s in range(N - v + 1):
             m = N - v - s
             if m > 3 * v:
                 continue
-            pairs: dict[int, int] = {}
             for p1 in (0, 1):
                 p2 = (s - p1) % 2
                 if p1 + p2 <= s:
                     shift = min(weight(p1, s - p1, m, N), weight(s - p2, p2, m, N))
-                    _add_shifted(pairs, _pair_sum(v, (s - p1 - p2) // 2), shift)
-            _add_shifted(acc, gauss_binomial(3 * v, m) * QPoly._raw(pairs), 0)
-    return QPoly._raw(acc)
+                    terms.append((shift, _gauss_coeffs(3 * v, m),
+                                  _pair_sum(v, (s - p1 - p2) // 2)))
+    return _packed_sum(terms, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +205,12 @@ def lhs_schur(N: int) -> QPoly:
 def rhs_schur(N: int) -> QPoly:
     """Round-trinomial side: sum over |j| <= N of q^(j(3j-1)/2) times the
     (N; j; q^3 choose j) round trinomial.  Zero for negative N."""
-    acc: dict[int, int] = {}
+    terms = []
     for j in range(-N, N + 1):
-        _add_shifted(acc, round_trinomial(N, j, j, 3), j * (3 * j - 1))
-    return QPoly._raw(acc)
+        # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
+        terms.extend(_trinomial_terms(
+            N, j, lambda k: j * (3 * j - 1) + 6 * k * (k + j)))
+    return _packed_sum(terms, 6)
 
 
 @lru_cache(maxsize=None)
@@ -243,14 +270,14 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 
 def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
     # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
-    # q^(T+1/2) when T is given: then j stops at 2T - N, where the
-    # j-term's leading power q^((N+j)/2) passes the window
-    acc: dict[int, int] = {}
-    top = N if T is None else min(N, 2 * T - N)
-    for j in range(-N, top + 1):
-        window = None if T is None else 2 * T - (N + j)
-        _add_shifted(acc, t0_trinomial_nonneg(N, j, 3, window), N + j)
-    return QPoly._raw(acc)
+    # q^(T+1/2) when T is given: the k-terms of every
+    # t0_trinomial_nonneg(N, j, 3) in one sum, cut at 2T half-steps
+    cut = None if T is None else 2 * T
+    terms = []
+    for j in range(-N, N + 1):
+        terms.extend(_trinomial_terms(
+            N, j, lambda k: N + j + 3 * (N - j - 2 * k) ** 2, cut))
+    return _packed_sum(terms, 6, cut)
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +304,10 @@ def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
     if N < 0:
         raise ValueError("t0 binomial sides need N >= 0")
     mq2 = MonomialBase.of_q(-1, 2, 3)
-    rhs: dict[int, int] = {}
-    for k in range(N + 1):
-        _add_shifted(rhs, gauss_binomial(N, k, 3) * pochhammer_finite(mq2, N - k),
-                     2 * k)
-    return t0_half_sum(N), QPoly._raw(rhs)
+    rhs = _packed_sum([_product_term(2 * k, gauss_binomial(N, k, 3),
+                                     pochhammer_finite(mq2, N - k))
+                       for k in range(N + 1)], 2)
+    return t0_half_sum(N), rhs
 
 
 def t0_half_sum_truncated(N: int, T: int) -> QPoly:
@@ -340,14 +366,13 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
     (-q; q^3)_M (-q^2; q^3)_M."""
     if M < 0:
         raise ValueError("summation sides need M >= 0")
-    acc: dict[int, int] = {}
-    for N in range(M + 1):
-        # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
-        _add_shifted(acc, gauss_binomial(M, N, 3) * _triple_sum(N, _dual_weight),
-                     N * (3 * N - 1))
+    # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
+    lhs = _packed_sum([_product_term(N * (3 * N - 1), gauss_binomial(M, N, 3),
+                                     _triple_sum(N, _dual_weight))
+                       for N in range(M + 1)], 2)
     rhs = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), M)
            * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), M))
-    return QPoly._raw(acc), rhs
+    return lhs, rhs
 
 
 def summation_limit_sum(T: int) -> QPoly:
@@ -370,11 +395,11 @@ def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:
     against q^(a^2/2) [2L, L-a]_q."""
     if L < 0:
         raise ValueError("warnaar sides need L >= 0")
-    lhs: dict[int, int] = {}
-    for i in range(L + 1):
-        _add_shifted(lhs, gauss_binomial(L, i) * t_trinomial(0, i, a, 1), i * i)
+    lhs = _packed_sum([_product_term(i * i, gauss_binomial(L, i),
+                                     t_trinomial(0, i, a, 1))
+                       for i in range(L + 1)], 2)
     rhs = gauss_binomial(2 * L, L - a).shift(a * a)
-    return QPoly._raw(lhs), rhs
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

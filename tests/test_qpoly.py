@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur.qpoly import QPoly, XSeries
+from qschur.qpoly import (QPoly, XSeries, _SLOT_CODES, _add_shifted,
+                          _packed_sum, _slot)
 
 
 def poly_strategy(max_terms=6, max_half=40, max_coeff=10 ** 6, min_half=None):
@@ -146,6 +147,67 @@ def test_kronecker_product_against_schoolbook(a, b):
     if a and b:
         # called directly, so the pair-count threshold does not pick it
         assert QPoly._mul_packed(a, b) == expected
+
+
+def naive_packed_sum(terms, g, cut=None):
+    # Reference: every term through QPoly.__mul__ and the dict accumulator
+    row = {}
+    for shift, left, right in terms:
+        a = QPoly._raw({g * i: v for i, v in enumerate(left) if v})
+        b = QPoly._raw({g * i: v for i, v in enumerate(right) if v})
+        _add_shifted(row, a * b, shift)
+    return QPoly._raw({e: v for e, v in row.items() if cut is None or e <= cut})
+
+
+@st.composite
+def packed_sum_terms(draw):
+    """(g, terms, cut): shifts over several residue classes mod g, right
+    tables drawn from a small pool so that some terms share one, empty
+    tables included, entries sized to reach every slot width."""
+    g = draw(st.sampled_from((1, 2, 3, 6, 12)))
+    entry = st.integers(0, 1 << draw(st.sampled_from((3, 7, 15, 31, 63, 100))))
+    table = st.lists(entry, max_size=7)
+    rights = draw(st.lists(table, min_size=1, max_size=3))
+    term = st.tuples(st.integers(0, 60), table,
+                     st.sampled_from(range(len(rights))))
+    terms = [(shift, left, rights[i]) for shift, left, i
+             in draw(st.lists(term, max_size=8))]
+    return g, terms, draw(st.none() | st.integers(0, 150))
+
+
+@example((6, [(0, [1, 2], [3]), (7, [4], [5, 6]), (14, [], [1]),
+              (3, [1], [])], None))                          # residues, empties
+@example((2, [(0, [255, 1], [1]), (4, [2, 3], [1, 1])], 3))   # window
+@example((1, [(0, [0], [256])], None))     # all-zero factor, wide entry
+@given(packed_sum_terms())
+def test_packed_sum_against_dict_accumulator(case):
+    g, terms, cut = case
+    assert _packed_sum(terms, g, cut) == naive_packed_sum(terms, g, cut)
+
+
+@pytest.mark.parametrize("w, wider", [(1, 2), (2, 4), (4, 8), (8, 9), (9, 10)])
+def test_packed_sum_at_slot_bounds(w, wider):
+    # one coefficient reaches the bound sum(L) sum(R) exactly: at
+    # 2^(8w) - 1 it fits w-byte slots, at 2^(8w) it needs the next width
+    # (widths past 8 bytes go through `bytes`)
+    for bound, width in ((2 ** (8 * w) - 1, w), (2 ** (8 * w), wider)):
+        assert _slot(bound) == (width, _SLOT_CODES.get(width))
+        shared = [1]
+        for terms in ([(4, [bound - 1], [1]), (2, [0, 1], [1])],
+                      [(4, [bound - 1], shared), (4, [1], shared)]):
+            total = _packed_sum(terms, 2)
+            assert total == naive_packed_sum(terms, 2)
+            assert total.coefficient(4) == bound
+
+
+def test_packed_sum_refuses_negative_entries_and_shifts():
+    for terms in ([(0, [1, -1], [1])], [(0, [1], [2, -3])],
+                  [(0, [1], [1]), (2, [-(1 << 80)], [1])],
+                  [(-2, [1], [1])]):
+        with pytest.raises(ValueError):
+            _packed_sum(terms, 2)
+    assert _packed_sum([], 2) == QPoly.zero()
+    assert _packed_sum([(0, [], [1]), (2, [3], [])], 2) == QPoly.zero()
 
 
 def test_big_coefficients_survive_roundtrip():

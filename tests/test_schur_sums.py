@@ -68,6 +68,32 @@ def test_triple_sum_kernel_matches_naive_walk(N):
     assert ss.summation_formula_sides(N)[0] == summed
 
 
+def naive_trinomial_walk(N, lead_half):
+    # Reference for the trinomial sides: one product of two q^3-binomials
+    # per (j, k), shifted by lead_half(j, k) half-steps
+    total = QPoly.zero()
+    for j in range(-N, N + 1):
+        for k in range(N + 1):
+            term = gauss_binomial(N, k, 3) * gauss_binomial(N - k, k + j, 3)
+            total = total + term.shift(lead_half(j, k))
+    return total
+
+
+def test_wide_slot_sums_match_naive_walks():
+    # rhs_schur(41) sums to 3^41 > 2^64 at q = 1, so its packed sum runs
+    # on slots wider than 8 bytes
+    assert 3 ** 41 > 2 ** 64
+    assert ss.rhs_schur(41) == naive_trinomial_walk(
+        41, lambda j, k: j * (3 * j - 1) + 6 * k * (k + j))
+    assert ss.t0_half_sum(12) == naive_trinomial_walk(
+        12, lambda j, k: 12 + j + 3 * (12 - j - 2 * k) ** 2)
+    # the triple sum's bound 3^N needs 4-byte slots at N = 20, 8 at 21
+    assert 3 ** 20 < 2 ** 32 < 3 ** 21
+    for N in (20, 21):
+        assert ss.lhs_schur(N) == naive_triple_sum(
+            N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m)), N
+
+
 def test_pair_sum_cache_serves_every_N_and_both_weights():
     # one process, N up then down: a stale or mis-keyed _pair_sum entry
     # would show against the naive walk
@@ -75,14 +101,16 @@ def test_pair_sum_cache_serves_every_N_and_both_weights():
         assert ss._triple_sum(N, ss._plain_weight) == naive_triple_sum(
             N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m)), N
         assert ss._triple_sum(N, ss._dual_weight) == naive_dual(N), N
-    # E_v(k) is the direct convolution, in either orientation
+    # E_v(k), a dense table in whole q-steps, is the direct convolution,
+    # in either orientation
     for v in range(9):
         A = lambda j: gauss_binomial(v + j, j, 6)
         for k in range(7):
             direct = QPoly.zero()
             for a in range(k + 1):
                 direct = direct + (A(a) * A(k - a)).shift(4 * (k - a))
-            assert ss._pair_sum(v, k) == direct, (v, k)
+            table = dict(enumerate(ss._pair_sum(v, k)))
+            assert QPoly.from_q_coeffs(table) == direct, (v, k)
     # inside every parity class of a (V, s) slice the weight steps by -4
     # (plain) or +4 (dual) per unit of floor(n1/2)
     for weight, slope in ((ss._plain_weight, -4), (ss._dual_weight, 4)):
