@@ -12,8 +12,17 @@ the CLI's own, applied by `_check_cap` to every subcommand's input before
 any work.
 
 Exit codes: 0 when everything requested verified, 1 when any check found
-a discrepancy, 2 for usage errors.  `--jobs` fans verification rows out
-over at most MAX_JOBS worker processes.
+a discrepancy, 2 for usage errors and for a run that could not complete
+(a worker process died before returning its row).
+
+`--jobs J` fans verification rows out over min(J, rows) worker processes
+(J at most MAX_JOBS), each joined to the parent by one pipe.  The rows
+are cut into equal contiguous runs in matrix order, one per worker, so
+rows that share memoized builders stay on one worker.  The parent hands
+each worker the next row of its run, one at a time; a worker whose run is
+done takes the back half of the longest run left.  Entries are stored by
+row index, so the output order and bytes do not depend on J.  An
+exception raised in a worker is re-raised in the parent.
 
 Testing hook: setting QSCHUR_FAULT_INJECT to a non-empty value makes
 `report` perturb the first row's left side by +1, so the failure path of
@@ -27,7 +36,7 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from datetime import datetime, timezone
 from typing import Any
 
@@ -127,12 +136,106 @@ def acceptance_matrix() -> list[dict[str, Any]]:
     return rows
 
 
+def _serve_rows(conn: Any) -> None:
+    """Worker loop: run each (index, row) the parent sends and send back
+    (index, entry, exception) until the parent sends None."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if task is None:
+            return
+        i, row = task
+        try:
+            reply = (i, _execute_row(row), None)
+        except Exception as exc:  # re-raised by the parent
+            reply = (i, None, exc)
+        conn.send(reply)
+
+
+def _start_worker() -> tuple[Any, Any]:
+    """Start one `_serve_rows` process on the default start method; return
+    it and the parent's end of its pipe."""
+    import multiprocessing
+    parent_end, child_end = multiprocessing.Pipe()
+    proc = multiprocessing.Process(target=_serve_rows, args=(child_end,),
+                                   daemon=True)
+    proc.start()
+    # the worker holds the only other end, so its death reads as EOF here
+    child_end.close()
+    return proc, parent_end
+
+
 def _run_rows(rows: list[dict[str, Any]], jobs: int) -> list[dict[str, Any]]:
     if jobs <= 1 or len(rows) <= 1:
         return [_execute_row(row) for row in rows]
-    # the pool forks all its workers at the first submit: ask for no idle ones
-    with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
-        return list(pool.map(_execute_row, rows))
+    from multiprocessing.connection import wait
+
+    # worker w owns the contiguous run [lo[w], hi[w]) in matrix order, so
+    # rows that share memoized builders warm one worker's caches
+    workers = min(jobs, len(rows))
+    cuts = [len(rows) * w // workers for w in range(workers + 1)]
+    lo, hi = cuts[:-1], cuts[1:]
+    entries: list[Any] = [None] * len(rows)
+    procs: list[Any] = []
+    conns: list[Any] = []
+    busy: dict[Any, int] = {}   # a conn with a row out -> its worker
+
+    def lost(w: int) -> ChildProcessError:
+        procs[w].terminate()  # a no-op on a dead worker; keeps its code
+        procs[w].join()
+        return ChildProcessError("worker process exited (code %s) before "
+                                 "returning a row" % procs[w].exitcode)
+
+    def hand_out(w: int) -> None:
+        if lo[w] == hi[w]:
+            # idle: take the back half of the longest run left; cost tends
+            # to grow along a run, so the back half is the larger share
+            v = max(range(workers), key=lambda u: hi[u] - lo[u])
+            if lo[v] == hi[v]:
+                return
+            mid = (lo[v] + hi[v]) // 2
+            lo[w], hi[w], hi[v] = mid, hi[v], mid
+        i = lo[w]
+        lo[w] += 1
+        try:
+            conns[w].send((i, rows[i]))
+        except OSError:
+            raise lost(w) from None
+        busy[conns[w]] = w
+
+    done = False
+    try:
+        for _ in range(workers):
+            proc, conn = _start_worker()
+            procs.append(proc)
+            conns.append(conn)
+        for w in range(workers):
+            hand_out(w)
+        while busy:
+            for conn in wait(list(busy)):
+                w = busy.pop(conn)
+                try:
+                    i, entry, exc = conn.recv()
+                except (EOFError, OSError):
+                    raise lost(w) from None
+                if exc is not None:
+                    raise exc
+                entries[i] = entry
+                hand_out(w)
+        done = True
+    finally:
+        for proc, conn in zip(procs, conns):
+            if done:
+                with suppress(OSError):  # a worker gone after its last row
+                    conn.send(None)
+            else:
+                proc.terminate()
+        for proc, conn in zip(procs, conns):
+            proc.join()
+            conn.close()
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +556,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError("%s: '--' is not a value" % name)
             _check_cap(name, value)
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, ChildProcessError) as exc:
         # UsageError, and the ValueError a library function raises for an
-        # out-of-range argument: both are bad input, never a discrepancy
+        # out-of-range argument: both are bad input, never a discrepancy.
+        # ChildProcessError: a --jobs worker died, so the run is incomplete
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

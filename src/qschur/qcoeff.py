@@ -15,7 +15,7 @@ and the T0 half sums of `schur_sums` feed every j's walk to one such sum.
 Caching: the coefficient tables of base-q binomials and the finite
 Pochhammer products are memoized (they are requested thousands of times
 by the sum builders).  `functools.lru_cache` is safe under threads; under
-process pools each worker simply grows its own cache.
+`--jobs` each worker process simply grows its own cache.
 """
 
 from __future__ import annotations

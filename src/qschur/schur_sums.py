@@ -124,20 +124,22 @@ def _dual_weight(n1: int, n2: int, m: int, N: int) -> int:
     return weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
 
 
+def _table(p: QPoly) -> tuple[int, list[int]]:
+    # p as (least exponent, dense table on whole q-steps from there)
+    c = p._c
+    lo = min(c) if c else 0
+    dense = _dense(c, lo, max(c), 2) if c else []
+    if len(dense) - dense.count(0) != len(c):
+        raise ValueError("product term needs whole q-steps")
+    return lo, dense
+
+
 def _product_term(shift: int, a: QPoly, b: QPoly
                   ) -> tuple[int, list[int], list[int]]:
     # q^(shift/2) a b as a `_packed_sum` term on whole q-steps: each
     # factor's table starts at its least exponent, folded into the shift
-    tables = []
-    for p in (a, b):
-        c = p._c
-        lo = min(c) if c else 0
-        dense = _dense(c, lo, max(c), 2) if c else []
-        if len(dense) - dense.count(0) != len(c):
-            raise ValueError("product term needs whole q-steps")
-        shift += lo
-        tables.append(dense)
-    return shift, *tables
+    (lo_a, table_a), (lo_b, table_b) = _table(a), _table(b)
+    return shift + lo_a + lo_b, table_a, table_b
 
 
 @lru_cache(maxsize=None)
@@ -390,14 +392,24 @@ def summation_limit_sum(T: int) -> QPoly:
     return QPoly._raw(acc)
 
 
+@lru_cache(maxsize=None)
+def _t0_table(m: int, a: int) -> tuple[int, tuple[int, ...]]:
+    # T0(m; q choose a) as (least half-step, dense whole-step table), the
+    # right factor of every Warnaar left side with L >= m
+    lead, table = _table(t_trinomial(0, m, a, 1))
+    return lead, tuple(table)
+
+
 def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:
     """One-variable T0 summation: sum_i q^(i^2/2) [L,i]_q T0(i;q choose a)
     against q^(a^2/2) [2L, L-a]_q."""
     if L < 0:
         raise ValueError("warnaar sides need L >= 0")
-    lhs = _packed_sum([_product_term(i * i, gauss_binomial(L, i),
-                                     t_trinomial(0, i, a, 1))
-                       for i in range(L + 1)], 2)
+    terms = []
+    for i in range(L + 1):
+        lead, t0 = _t0_table(i, a)
+        terms.append((i * i + lead, _gauss_coeffs(L, i), t0))
+    lhs = _packed_sum(terms, 2)
     rhs = gauss_binomial(2 * L, L - a).shift(a * a)
     return lhs, rhs
 

@@ -1,6 +1,11 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -107,34 +112,107 @@ def test_verify_runs_the_composite_rows(capsys):
         assert all(e["status"] == "verified" for e in doc["entries"])
 
 
-def test_jobs_is_capped_and_sizes_the_pool(capsys, monkeypatch):
-    asked = []
+@pytest.fixture
+def thread_workers(monkeypatch):
+    # stands in for the worker processes: each serves rows on a thread over
+    # a real pipe, so the parent's hand-out runs as it is, and forks nothing
+    started = []
 
-    class RecordingPool:
-        # stands in for the process pool: records its size, forks nothing
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def start():
+        parent_end, child_end = multiprocessing.Pipe()
+        worker = threading.Thread(target=cli._serve_rows, args=(child_end,),
+                                  daemon=True)
+        worker.start()
+        started.append(worker)
+        return worker, parent_end
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(cli, "_start_worker", start)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, rows):
-            return map(fn, rows)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+def test_jobs_is_capped_and_sizes_the_pool(capsys, thread_workers):
     code, doc, _ = run_json(capsys, "report", "--identity", "q1-quad",
                             "--jobs", str(cli.MAX_JOBS))
     assert code == 0 and len(doc["entries"]) == 16
-    assert asked == [16]     # never more workers than rows
+    assert len(thread_workers) == 16     # never more workers than rows
+    assert multiprocessing.active_children() == []
     code, out, err = run(capsys, "report", "--jobs", str(cli.MAX_JOBS + 1))
     assert code == 2 and out == "" and "hard cap" in err
     code, out, err = run(capsys, "verify", "--identity", "dual", "--N", "0..3",
                          "--jobs", "0")
     assert code == 2 and out == "" and ">= 1" in err
-    assert asked == [16]
+    assert len(thread_workers) == 16
+
+
+def test_idle_worker_takes_the_back_half_of_the_longest_run(
+        capsys, monkeypatch, thread_workers):
+    # 10 rows on 2 workers: runs N = 0..4 and N = 5..9.  Row N = 0 is held
+    # until N = 4 has run, so the second worker finishes its run, takes the
+    # back half N = 3, 4 of the first worker's run, and only then lets the
+    # first worker go on with N = 1.  Who runs N = 2 is a race.
+    ran = {}
+    release = threading.Event()
+    execute = cli._execute_row
+
+    def recording(row):
+        N = row["params"]["N"]
+        if N == 0:
+            assert release.wait(30)
+        ran[N] = threading.get_ident()
+        if N == 4:
+            release.set()
+        return execute(row)
+
+    monkeypatch.setattr(cli, "_execute_row", recording)
+    code, doc, _ = run_json(capsys, "verify", "--identity", "dual",
+                            "--N", "0..9", "--jobs", "2")
+    assert code == 0
+    assert [e["params"]["N"] for e in doc["entries"]] == list(range(10))
+    first, second = (worker.ident for worker in thread_workers)
+    assert {N for N, who in ran.items() if who == first} - {2} == {0, 1}
+    assert {N for N, who in ran.items() if who == second} - {2} \
+        == {3, 4, 5, 6, 7, 8, 9}
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--identity", "warnaar"),                 # 13 rows
+    ("verify", "--identity", "dual", "--N", "0..10"),    # 11 rows
+])
+def test_pooled_entries_equal_serial_on_uneven_runs(capsys, argv):
+    code, serial, _ = run_json(capsys, *argv)
+    assert code == 0
+    for jobs in range(2, 6):
+        assert len(serial["entries"]) % jobs != 0
+        code, pooled, _ = run_json(capsys, *argv, "--jobs", str(jobs))
+        assert code == 0 and pooled["entries"] == serial["entries"], jobs
+
+
+def test_worker_usage_error_exits_2_without_traceback(capfd):
+    # T > N is refused by the t0-limit row itself, inside a worker
+    code = main(["verify", "--identity", "t0-limit", "--N", "10..20",
+                 "--T", "15", "--jobs", "2"])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "exceeds the convergence" in err
+    assert "Traceback" not in err
+
+
+def test_worker_death_exits_2_without_hang_or_traceback():
+    # every worker dies inside its first row; run in a child interpreter so
+    # a hang fails on the timeout instead of stalling the suite
+    script = ("import os, sys\n"
+              "from qschur import cli\n"
+              "cli._execute_row = lambda row: os._exit(3)\n"
+              "sys.exit(cli.main(['verify', '--identity', 'dual',"
+              " '--N', '0..5', '--jobs', '2']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: worker process")
+    assert "code 3" in lines[0]
 
 
 def test_verify_rejects_t_outside_choices(capsys):

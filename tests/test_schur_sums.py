@@ -94,6 +94,28 @@ def test_wide_slot_sums_match_naive_walks():
             N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m)), N
 
 
+def naive_warnaar_lhs(L, a):
+    # Reference for the Warnaar left side, uncached: T0(i; q choose a) as
+    # its k-walk sum_k q^((i-a-2k)^2/2) [i,k] [i-k,k+a], one product per
+    # (i, k)
+    total = QPoly.zero()
+    for i in range(L + 1):
+        for k in range(i + 1):
+            term = (gauss_binomial(L, i) * gauss_binomial(i, k)
+                    * gauss_binomial(i - k, k + a))
+            total = total + term.shift(i * i + (i - a - 2 * k) ** 2)
+    return total
+
+
+def test_warnaar_t0_cache_matches_naive_walk():
+    # L up then down, so every cached T0 table is read back at other L;
+    # a runs past both ends of the range where the sides are nonzero
+    for L in [0, 1, 3, 6, 9, 6, 3, 1, 0]:
+        for a in (-L - 1, -L, -3, -1, 0, 2, L, L + 1):
+            lhs, rhs = ss.warnaar_sides(L, a)
+            assert lhs == naive_warnaar_lhs(L, a) == rhs, (L, a)
+
+
 def test_pair_sum_cache_serves_every_N_and_both_weights():
     # one process, N up then down: a stale or mis-keyed _pair_sum entry
     # would show against the naive walk
