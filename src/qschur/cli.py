@@ -43,9 +43,8 @@ from typing import Any
 from . import __version__
 from .bijection import (DecodeError, MotionData, MotionRuleError,
                         apply_motions, certify_range, decode)
-from .partitions import (distinct_pm1_counts, enumerate_schur,
-                         format_partition, parse_partition, schur_counts,
-                         schur_gf_oracle)
+from .partitions import (distinct_pm1_counts, format_partition,
+                         parse_partition, schur_counts, schur_gf_oracle)
 from .schur_sums import (IdentityId, UsageError, ali_gf_truncated,
                          bounded_gf, check_params, even_odd_split_lhs,
                          kursungoz_gf_truncated, lhs_schur, rhs_schur,
@@ -57,7 +56,8 @@ MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
 MAX_JOBS = 32     # hard cap on worker processes
 
 # each capped value by the name it travels under; the cap bounds |value|.
-# The oracle stores every admissible partition up to its window T.
+# The oracle walks every admissible partition up to its window T, so its
+# cap bounds time.
 _CAPS = {"N": MAX_INDEX, "M": MAX_INDEX, "L": MAX_INDEX, "a": MAX_INDEX,
          "max_n": MAX_INDEX, "largest_part": MAX_INDEX, "T": MAX_WINDOW,
          "oracle_T": MAX_INDEX, "motion_size": MAX_MOTION_SIZE,
@@ -332,11 +332,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     which = args.cls
     counts: dict[str, list[int]] = {}
     if which in ("schur", "both"):
-        if args.largest_part is not None:
-            by_size = enumerate_schur(n_max, largest_part=args.largest_part)
-            counts["schur"] = [len(by_size.get(n, ())) for n in range(n_max + 1)]
-        else:
-            counts["schur"] = schur_counts(n_max)
+        counts["schur"] = schur_counts(n_max, args.largest_part)
     if which in ("pm1mod3", "both"):
         if args.largest_part is not None:
             raise UsageError("--largest-part only applies to the gap-condition class")
@@ -488,8 +484,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # argument tree
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --m must not stand
+    # for --max-n
     parser = argparse.ArgumentParser(
-        prog="qschur",
+        prog="qschur", allow_abbrev=False,
         description="Exact verification of gap-condition partition identities.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -498,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="also write the JSON document to a file")
 
-    p_verify = sub.add_parser("verify", help="verify one identity over ranges")
+    p_verify = sub.add_parser("verify", allow_abbrev=False,
+                              help="verify one identity over ranges")
     p_verify.add_argument("--identity", required=True)
     p_verify.add_argument("--N")
     p_verify.add_argument("--M")
@@ -510,26 +509,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1)
     common(p_verify)
 
-    p_report = sub.add_parser("report", help="run the full verification matrix")
+    p_report = sub.add_parser("report", allow_abbrev=False,
+                              help="run the full verification matrix")
     p_report.add_argument("--identity", help="only rows with this check name")
     p_report.add_argument("--jobs", type=int, default=1)
     common(p_report)
 
-    p_enum = sub.add_parser("enumerate", help="partition counts by size")
+    p_enum = sub.add_parser("enumerate", allow_abbrev=False,
+                            help="partition counts by size")
     p_enum.add_argument("--max-n", dest="max_n", type=int, required=True)
     p_enum.add_argument("--class", dest="cls",
                         choices=("schur", "pm1mod3", "both"), default="both")
     p_enum.add_argument("--largest-part", dest="largest_part", type=int)
     common(p_enum)
 
-    p_bij = sub.add_parser("bijection", help="encode, decode, or sweep motions")
+    p_bij = sub.add_parser("bijection", allow_abbrev=False,
+                           help="encode, decode, or sweep motions")
     p_bij.add_argument("--motions", help="motion data as JSON")
     p_bij.add_argument("--partition", help="comma-separated ascending parts")
     p_bij.add_argument("--max-n", dest="max_n", type=int,
                        help="certify all sizes up to this bound")
     common(p_bij)
 
-    p_series = sub.add_parser("series", help="print a builder's coefficients")
+    p_series = sub.add_parser("series", allow_abbrev=False,
+                              help="print a builder's coefficients")
     p_series.add_argument("name", choices=tuple(_SERIES_READS))
     p_series.add_argument("--N")
     p_series.add_argument("--T", type=int)

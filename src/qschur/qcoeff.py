@@ -7,8 +7,7 @@ symbols are restricted to signed monomials, which is all the series in
 this package ever need.
 
 Both trinomial families are one k-walk, `_trinomial_terms`, differing
-only in the leading exponent of each k-term; its optional half-step
-window serves the truncated limit sums.  Its terms are pairs of dense
+only in the leading exponent of each k-term.  Its terms are pairs of dense
 binomial tables, summed by `qpoly._packed_sum`; the round-trinomial side
 and the T0 half sums of `schur_sums` feed every j's walk to one such sum.
 
@@ -151,19 +150,16 @@ def _trinomial_terms(m: int, a: int, lead: Callable[[int], int],
             yield shift, _gauss_coeffs(m - k, k + a), _gauss_coeffs(m, k)
 
 
-def _trinomial(m: int, a: int, modulus: int, lead: Callable[[int], int],
-               half_bound: int | None = None) -> QPoly:
+def _trinomial(m: int, a: int, modulus: int, lead: Callable[[int], int]) -> QPoly:
     """sum_k q^(lead(k)/2) [m,k] [m-k,k+a] in base q^modulus, lead in
-    half-steps.  With half_bound given only exponents <= half_bound are
-    kept: k-terms that start past it are skipped, factors cut first."""
-    terms = list(_trinomial_terms(m, a, lead, half_bound))
+    half-steps."""
+    terms = list(_trinomial_terms(m, a, lead))
     # a round trinomial with b < a can lead below q^0: sum from its least
     # lead, then move the sum back down
     base = min([0] + [shift for shift, _, _ in terms])
-    cut = None if half_bound is None else half_bound - base
     return _packed_sum([(shift - base, left, right)
                         for shift, left, right in terms],
-                       2 * modulus, cut).shift(base)
+                       2 * modulus).shift(base)
 
 
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
@@ -185,17 +181,12 @@ def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
     return inner.shift(pre_half)
 
 
-def t0_trinomial_nonneg(m: int, a: int, modulus: int = 1,
-                        half_bound: int | None = None) -> QPoly:
+def t0_trinomial_nonneg(m: int, a: int, modulus: int = 1) -> QPoly:
     """t_trinomial(0, m, a) rewritten with all exponents >= 0 for m >= 0:
 
         sum_k q^(modulus*(m-a-2k)^2/2) [m,k] [m-k,k+a]   (base q^modulus).
 
     Same value as the definitional form (binomial inversion folds the
     prefactor into the summand); the tests cross-check the two routes.
-    With half_bound given, only exponents <= half_bound half-steps are
-    kept, and k-terms that start past that window are never built.  The
-    bound is in half-steps because callers shift the result by odd amounts.
     """
-    return _trinomial(m, a, modulus, lambda k: modulus * (m - a - 2 * k) ** 2,
-                      half_bound)
+    return _trinomial(m, a, modulus, lambda k: modulus * (m - a - 2 * k) ** 2)

@@ -24,7 +24,8 @@ residue class of the shifts (Kronecker substitution over the whole sum,
 the slot width taken from an exact bound on every output coefficient);
 the triple and trinomial sums go through it.  `_add_shifted` adds a
 `QPoly` into a dict in place, for the builders whose terms may be signed
-or are graded by x.
+or are graded by x; `schur_sums._graded_sum` is the one place the
+windowed cell series accumulate through it.
 """
 
 from __future__ import annotations
@@ -303,18 +304,6 @@ class QPoly:
         return QPoly._raw({e: v for e, v in
                            zip(range(base, base + g * n_out, g), vals) if v})
 
-    def __pow__(self, n: int) -> "QPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def substitute_q_power(self, k: int) -> "QPoly":
         """Map q to q^k for nonzero integer k; k = -1 is the q -> 1/q dual."""
         if k == 0:
@@ -448,7 +437,7 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
 
 def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
     # row += term * q^(shift/2) in place, keeping row canonical (a + b
-    # copies the whole sum): the accumulate loop of the builders whose
+    # copies the whole sum): the accumulate step of the builders whose
     # terms may be signed or are graded by x; _packed_sum serves the rest
     for e, c in term._c.items():
         key = e + shift
@@ -484,10 +473,6 @@ class XSeries:
         self._s = s
 
     @classmethod
-    def zero(cls, trunc: int) -> "XSeries":
-        return cls(trunc)
-
-    @classmethod
     def term(cls, trunc: int, x_degree: int, p: QPoly) -> "XSeries":
         return cls(trunc, {x_degree: p})
 
@@ -508,16 +493,13 @@ class XSeries:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _check_compatible(self, other: "XSeries") -> None:
+    def __add__(self, other: "XSeries") -> "XSeries":
+        if not isinstance(other, XSeries):
+            return NotImplemented
         if self._trunc != other._trunc:
             raise ValueError(
                 "truncation bounds differ: %d vs %d"
                 % (self._trunc, other._trunc))
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        self._check_compatible(other)
         s = dict(self._s)
         for x, p in other._s.items():
             q = s.get(x)
@@ -529,24 +511,6 @@ class XSeries:
         out = XSeries.__new__(XSeries)
         out._trunc = self._trunc
         out._s = s
-        return out
-
-    def __mul__(self, other: "XSeries") -> "XSeries":
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        acc: dict[int, QPoly] = {}
-        for xa, pa in self._s.items():
-            for xb, pb in other._s.items():
-                prod = (pa * pb).truncate(self._trunc)
-                if not prod:
-                    continue
-                x = xa + xb
-                cur = acc.get(x)
-                acc[x] = prod if cur is None else cur + prod
-        out = XSeries.__new__(XSeries)
-        out._trunc = self._trunc
-        out._s = {x: p for x, p in acc.items() if p}
         return out
 
     def at_x_one(self) -> QPoly:

@@ -25,22 +25,24 @@ a = floor(n1/2), b = floor(n2/2) and s = n1 + n2, the (even, even)
 cells of s = 2k are E_v(k) and the (odd, odd) ones E_v(k-1), while the
 (even, odd) and (odd, even) cells of s = 2k+1 are E_v(k) twice, one q
 apart, each class shifted by its least weight.
-`partitions._cells(T, weight)`, shared with the motion sweep, yields the
-cells of a three-index series whose weight fits the window; the
-chain-indexed, pair-indexed, even/odd and largest-part-bounded series
-differ only in the weight and the summand, and `qt_limit_sum` walks
-(y, m, n1) on the floor of weight_q, keeps each cell on its exact
-weight, and meets 1/(q^6;q^6)_y once per y-slice.  The
-trinomial sides sum over j of the one k-walk in `qcoeff`; both T0 half
-sums, exact and windowed, share the j-walk `_t0_half_walk`.
+`_graded_sum(T, weight, pieces)` is the one place the windowed cell
+series accumulate: it walks `partitions._cells(T, weight)`, shared with
+the motion sweep, and adds each cell's x-graded pieces, each cut once to
+the room its weight leaves in the window.  The chain-indexed,
+pair-indexed, even/odd and largest-part-bounded series differ only in
+the weight and the pieces they pass it, and `qt_limit_sum` grades
+(y, m, n1) by y on the floor of weight_q, keeps each cell on its exact
+weight, and meets 1/(q^6;q^6)_y once per y-slice.  The trinomial sides
+sum over j of the one k-walk in `qcoeff`; both T0 half sums, exact and
+windowed, share the j-walk `_t0_half_walk`.
 
 Two accumulators sum the terms.  `qpoly._packed_sum` takes products of
 dense nonnegative coefficient tables and keeps the sum as big integers:
 the triple sum, its pair family, the round-trinomial side (all j and k in
 one sum), both T0 half sums, the single-binomial T0 form and the
 summation and Warnaar left sides.  `qpoly._add_shifted` adds `QPoly`
-values into a dict for the rest: the x-graded series over `_cells` and
-the truncated limit sums, whose terms meet reciprocal Pochhammer series.
+values into a dict for the rest: `_graded_sum` and the truncated limit
+sums, whose terms meet reciprocal Pochhammer series.
 
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
@@ -113,7 +115,7 @@ def weight_q(t: int, m: int, n1: int, y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the triple-sum kernel
+# the triple-sum kernel and the graded cell walk
 
 def _plain_weight(n1: int, n2: int, m: int, N: int) -> int:
     return 2 * weight_a(n1, n2, m)
@@ -188,6 +190,24 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
                     terms.append((shift, _gauss_coeffs(3 * v, m),
                                   _pair_sum(v, (s - p1 - p2) // 2)))
     return _packed_sum(terms, 2)
+
+
+def _graded_sum(T: int, weight: Callable[[int, int, int], int],
+                pieces: Callable[[int, int, int, int],
+                                 Iterable[tuple[int, int, QPoly]]]) -> XSeries:
+    """sum of x^grade q^w term mod q^(T+1/2) over the (grade, w, term)
+    pieces of every cell (n1, n2, m, w) of `_cells(T, weight)`: the one
+    accumulate loop of the windowed cell series.  A piece past the window
+    is dropped and each term is cut once, to its room T - w."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    strata: dict[int, dict[int, int]] = {}
+    for cell in _cells(T, weight):
+        for grade, w, term in pieces(*cell):
+            if w <= T:
+                _add_shifted(strata.setdefault(grade, {}),
+                             term.truncate(T - w), 2 * w)
+    return XSeries(T, {x: QPoly._raw(row) for x, row in strata.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +361,24 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
     t = 2, and equal to t0_limit_product(T)."""
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
-    if T < 0:
-        raise ValueError("T must be >= 0")
 
     def floor(y: int, m: int, n1: int) -> int:
         # weight_q without its nonnegative parity terms
         return m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1
 
-    slices: dict[int, dict[int, int]] = {}
-    for y, m, n1, _ in _cells(T, floor):
+    def pieces(y: int, m: int, n1: int, _: int):
+        # graded by y; a piece past the window is never built, and both
+        # binomials are cut to the room before they meet
         w = weight_q(t, m, n1, y)
         if w <= T and m <= 3 * y:
             room = T - w
-            term = (gauss_binomial(3 * y, m).truncate(room)
-                    * gauss_binomial(y + n1 // 2, y, 6).truncate(room))
-            _add_shifted(slices.setdefault(y, {}), term.truncate(room), 2 * w)
+            yield y, w, (gauss_binomial(3 * y, m).truncate(room)
+                         * gauss_binomial(y + n1 // 2, y, 6).truncate(room))
+
+    slices = _graded_sum(T, floor, pieces)
     acc: dict[int, int] = {}
-    for y, row in slices.items():
-        _add_shifted(acc, (QPoly._raw(row) * _recip_poch(6, y, T)).truncate(T), 0)
+    for y in slices.x_degrees():
+        _add_shifted(acc, (slices.stratum(y) * _recip_poch(6, y, T)).truncate(T), 0)
     return QPoly._raw(acc)
 
 
@@ -444,40 +464,26 @@ def schur_product_truncated(T: int) -> QPoly:
             ).truncate(T)
 
 
-def _xseries_from(strata: dict[int, dict[int, int]], T: int) -> XSeries:
-    return XSeries(T, {x: QPoly._raw(row) for x, row in strata.items()})
-
-
-def _recip_cell(h1: int, h2: int, m: int, T: int, room: int) -> QPoly:
-    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m) mod q^(room+1/2)
+def _recip_cell(h1: int, h2: int, m: int, T: int) -> QPoly:
+    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m), exact through q^T
     term = (_recip_poch(6, h1, T) * _recip_poch(6, h2, T)).truncate(T)
-    return (term * _recip_poch(1, m, T)).truncate(room)
+    return term * _recip_poch(1, m, T)
 
 
 def ali_gf_truncated(T: int) -> XSeries:
     """Chain-indexed series: sum over n1, n2, m of
     x^(n1+n2+m) q^weight_a / ((q^6;q^6)_{floor(n1/2)} (q^6;q^6)_{floor(n2/2)} (q)_m)
     mod q^(T+1/2).  x marks the number of parts."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    strata: dict[int, dict[int, int]] = {}
-    for n1, n2, m, a in _cells(T, weight_a):
-        _add_shifted(strata.setdefault(n1 + n2 + m, {}),
-                     _recip_cell(n1 // 2, n2 // 2, m, T, T - a), 2 * a)
-    return _xseries_from(strata, T)
+    return _graded_sum(T, weight_a, lambda n1, n2, m, a: [
+        (n1 + n2 + m, a, _recip_cell(n1 // 2, n2 // 2, m, T))])
 
 
 def kursungoz_gf_truncated(T: int) -> XSeries:
     """Pair-indexed series: sum over n1, n2, m of
     x^(2n1+2n2+m) q^weight_k / ((q^6;q^6)_{n1} (q^6;q^6)_{n2} (q)_m)
     mod q^(T+1/2).  Same bivariate series as ali_gf_truncated."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    strata: dict[int, dict[int, int]] = {}
-    for n1, n2, m, k in _cells(T, weight_k):
-        _add_shifted(strata.setdefault(2 * n1 + 2 * n2 + m, {}),
-                     _recip_cell(n1, n2, m, T, T - k), 2 * k)
-    return _xseries_from(strata, T)
+    return _graded_sum(T, weight_k, lambda n1, n2, m, k: [
+        (2 * n1 + 2 * n2 + m, k, _recip_cell(n1, n2, m, T))])
 
 
 def even_odd_split_lhs(T: int) -> XSeries:
@@ -485,25 +491,18 @@ def even_odd_split_lhs(T: int) -> XSeries:
     summand at weight q^(weight_k + 2m) times the four-piece factor
     (1 + x q^(6n1+6n2+3m+1) + x q^(6n1+6n2+3m+2) + x^2 q^(12n1+12n2+6m+6)),
     mod q^(T+1/2).  Equals kursungoz_gf_truncated(T)."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    strata: dict[int, dict[int, int]] = {}
     def weight(n1: int, n2: int, m: int) -> int:
         return weight_k(n1, n2, m) + 2 * m
 
-    for n1, n2, m, base in _cells(T, weight):
-        denom = _recip_cell(n1, n2, m, T, T - base)
+    def pieces(n1: int, n2: int, m: int, base: int):
+        denom = _recip_cell(n1, n2, m, T)
         x0 = 2 * n1 + 2 * n2 + m
         s6 = 6 * n1 + 6 * n2 + 3 * m
-        pieces = ((x0, 0), (x0 + 1, s6 + 1), (x0 + 1, s6 + 2),
-                  (x0 + 2, 2 * s6 + 6))
-        for x_deg, extra in pieces:
-            tot = base + extra
-            if tot > T:
-                continue
-            _add_shifted(strata.setdefault(x_deg, {}),
-                         denom.truncate(T - tot), 2 * tot)
-    return _xseries_from(strata, T)
+        return [(x0, base, denom), (x0 + 1, base + s6 + 1, denom),
+                (x0 + 1, base + s6 + 2, denom),
+                (x0 + 2, base + 2 * s6 + 6, denom)]
+
+    return _graded_sum(T, weight, pieces)
 
 
 def _bounded_cell(N: int, n1: int, n2: int, m: int) -> QPoly:
@@ -533,15 +532,8 @@ def bounded_gf(N: int, T: int) -> XSeries:
     each reciprocal Pochhammer factor into a binomial."""
     if N < 0:
         raise ValueError("largest-part bound must be >= 0")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    strata: dict[int, dict[int, int]] = {}
-    for n1, n2, m, a in _cells(T, weight_a):
-        term = _bounded_cell(N, n1, n2, m)
-        if term:
-            _add_shifted(strata.setdefault(n1 + n2 + m, {}),
-                         term.truncate(T - a), 2 * a)
-    return _xseries_from(strata, T)
+    return _graded_sum(T, weight_a, lambda n1, n2, m, a: [
+        (n1 + n2 + m, a, _bounded_cell(N, n1, n2, m))])
 
 
 def cor1_bounded_sum(N: int) -> tuple[QPoly, QPoly]:

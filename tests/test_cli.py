@@ -67,8 +67,8 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--identity", "qt-limit",
                        "--T", "501")
     assert code == 2 and "hard cap" in err
-    # the oracle side stores every admissible partition up to its window;
-    # the cap holds even when the largest part keeps that store small
+    # the oracle side walks every admissible partition up to its window;
+    # the cap holds even when the largest part keeps that walk short
     code, out, err = run(capsys, "verify", "--identity", "gf-bounded",
                          "--N", "3", "--T", "101")
     assert code == 2 and out == "" and "hard cap" in err
@@ -215,10 +215,17 @@ def test_worker_death_exits_2_without_hang_or_traceback():
     assert "code 3" in lines[0]
 
 
-def test_verify_rejects_t_outside_choices(capsys):
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "qt-limit", "--t", "3"],
+    # no option is read by a prefix of its name: --m is not --max-n
+    ["verify", "--identity", "rec-summand", "--N", "4", "--m", "1"],
+    ["report", "--iden", "dual", "--for", "json"],
+], ids=["t-outside-choices", "m-is-not-max-n", "report-prefixes"])
+def test_argparse_rejections_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "qt-limit", "--t", "3"])
+        main(argv)
     assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_report_filter_runs_only_matching_rows(capsys):
@@ -411,7 +418,7 @@ def test_series_usage_errors(capsys):
     code, out, err = run(capsys, "series", "bounded", "--T", "10",
                          "--largest-part", "101")
     assert code == 2 and out == "" and "hard cap" in err
-    # the oracle stores every admissible partition up to its window
+    # the oracle walks every admissible partition up to its window
     code, out, err = run(capsys, "series", "oracle", "--T", "101")
     assert code == 2 and out == "" and "hard cap" in err
     # an option the series does not read is refused, not dropped: the

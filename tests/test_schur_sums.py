@@ -317,8 +317,9 @@ def test_product_side_counts_by_size():
         assert prod.coefficient_q(n) == counts[n]
 
 
-def test_pair_series_agree_with_each_other_and_the_oracle():
-    T = 24
+@pytest.mark.parametrize("T", [0, 1, 2, 7, 24])
+def test_pair_series_agree_with_each_other_and_the_oracle(T):
+    # windows below 6 drop the even/odd split's x^2 piece at every cell
     ali = ss.ali_gf_truncated(T)
     kur = ss.kursungoz_gf_truncated(T)
     split = ss.even_odd_split_lhs(T)
@@ -326,6 +327,15 @@ def test_pair_series_agree_with_each_other_and_the_oracle():
     assert ali == kur
     assert ali == split
     assert ali == oracle
+
+
+@pytest.mark.parametrize("build", [
+    ss.ali_gf_truncated, ss.kursungoz_gf_truncated, ss.even_odd_split_lhs,
+    lambda T: ss.bounded_gf(3, T), lambda T: ss.qt_limit_sum(1, T)],
+    ids=["ali", "kursungoz", "even-odd", "bounded", "qt-limit"])
+def test_windowed_series_reject_negative_window(build):
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        build(-1)
 
 
 def test_pair_series_at_x_one_is_the_product():
