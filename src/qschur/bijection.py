@@ -121,11 +121,23 @@ class MotionData:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "MotionData":
+        """Read JSON-shaped motion data: n1, n2, m integers, and r, rho2,
+        rho1 (each empty if absent) lists of integers.  Nothing is
+        coerced: a float, a string or a bool raises ValueError."""
+        def whole(v: Any) -> int:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError("motion data must be integers, got %r" % (v,))
+            return v
+
+        def wholes(v: Any) -> tuple[int, ...]:
+            if not isinstance(v, list):
+                raise ValueError("motion budgets must be lists, got %r" % (v,))
+            return tuple(whole(x) for x in v)
+
         try:
-            return cls(n1=int(d["n1"]), n2=int(d["n2"]), m=int(d["m"]),
-                       r=tuple(int(v) for v in d.get("r", ())),
-                       rho2=tuple(int(v) for v in d.get("rho2", ())),
-                       rho1=tuple(int(v) for v in d.get("rho1", ())))
+            return cls(n1=whole(d["n1"]), n2=whole(d["n2"]), m=whole(d["m"]),
+                       r=wholes(d.get("r", [])), rho2=wholes(d.get("rho2", [])),
+                       rho1=wholes(d.get("rho1", [])))
         except KeyError as exc:
             raise ValueError("motion data needs n1, n2, m") from exc
 

@@ -7,9 +7,11 @@ exact coefficients, and `report` runs the whole verification matrix.
 
 `verify` and `report` run rows of the `schur_sums` registry, composite
 rows (partition counts, the bounded-sum corollary, the bijection sweep)
-included; a row's parameters are checked there.  The hard caps below are
-the CLI's own, applied by `_check_cap` to every subcommand's input before
-any work.
+included; a row's parameters are checked there, and the report's rows are
+built there from each identity's declarations (`acceptance_matrix`).
+`series` runs from one table, `_SERIES`, of each builder and the options
+it reads.  The hard caps below are the CLI's own, applied by `_check_cap`
+to every subcommand's input before any work.
 
 Exit codes: 0 when everything requested verified, 1 when any check found
 a discrepancy, 2 for usage errors and for a run that could not complete
@@ -45,10 +47,12 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
                         apply_motions, certify_range, decode)
 from .partitions import (distinct_pm1_counts, format_partition,
                          parse_partition, schur_counts, schur_gf_oracle)
-from .schur_sums import (IdentityId, UsageError, ali_gf_truncated,
-                         bounded_gf, check_params, even_odd_split_lhs,
-                         kursungoz_gf_truncated, lhs_schur, rhs_schur,
-                         schur_product_truncated, verify)
+from .qpoly import XSeries
+from .schur_sums import (IdentityId, UsageError, acceptance_matrix,
+                         ali_gf_truncated, bounded_gf, check_params,
+                         even_odd_split_lhs, kursungoz_gf_truncated,
+                         lhs_schur, rhs_schur, schur_product_truncated,
+                         verify)
 
 MAX_INDEX = 100   # hard cap on N-like parameters
 MAX_WINDOW = 500  # hard cap on truncation windows
@@ -91,49 +95,6 @@ def _parse_range(text: str, name: str) -> list[int]:
 def _execute_row(row: dict[str, Any]) -> dict[str, Any]:
     """Run one verification row; also the worker entry point."""
     return verify(row["check"], row["params"]).as_dict()
-
-
-def acceptance_matrix() -> list[dict[str, Any]]:
-    """The full verification matrix, in reporting order."""
-    rows: list[dict[str, Any]] = []
-
-    def add(check: str, **params: Any) -> None:
-        rows.append({"check": check, "params": params})
-
-    for N in range(0, 26):
-        add(IdentityId.SCHUR_POLY.value, N=N)
-    for N in range(2, 26):
-        add(IdentityId.REC_ANDREWS.value, N=N)
-    for N in range(4, 26):
-        add(IdentityId.REC_L.value, N=N)
-    for N in range(4, 13):
-        add(IdentityId.REC_SUMMAND.value, N=N)
-    add(IdentityId.SCHUR_COUNTS.value, max_n=60)
-    for N in range(0, 16):
-        add(IdentityId.GF_BOUNDED.value, N=N, T=45)
-    for N in range(1, 11):
-        add(IdentityId.COR1_BOUNDED_SUM.value, N=N)
-    add(IdentityId.GF_ALI_EQ_KURSUNGOZ.value, T=60)
-    add(IdentityId.GF_EVEN_ODD_SPLIT.value, T=60)
-    add(IdentityId.ANALYTIC_SCHUR.value, T=60)
-    for N in range(0, 21):
-        add(IdentityId.DUAL.value, N=N)
-    for N in range(0, 21):
-        add(IdentityId.T0_BINOM.value, N=N)
-    add(IdentityId.T0_LIMIT.value, N=40, T=40)
-    add(IdentityId.QT_LIMIT.value, t=1, T=50)
-    add(IdentityId.QT_LIMIT.value, t=2, T=50)
-    for M in range(0, 13):
-        add(IdentityId.SUMMATION_M.value, M=M)
-    for L in range(0, 13):
-        add(IdentityId.WARNAAR.value, L=L)
-    for M in range(0, 16):
-        add(IdentityId.Q1_TRIPLE.value, M=M)
-    for M in range(0, 16):
-        add(IdentityId.Q1_QUAD.value, M=M)
-    add(IdentityId.BIJECTION_SWEEP.value, max_size=40)
-    add(IdentityId.EXPONENT_DIFF.value, max=20)
-    return rows
 
 
 def _serve_rows(conn: Any) -> None:
@@ -330,12 +291,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n_max = args.max_n
     which = args.cls
+    if args.largest_part is not None and which != "schur":
+        raise UsageError("--largest-part only applies to the gap-condition class")
     counts: dict[str, list[int]] = {}
     if which in ("schur", "both"):
         counts["schur"] = schur_counts(n_max, args.largest_part)
     if which in ("pm1mod3", "both"):
-        if args.largest_part is not None:
-            raise UsageError("--largest-part only applies to the gap-condition class")
         counts["pm1mod3"] = distinct_pm1_counts(n_max)
     doc: dict[str, Any] = {"max_n": n_max, "class": which, "counts": counts}
     if args.largest_part is not None:
@@ -411,72 +372,58 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0 if summary["status"] == "verified" else 1
 
 
-# the options each series reads; any other one is refused, not dropped
-_SERIES_READS = {
-    "lhs": ("N",), "rhs": ("N",), "ali": ("T",), "kursungoz": ("T",),
-    "even-odd": ("T",), "bounded": ("T", "largest_part"),
-    "oracle": ("T", "largest_part"), "product": ("T",),
+# each series: its builder and the options it reads, in argument order;
+# any other option is refused, not dropped
+_SERIES = {
+    "lhs": (lhs_schur, ("N",)), "rhs": (rhs_schur, ("N",)),
+    "ali": (ali_gf_truncated, ("T",)),
+    "kursungoz": (kursungoz_gf_truncated, ("T",)),
+    "even-odd": (even_odd_split_lhs, ("T",)),
+    "bounded": (bounded_gf, ("largest_part", "T")),
+    "oracle": (schur_gf_oracle, ("T", "largest_part")),
+    "product": (schur_product_truncated, ("T",)),
 }
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
+    builder, reads = _SERIES[name]
     for option in ("N", "T", "largest_part"):
-        if getattr(args, option) is not None \
-                and option not in _SERIES_READS[name]:
+        if getattr(args, option) is not None and option not in reads:
             raise UsageError("series %r does not read --%s"
                              % (name, option.replace("_", "-")))
-    T = args.T
+    values = []
+    for option in reads:
+        value = getattr(args, option)
+        # the oracle's largest-part bound is optional
+        if value is None and (name, option) != ("oracle", "largest_part"):
+            raise UsageError("series %r needs --%s"
+                             % (name, option.replace("_", "-")))
+        if option == "N":
+            value = _parse_range(value, "N")
+            if len(value) != 1:
+                raise UsageError("series takes a single --N")
+            value = value[0]
+        # a negative largest part is the builder's to refuse
+        if option in ("N", "T") and value < 0:
+            raise UsageError("%s must be >= 0" % option)
+        values.append(value)
+    if name == "oracle":
+        _check_cap("oracle_T", args.T)
+    result = builder(*values)
+
     doc: dict[str, Any] = {"series": name}
-
-    def need_T() -> int:
-        if T is None:
-            raise UsageError("series %r needs --T" % name)
-        if T < 0:
-            raise UsageError("T must be >= 0")
-        return T
-
-    def need_N() -> int:
-        if args.N is None:
-            raise UsageError("series %r needs --N" % name)
-        values = _parse_range(args.N, "N")
-        if len(values) != 1:
-            raise UsageError("series takes a single --N")
-        if values[0] < 0:
-            raise UsageError("N must be >= 0")
-        return values[0]
-
-    if name in ("lhs", "rhs"):
-        N = need_N()
-        poly = lhs_schur(N) if name == "lhs" else rhs_schur(N)
-        doc.update(N=N, pairs=poly.to_pairs())
-        _emit(doc, args, [str(poly)])
-        return 0
-    if name == "product":
-        poly = schur_product_truncated(need_T())
-        doc.update(T=T, pairs=poly.to_pairs())
-        _emit(doc, args, [str(poly)])
-        return 0
-
-    if name == "ali":
-        series = ali_gf_truncated(need_T())
-    elif name == "kursungoz":
-        series = kursungoz_gf_truncated(need_T())
-    elif name == "even-odd":
-        series = even_odd_split_lhs(need_T())
-    elif name == "bounded":
-        if args.largest_part is None:
-            raise UsageError("series 'bounded' needs --largest-part")
-        series = bounded_gf(args.largest_part, need_T())
-    else:  # "oracle"
-        _check_cap("oracle_T", need_T())
-        series = schur_gf_oracle(T, largest_part=args.largest_part)
-    doc.update(T=T, strata=series.to_strata_pairs())
+    doc.update((o, v) for o, v in zip(reads, values) if o != "largest_part")
+    if isinstance(result, XSeries):
+        doc["strata"] = result.to_strata_pairs()
+        lines = ["x^%d: %s" % (x, result.stratum(x))
+                 for x in result.x_degrees()] or ["0"]
+    else:
+        doc["pairs"] = result.to_pairs()
+        lines = [str(result)]
     if args.largest_part is not None:
         doc["largest_part"] = args.largest_part
-    lines = ["x^%d: %s" % (x, series.stratum(x))
-             for x in series.x_degrees()]
-    _emit(doc, args, lines or ["0"])
+    _emit(doc, args, lines)
     return 0
 
 
@@ -533,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", allow_abbrev=False,
                               help="print a builder's coefficients")
-    p_series.add_argument("name", choices=tuple(_SERIES_READS))
+    p_series.add_argument("name", choices=tuple(_SERIES))
     p_series.add_argument("--N")
     p_series.add_argument("--T", type=int)
     p_series.add_argument("--largest-part", dest="largest_part", type=int)

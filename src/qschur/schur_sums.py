@@ -12,7 +12,10 @@ side, the bounded-sum corollary, and the bijection sweep.  Each entry
 declares its integer parameters (a minimum, and a default or none) and a
 runner that returns the (left, right) pairs to compare.  `check_params`
 is the one place a request is validated; `verify` compares the pairs
-exactly and reports the first discrepancy.
+exactly and reports the first discrepancy.  The registry also declares
+the report sweep: its entries are in report order, and a swept parameter
+names the last value it reaches, so `acceptance_matrix` builds every
+report row from the declarations.
 
 One private walk carries each sum family.  `_triple_sum(N, weight)` is
 the triple q-binomial sum over (n1, n2, m); the central left side, the
@@ -354,6 +357,13 @@ def _recip_poch(modulus: int, n: int, T: int) -> QPoly:
         pochhammer_finite(MonomialBase.of_q(1, modulus, modulus), n), T)
 
 
+def _cut_binomial(top: int, bottom: int, modulus: int, room: int) -> QPoly:
+    # gauss_binomial(top, bottom, modulus).truncate(room) for
+    # 0 <= bottom <= top, built from only the table entries it keeps
+    kept = _gauss_coeffs(top, bottom)[:room // modulus + 1]
+    return QPoly._raw({2 * modulus * i: v for i, v in enumerate(kept)})
+
+
 def qt_limit_sum(t: int, T: int) -> QPoly:
     """Parity-split limit sum mod q^(T+1/2):
     sum q^weight_q(t,m,n1,y) / (q^6;q^6)_y * [3y,m]_q
@@ -368,12 +378,12 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
 
     def pieces(y: int, m: int, n1: int, _: int):
         # graded by y; a piece past the window is never built, and both
-        # binomials are cut to the room before they meet
+        # binomials are built already cut to the room before they meet
         w = weight_q(t, m, n1, y)
         if w <= T and m <= 3 * y:
             room = T - w
-            yield y, w, (gauss_binomial(3 * y, m).truncate(room)
-                         * gauss_binomial(y + n1 // 2, y, 6).truncate(room))
+            yield y, w, (_cut_binomial(3 * y, m, 1, room)
+                         * _cut_binomial(y + n1 // 2, y, 6, room))
 
     slices = _graded_sum(T, floor, pieces)
     acc: dict[int, int] = {}
@@ -654,6 +664,7 @@ class _Param(NamedTuple):
     minimum: int | None = None
     default: int | None = None
     optional: bool = False   # omitted without a default: the runner sees no key
+    last: int | None = None  # the report sweeps it from minimum to last
 
 
 _Pairs = Iterable[tuple[Any, Any]]
@@ -723,46 +734,71 @@ def _run_bijection_sweep(p: dict) -> _Pairs:
 
 # Each identity's declared parameters and its runner: resolved parameters
 # -> the (left, right) side pairs to compare exactly, left side first.
-# Rules that tie parameters together stay in the runners.
+# Rules that tie parameters together stay in the runners.  The entries are
+# in report order, and each declares the rows it adds to the report (see
+# acceptance_matrix).
 _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] = {
-    IdentityId.SCHUR_POLY: (
-        {"N": _Param(0)}, lambda p: [(lhs_schur(p["N"]), rhs_schur(p["N"]))]),
-    IdentityId.DUAL: ({"N": _Param(0)}, lambda p: [dual_sides(p["N"])]),
-    IdentityId.T0_BINOM: ({"N": _Param(0)}, lambda p: [t0_binomial_sides(p["N"])]),
-    IdentityId.T0_LIMIT: (
-        {"N": _Param(0, 40), "T": _Param(0, 40)}, _run_t0_limit),
-    IdentityId.QT_LIMIT: ({"t": _Param(), "T": _Param(0, 50)}, _run_qt_limit),
-    IdentityId.SUMMATION_M: (
-        {"M": _Param(0)}, lambda p: [summation_formula_sides(p["M"])]),
-    IdentityId.WARNAAR: (
-        {"L": _Param(0), "a": _Param(optional=True)}, _run_warnaar),
-    IdentityId.REC_ANDREWS: ({"N": _Param(2)}, lambda p: [(
+    IdentityId.SCHUR_POLY: ({"N": _Param(0, last=25)}, lambda p: [
+        (lhs_schur(p["N"]), rhs_schur(p["N"]))]),
+    IdentityId.REC_ANDREWS: ({"N": _Param(2, last=25)}, lambda p: [(
         recurrence_residual(IdentityId.REC_ANDREWS, p["N"]), QPoly.zero())]),
-    IdentityId.REC_L: ({"N": _Param(4)}, lambda p: [(
+    IdentityId.REC_L: ({"N": _Param(4, last=25)}, lambda p: [(
         recurrence_residual(IdentityId.REC_L, p["N"]), QPoly.zero())]),
     IdentityId.REC_SUMMAND: (
-        {"N": _Param(4), "m": _Param(0, optional=True),
+        {"N": _Param(4, last=12), "m": _Param(0, optional=True),
          "n1": _Param(0, optional=True), "n2": _Param(0, optional=True)},
         _run_rec_summand),
-    IdentityId.GF_BOUNDED: ({"N": _Param(0), "T": _Param(0, 45)}, lambda p: [(
-        bounded_gf(p["N"], p["T"]), schur_gf_oracle(p["T"], largest_part=p["N"]))]),
+    IdentityId.SCHUR_COUNTS: ({"max_n": _Param(0, 60)}, _run_schur_counts),
+    IdentityId.GF_BOUNDED: (
+        {"N": _Param(0, last=15), "T": _Param(0, 45)}, lambda p: [(
+            bounded_gf(p["N"], p["T"]),
+            schur_gf_oracle(p["T"], largest_part=p["N"]))]),
+    IdentityId.COR1_BOUNDED_SUM: (
+        {"N": _Param(1, last=10)}, lambda p: [cor1_bounded_sum(p["N"])]),
     IdentityId.GF_ALI_EQ_KURSUNGOZ: ({"T": _Param(0, 60)}, lambda p: [(
         ali_gf_truncated(p["T"]), kursungoz_gf_truncated(p["T"]))]),
     IdentityId.GF_EVEN_ODD_SPLIT: ({"T": _Param(0, 60)}, lambda p: [(
         even_odd_split_lhs(p["T"]), kursungoz_gf_truncated(p["T"]))]),
     IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60)}, lambda p: [(
         ali_gf_truncated(p["T"]).at_x_one(), schur_product_truncated(p["T"]))]),
-    IdentityId.Q1_TRIPLE: (
-        {"M": _Param(0)}, lambda p: [(q1_triple_value(p["M"]), 3 ** p["M"])]),
-    IdentityId.Q1_QUAD: (
-        {"M": _Param(0)}, lambda p: [(q1_quad_value(p["M"]), 4 ** p["M"])]),
-    IdentityId.EXPONENT_DIFF: ({"max": _Param(0, 20)}, _run_exponent_diff),
-    IdentityId.SCHUR_COUNTS: ({"max_n": _Param(0, 60)}, _run_schur_counts),
-    IdentityId.COR1_BOUNDED_SUM: (
-        {"N": _Param(1)}, lambda p: [cor1_bounded_sum(p["N"])]),
+    IdentityId.DUAL: ({"N": _Param(0, last=20)}, lambda p: [dual_sides(p["N"])]),
+    IdentityId.T0_BINOM: (
+        {"N": _Param(0, last=20)}, lambda p: [t0_binomial_sides(p["N"])]),
+    IdentityId.T0_LIMIT: (
+        {"N": _Param(0, 40), "T": _Param(0, 40)}, _run_t0_limit),
+    IdentityId.QT_LIMIT: (
+        {"t": _Param(1, last=2), "T": _Param(0, 50)}, _run_qt_limit),
+    IdentityId.SUMMATION_M: (
+        {"M": _Param(0, last=12)}, lambda p: [summation_formula_sides(p["M"])]),
+    IdentityId.WARNAAR: (
+        {"L": _Param(0, last=12), "a": _Param(optional=True)}, _run_warnaar),
+    IdentityId.Q1_TRIPLE: ({"M": _Param(0, last=15)}, lambda p: [
+        (q1_triple_value(p["M"]), 3 ** p["M"])]),
+    IdentityId.Q1_QUAD: ({"M": _Param(0, last=15)}, lambda p: [
+        (q1_quad_value(p["M"]), 4 ** p["M"])]),
     IdentityId.BIJECTION_SWEEP: (
         {"max_size": _Param(0, 40)}, _run_bijection_sweep),
+    IdentityId.EXPONENT_DIFF: ({"max": _Param(0, 20)}, _run_exponent_diff),
 }
+
+
+def acceptance_matrix() -> list[dict[str, Any]]:
+    """The full verification matrix, in reporting order: for each registry
+    entry, every value of its swept parameter from its minimum to its last,
+    with every other parameter at its default and optional ones left out."""
+    rows: list[dict[str, Any]] = []
+    for ident, (declared, _) in _REGISTRY.items():
+        params: list[dict[str, int]] = [{}]
+        for name, spec in declared.items():
+            if spec.last is not None:
+                values = range(spec.minimum, spec.last + 1)
+            elif spec.default is not None:
+                values = [spec.default]
+            else:
+                continue
+            params = [{**p, name: v} for p in params for v in values]
+        rows.extend({"check": ident.value, "params": p} for p in params)
+    return rows
 
 
 def check_params(identity: "IdentityId | str",

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 from qschur import __version__, cli
 from qschur.cli import acceptance_matrix, main
 from qschur.partitions import distinct_pm1_counts, schur_counts
+from qschur.schur_sums import check_params
 
 
 def run(capsys, *argv):
@@ -267,9 +269,15 @@ def test_acceptance_matrix_shape():
     assert "schur-poly" in checks
     assert "schur-counts" in checks
     assert "bijection-sweep" in checks
-    # every row is runnable as-is: params are plain JSON scalars
+    # every row is runnable as-is: params are plain JSON scalars that the
+    # registry accepts unchanged
     for row in rows:
         json.dumps(row)
+        check_params(row["check"], row["params"])
+    # the rows built from the registry declarations are the hand-written
+    # matrix they replaced, parameter order included
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "8fae661169c1fed6df523d02e9ed8d4245f1f9056c7d77a77bb5983b3a8772e6"
 
 
 def test_enumerate_both_classes(capsys):
@@ -286,6 +294,15 @@ def test_enumerate_largest_part(capsys):
     assert code == 0
     assert doc["largest_part"] == 5
     assert doc["counts"]["schur"] == schur_counts(12, largest_part=5)
+
+
+def test_enumerate_refuses_largest_part_before_counting(capsys, monkeypatch):
+    def counted(*args, **kwargs):
+        raise AssertionError("counted before refusing --largest-part")
+    monkeypatch.setattr(cli, "schur_counts", counted)
+    code, out, err = run(capsys, "enumerate", "--max-n", "100",
+                         "--class", "both", "--largest-part", "100")
+    assert code == 2 and out == "" and "--largest-part" in err
 
 
 def test_enumerate_usage_errors(capsys):
@@ -363,7 +380,13 @@ def test_bijection_usage_errors(capsys):
     code, out, err = run(capsys, "bijection", "--motions",
                          '{"n1":0,"n2":2,"m":0,"rho2":[99999999]}')
     assert code == 2 and out == "" and "hard cap" in err
-    for motions in ('{"n1": 1e400, "n2": 0, "m": 0}', "[" * 100000):
+    # only JSON integers and lists of them: nothing is coerced
+    for motions in ('{"n1": 1e400, "n2": 0, "m": 0}', "[" * 100000,
+                    '{"n1": 1.9, "n2": 0, "m": 0}',
+                    '{"n1": "2", "n2": 0, "m": 0}',
+                    '{"n1": true, "n2": 0, "m": 0}',
+                    '{"n1": 0, "n2": 0, "m": 2, "r": "12"}',
+                    '{"n1": 0, "n2": 0, "m": 1, "r": [1.0]}'):
         code, out, err = run(capsys, "bijection", "--motions", motions)
         assert code == 2 and out == "" and "bad motion data" in err
 

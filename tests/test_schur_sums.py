@@ -255,6 +255,15 @@ def naive_qt_limit_sum(t, T):
     return total
 
 
+@given(st.integers(0, 14), st.integers(0, 14), st.sampled_from([1, 6]),
+       st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_cut_binomial_is_the_truncated_binomial(top, bottom, modulus, room):
+    bottom = min(bottom, top)
+    assert (ss._cut_binomial(top, bottom, modulus, room)
+            == gauss_binomial(top, bottom, modulus).truncate(room))
+
+
 @pytest.mark.parametrize("t", [1, 2])
 def test_parity_split_kernel_matches_naive_walk(t):
     for T in range(31):
