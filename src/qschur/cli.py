@@ -52,7 +52,7 @@ from .schur_sums import (IdentityId, UsageError, acceptance_matrix,
                          ali_gf_truncated, bounded_gf, check_params,
                          even_odd_split_lhs, kursungoz_gf_truncated,
                          lhs_schur, rhs_schur, schur_product_truncated,
-                         verify)
+                         swept_values, verify)
 
 MAX_INDEX = 100   # hard cap on N-like parameters
 MAX_WINDOW = 500  # hard cap on truncation windows
@@ -258,7 +258,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.t is not None:
         sweeps["t"] = [args.t]
     elif args.identity == IdentityId.QT_LIMIT.value:
-        sweeps["t"] = [1, 2]
+        # --t takes one value; without it, every t the report sweeps
+        sweeps["t"] = list(swept_values(IdentityId.QT_LIMIT, "t"))
     fixed = {name: value for name, value in (("T", args.T), ("max", args.max_n))
              if value is not None}
     if args.identity == IdentityId.GF_BOUNDED.value:

@@ -19,13 +19,16 @@ to count parts of a partition) and fixes one q-truncation bound for every
 stratum at construction time.
 
 Sums are built by one of two accumulators.  `_packed_sum` adds up
-products of dense nonnegative coefficient tables as one big integer per
-residue class of the shifts (Kronecker substitution over the whole sum,
-the slot width taken from an exact bound on every output coefficient);
-the triple and trinomial sums go through it.  `_add_shifted` adds a
-`QPoly` into a dict in place, for the builders whose terms may be signed
-or are graded by x; `schur_sums._graded_sum` is the one place the
-windowed cell series accumulate through it.
+products of dense nonnegative coefficient tables, less an optional
+second such sum, as one big integer per side and residue class of the
+shifts (Kronecker substitution over the whole sum, the slot width taken
+from an exact bound on every coefficient of either side); a class whose
+two sides are equal integers is never unpacked.  The triple and
+trinomial sums and the recurrence residuals go through it.
+`_add_shifted` adds a `QPoly` into a dict in place, for the builders
+whose terms carry coefficients of both signs or are graded by x;
+`schur_sums._graded_sum` is the one place the windowed cell series
+accumulate through it.
 """
 
 from __future__ import annotations
@@ -115,6 +118,16 @@ def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
         return slots.tolist()
     return [int.from_bytes(buf[i:i + w], "little")
             for i in range(0, n * w, w)]
+
+
+def _unpack_difference(pos: int, neg: int, n: int, w: int,
+                       code: str | None) -> list[int]:
+    # slot by slot, the n slots of pos less those of neg
+    if not neg:
+        return _unpack(pos, n, w, code)
+    if not pos:
+        return [-v for v in _unpack(neg, n, w, code)]
+    return list(map(sub, _unpack(pos, n, w, code), _unpack(neg, n, w, code)))
 
 
 class QPoly:
@@ -293,13 +306,7 @@ class QPoly:
                     pos += x * y
                 else:
                     neg += x * y
-        if not neg:
-            vals = _unpack(pos, n_out, w, code)
-        elif not pos:
-            vals = [-v for v in _unpack(neg, n_out, w, code)]
-        else:
-            vals = list(map(sub, _unpack(pos, n_out, w, code),
-                            _unpack(neg, n_out, w, code)))
+        vals = _unpack_difference(pos, neg, n_out, w, code)
         base = amin + bmin
         return QPoly._raw({e: v for e, v in
                            zip(range(base, base + g * n_out, g), vals) if v})
@@ -370,66 +377,77 @@ class QPoly:
 
 
 def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
-                g: int, cut: int | None = None) -> QPoly:
-    """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, where L
-    and R are dense coefficient tables on stride g half-steps (L[i] is
-    the coefficient of q^(g*i/2)), every entry and every shift >= 0.
-    With cut given, only exponents <= cut half-steps are kept: terms that
-    start past it are skipped, each table is cut to the prefix that can
-    reach the window, and the sum is cut once at the end.
+                g: int, cut: int | None = None,
+                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = ()
+                ) -> QPoly:
+    """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, less the
+    same sum over the minus terms, where L and R are dense coefficient
+    tables on stride g half-steps (L[i] is the coefficient of q^(g*i/2)),
+    every entry and every shift >= 0.  With cut given, only exponents
+    <= cut half-steps are kept: terms that start past it are skipped, each
+    table is cut to the prefix that can reach the window, and the sum is
+    cut once at the end.
 
     Kronecker substitution over a whole sum: a table packed w bytes a
     slot is its polynomial at X = 2^(8w), so sums and products of packed
-    values are exact whatever their slots hold, and the whole sum is one
-    integer per residue class of the shifts mod g, unpacked once.  It
-    reads back right when every coefficient of the sum, and every entry
-    packed, is below X.  No entry is negative, so no coefficient of the
-    sum exceeds the sum over terms of sum(L) sum(R), and no entry its own
-    table's sum; the slot width covers both.  Terms of one class that
-    share their right table (the same object) are multiplied once: their
-    left tables are summed first, shifted by whole slots.  A negative
+    values are exact whatever their slots hold, and each side of the sum
+    is one integer per residue class of the shifts mod g.  A side reads
+    back right when every coefficient of it, and every entry packed, is
+    below X.  No entry is negative, so no coefficient of a side exceeds
+    the sum over its terms of sum(L) sum(R), and no entry its own table's
+    sum; the slot width covers both sides.  Terms of one side and class
+    that share their right table (the same object) are multiplied once:
+    their left tables are summed first, shifted by whole slots.  A class
+    whose two sides are equal integers contributes nothing and is never
+    unpacked; only an unequal class is cut back into slots.  A negative
     entry or shift raises ValueError."""
     kept = []
-    bound = top = 0
-    groups: dict[tuple[int, int], list] = {}  # (residue, id(R)) -> [i, R]
+    bounds = [0, 0]
+    top = 0
+    # (side, residue, id(R)) -> [least slot, R]; side 0 adds, 1 subtracts
+    groups: dict[tuple[int, int, int], list] = {}
     ends: dict[int, int] = {}                # residue -> slots in the sum
-    for shift, left, right in terms:
-        if shift < 0:
-            raise ValueError("packed sum needs shifts >= 0")
-        if cut is not None:
-            if shift > cut:
-                continue
-            room = (cut - shift) // g + 1
-            left, right = left[:room], right[:room]
-        if left and right:
-            i, r = divmod(shift, g)
-            key = r, id(right)
-            kept.append((i, key, left))
-            group = groups.setdefault(key, [i, right])
-            group[0] = min(group[0], i)
-            ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
-            sl, sr = sum(left), sum(right)
-            bound += sl * sr
-            top = max(top, sl, sr)
-    w, code = _slot(max(bound, top))
+    for side, side_terms in enumerate((terms, minus)):
+        for shift, left, right in side_terms:
+            if shift < 0:
+                raise ValueError("packed sum needs shifts >= 0")
+            if cut is not None:
+                if shift > cut:
+                    continue
+                room = (cut - shift) // g + 1
+                left, right = left[:room], right[:room]
+            if left and right:
+                i, r = divmod(shift, g)
+                key = side, r, id(right)
+                kept.append((i, key, left))
+                group = groups.setdefault(key, [i, right])
+                group[0] = min(group[0], i)
+                ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
+                sl, sr = sum(left), sum(right)
+                bounds[side] += sl * sr
+                top = max(top, sl, sr)
+    w, code = _slot(max(*bounds, top))
     lefts = dict.fromkeys(groups, 0)
-    sums: dict[int, int] = {}
+    sums: dict[tuple[int, int], int] = {}    # (side, residue) -> packed sum
     try:
         for i, key, left in kept:
             lefts[key] += _pack(left, w, code) << 8 * w * (i - groups[key][0])
         for key, (i, right) in groups.items():
-            r = key[0]
-            sums[r] = (sums.get(r, 0)
-                       + (lefts[key] * _pack(right, w, code) << 8 * w * i))
+            sums[key[:2]] = (sums.get(key[:2], 0)
+                             + (lefts[key] * _pack(right, w, code) << 8 * w * i))
     except OverflowError:
         raise ValueError("packed sum needs entries >= 0") from None
     out: dict[int, int] = {}
-    for r, x in sums.items():
-        n = ends[r]
+    for r, n in ends.items():
+        pos, neg = sums.get((0, r), 0), sums.get((1, r), 0)
         if cut is not None and r + g * (n - 1) > cut:
             n = (cut - r) // g + 1
-            x &= (1 << 8 * w * n) - 1
-        for e, v in zip(range(r, r + g * n, g), _unpack(x, n, w, code)):
+            mask = (1 << 8 * w * n) - 1
+            pos, neg = pos & mask, neg & mask
+        if pos == neg:
+            continue
+        for e, v in zip(range(r, r + g * n, g),
+                        _unpack_difference(pos, neg, n, w, code)):
             if v:
                 out[e] = v
     return QPoly._raw(out)
@@ -438,7 +456,8 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
 def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
     # row += term * q^(shift/2) in place, keeping row canonical (a + b
     # copies the whole sum): the accumulate step of the builders whose
-    # terms may be signed or are graded by x; _packed_sum serves the rest
+    # terms carry coefficients of both signs or are graded by x;
+    # _packed_sum serves the rest
     for e, c in term._c.items():
         key = e + shift
         s = row.get(key, 0) + c

@@ -43,7 +43,13 @@ Two accumulators sum the terms.  `qpoly._packed_sum` takes products of
 dense nonnegative coefficient tables and keeps the sum as big integers:
 the triple sum, its pair family, the round-trinomial side (all j and k in
 one sum), both T0 half sums, the single-binomial T0 form and the
-summation and Warnaar left sides.  `qpoly._add_shifted` adds `QPoly`
+summation and Warnaar left sides.  With its subtracted terms it also
+takes every recurrence residual, declared term by term in
+`_RECURRENCES`: the sides are read as dense tables, lhs_schur and
+rhs_schur through `_table` and each summand from the cached
+`_summand_table`, and a residual that vanishes is settled by comparing
+two integers per class, without unpacking.  `schur_summand` stays the
+uncached QPoly form of one summand.  `qpoly._add_shifted` adds `QPoly`
 values into a dict for the rest: `_graded_sum` and the truncated limit
 sums, whose terms meet reciprocal Pochhammer series.
 
@@ -65,6 +71,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import sub
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .bijection import certify_range
@@ -82,9 +89,6 @@ from .qcoeff import (
     t_trinomial,
 )
 from .qpoly import QPoly, XSeries, _add_shifted, _dense, _packed_sum
-
-_ONE_Q_Q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})  # 1 + q + q^2
-
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -238,7 +242,6 @@ def rhs_schur(N: int) -> QPoly:
     return _packed_sum(terms, 6)
 
 
-@lru_cache(maxsize=None)
 def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
     """Single (m, n1, n2) term of lhs_schur(N); zero whenever any index is
     negative or V = N-m-n1-n2 < 0."""
@@ -253,41 +256,97 @@ def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
     return term.shift(2 * weight_a(n1, n2, m))
 
 
+@lru_cache(maxsize=None)
+def _summand_table(v: int, m: int, a: int, b: int) -> tuple[int, ...]:
+    """[3v,m]_q [v+a,a]_{q^6} [v+b,b]_{q^6} as a dense coefficient table
+    in whole q-steps from q^0: a summand of lhs_schur with V = v,
+    floor(n1/2) = a and floor(n2/2) = b, before its weight."""
+    return tuple(_table(gauss_binomial(3 * v, m) * gauss_binomial(v + a, a, 6)
+                        * gauss_binomial(v + b, b, 6))[1])
+
+
+def _summand_term(N: int, m: int, n1: int, n2: int) -> tuple[int, tuple[int, ...]]:
+    # schur_summand(N, m, n1, n2) as (least half-step, dense whole-step
+    # table), the table empty where the summand is zero
+    v = N - m - n1 - n2
+    if m < 0 or n1 < 0 or n2 < 0 or v < 0 or m > 3 * v:
+        return 0, ()
+    return 2 * weight_a(n1, n2, m), _summand_table(v, m, n1 // 2, n2 // 2)
+
+
+_ONE, _ONE_Q_Q2 = (1,), (1, 1, 1)  # 1 and 1 + q + q^2 as dense tables
+
+# Each recurrence, left minus right, as its terms (sign, (c, d), factor,
+# steps): sign * q^(cN+d) * factor times the recurrence's side at the
+# indices (N, m, n1, n2) less the steps.  rec-andrews and rec-l step N
+# only, through rhs_schur and lhs_schur; rec-summand steps every index of
+# schur_summand, n1 and n2 by 2: they enter the summand only through
+# their floored halves, and a step of 1 would act on the modulus-6
+# binomials only at odd values.
+_RECURRENCES: dict[str, tuple[tuple, ...]] = {
+    "rec-andrews": (
+        (1, (0, 0), _ONE, (0,)),
+        (-1, (0, 0), _ONE, (1,)),
+        (-1, (3, -2), _ONE, (1,)),
+        (-1, (3, -1), _ONE, (1,)),
+        (-1, (3, -3), _ONE, (2,)),
+        (1, (6, -6), _ONE, (2,)),
+    ),
+    "rec-l": (
+        (1, (0, 0), _ONE, (0,)),
+        (-1, (0, 0), _ONE, (1,)),
+        (-1, (3, -3), _ONE_Q_Q2, (2,)),
+        (-1, (6, -7), _ONE, (2,)),
+        (-1, (6, -5), _ONE, (2,)),
+        (-1, (6, -8), _ONE_Q_Q2, (3,)),
+        (-1, (9, -15), _ONE, (4,)),
+        (1, (12, -24), _ONE, (4,)),
+    ),
+    "rec-summand": (
+        (1, (0, 0), _ONE, (0, 0, 0, 0)),
+        (-1, (0, 0), _ONE, (1, 0, 0, 0)),
+        (-1, (6, -5), _ONE, (2, 0, 0, 2)),
+        (-1, (6, -7), _ONE, (2, 0, 2, 0)),
+        (-1, (3, -3), _ONE_Q_Q2, (2, 1, 0, 0)),
+        (-1, (6, -8), _ONE_Q_Q2, (3, 2, 0, 0)),
+        (1, (12, -24), _ONE, (4, 0, 2, 2)),
+        (-1, (9, -15), _ONE, (4, 3, 0, 0)),
+    ),
+}
+
+
 def recurrence_residual(kind: "IdentityId | str", N: int,
                         m: int | None = None, n1: int | None = None,
                         n2: int | None = None) -> QPoly:
     """Left minus right of the named recurrence; the zero polynomial
     means the instance holds.  Builders treat negative shifted indices
     as zero, so the caller picks N large enough for the instance to be
-    meaningful (2 for the two-term form, 4 for the four-term forms)."""
+    meaningful (2 for the two-term form, 4 for the four-term forms).
+
+    The residual is one signed `_packed_sum` over the `_RECURRENCES`
+    terms of its kind; one that vanishes is never unpacked."""
     kind = IdentityId(kind)
-    q = QPoly.q_power
-    if kind is IdentityId.REC_ANDREWS:
-        c1 = QPoly.one() + q(3 * N - 2) + q(3 * N - 1)
-        c2 = q(3 * N - 3) - q(6 * N - 6)
-        return rhs_schur(N) - c1 * rhs_schur(N - 1) - c2 * rhs_schur(N - 2)
-    if kind is IdentityId.REC_L:
-        c2 = q(3 * N - 3) * _ONE_Q_Q2 + q(6 * N - 7) + q(6 * N - 5)
-        c3 = q(6 * N - 8) * _ONE_Q_Q2
-        c4 = q(9 * N - 15) - q(12 * N - 24)
-        return (lhs_schur(N) - lhs_schur(N - 1) - c2 * lhs_schur(N - 2)
-                - c3 * lhs_schur(N - 3) - c4 * lhs_schur(N - 4))
     if kind is IdentityId.REC_SUMMAND:
         if m is None or n1 is None or n2 is None:
             raise ValueError("summand recurrence needs m, n1, n2")
-        # n1 and n2 enter the summand only through their floored halves,
-        # so the termwise relation steps them by 2: a step of 1 would act
-        # on the modulus-6 binomials only at odd values.
-        F = schur_summand
-        return (F(N, m, n1, n2)
-                - F(N - 1, m, n1, n2)
-                - q(6 * N - 5) * F(N - 2, m, n1, n2 - 2)
-                - q(6 * N - 7) * F(N - 2, m, n1 - 2, n2)
-                - q(3 * N - 3) * _ONE_Q_Q2 * F(N - 2, m - 1, n1, n2)
-                - q(6 * N - 8) * _ONE_Q_Q2 * F(N - 3, m - 2, n1, n2)
-                + q(12 * N - 24) * F(N - 4, m, n1 - 2, n2 - 2)
-                - q(9 * N - 15) * F(N - 4, m - 3, n1, n2))
-    raise ValueError("not a recurrence id: %s" % kind)
+        at: tuple[int, ...] = (N, m, n1, n2)
+        side = _summand_term
+    elif kind is IdentityId.REC_L:
+        at, side = (N,), lambda n: _table(lhs_schur(n))
+    elif kind is IdentityId.REC_ANDREWS:
+        at, side = (N,), lambda n: _table(rhs_schur(n))
+    else:
+        raise ValueError("not a recurrence id: %s" % kind)
+    terms: tuple[list, list] = ([], [])
+    tables: dict[tuple[int, ...], Any] = {}  # terms at one index share a table
+    for sign, (c, d), factor, steps in _RECURRENCES[kind]:
+        index = tuple(map(sub, at, steps))
+        if index not in tables:
+            tables[index] = side(*index)
+        lo, table = tables[index]
+        if table:
+            terms[sign < 0].append((2 * (c * N + d) + lo, factor, table))
+    return _packed_sum(terms[0], 2, minus=terms[1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +372,13 @@ def t0_half_sum(N: int) -> QPoly:
     return _t0_half_walk(N)
 
 
+@lru_cache(maxsize=None)
+def _dual_sum(N: int) -> QPoly:
+    # the triple sum at the dual weight: the dual's left side and the
+    # N-layer of both summation formulas
+    return _triple_sum(N, _dual_weight)
+
+
 def dual_sides(N: int) -> tuple[QPoly, QPoly]:
     """Both sides of the q -> 1/q image of the central identity, each
     multiplied by q^(N/2): LHS the triple sum with weight q^(B-A), RHS
@@ -320,7 +386,7 @@ def dual_sides(N: int) -> tuple[QPoly, QPoly]:
     q^(3N^2/2 + N/2) * lhs_schur(N)(1/q)."""
     if N < 0:
         raise ValueError("dual sides need N >= 0")
-    return _triple_sum(N, _dual_weight), t0_half_sum(N)
+    return _dual_sum(N), t0_half_sum(N)
 
 
 def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -400,7 +466,7 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
         raise ValueError("summation sides need M >= 0")
     # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
     lhs = _packed_sum([_product_term(N * (3 * N - 1), gauss_binomial(M, N, 3),
-                                     _triple_sum(N, _dual_weight))
+                                     _dual_sum(N))
                        for N in range(M + 1)], 2)
     rhs = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), M)
            * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), M))
@@ -416,7 +482,7 @@ def summation_limit_sum(T: int) -> QPoly:
     acc: dict[int, int] = {}
     N = 0
     while N * (3 * N - 1) <= 2 * T:
-        layer = _triple_sum(N, _dual_weight).shift(N * (3 * N - 1)).truncate(T)
+        layer = _dual_sum(N).shift(N * (3 * N - 1)).truncate(T)
         _add_shifted(acc, (layer * _recip_poch(3, N, T)).truncate(T), 0)
         N += 1
     return QPoly._raw(acc)
@@ -782,6 +848,13 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
 }
 
 
+def swept_values(identity: "IdentityId | str", name: str) -> range:
+    """The values the report sweeps a parameter over: from its declared
+    minimum to its declared last."""
+    spec = _REGISTRY[IdentityId(identity)][0][name]
+    return range(spec.minimum, spec.last + 1)
+
+
 def acceptance_matrix() -> list[dict[str, Any]]:
     """The full verification matrix, in reporting order: for each registry
     entry, every value of its swept parameter from its minimum to its last,
@@ -791,7 +864,7 @@ def acceptance_matrix() -> list[dict[str, Any]]:
         params: list[dict[str, int]] = [{}]
         for name, spec in declared.items():
             if spec.last is not None:
-                values = range(spec.minimum, spec.last + 1)
+                values = swept_values(ident, name)
             elif spec.default is not None:
                 values = [spec.default]
             else:

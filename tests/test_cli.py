@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from qschur import __version__, cli
+from qschur import schur_sums as ss
 from qschur.cli import acceptance_matrix, main
 from qschur.partitions import distinct_pm1_counts, schur_counts
 from qschur.schur_sums import check_params
@@ -114,6 +115,17 @@ def test_verify_runs_the_composite_rows(capsys):
         assert all(e["status"] == "verified" for e in doc["entries"])
 
 
+def test_verify_sweeps_the_declared_t_of_qt_limit(capsys, monkeypatch):
+    declared = ss._REGISTRY[ss.IdentityId.QT_LIMIT][0]
+    for spec in (declared["t"], ss._Param(1, last=1)):
+        monkeypatch.setitem(declared, "t", spec)
+        code, doc, _ = run_json(capsys, "verify", "--identity", "qt-limit",
+                                "--T", "5")
+        assert code == 0
+        assert [e["params"] for e in doc["entries"]] == [
+            {"T": 5, "t": t} for t in range(spec.minimum, spec.last + 1)]
+
+
 @pytest.fixture
 def thread_workers(monkeypatch):
     # stands in for the worker processes: each serves rows on a thread over
@@ -151,9 +163,11 @@ def test_idle_worker_takes_the_back_half_of_the_longest_run(
     # 10 rows on 2 workers: runs N = 0..4 and N = 5..9.  Row N = 0 is held
     # until N = 4 has run, so the second worker finishes its run, takes the
     # back half N = 3, 4 of the first worker's run, and only then lets the
-    # first worker go on with N = 1.  Who runs N = 2 is a race.
+    # first worker go on with N = 1.  N = 4 is held in turn until N = 1
+    # has started: else a first worker slow to wake could find its last
+    # rows taken too.  Who runs N = 2 is a race.
     ran = {}
-    release = threading.Event()
+    release, resumed = threading.Event(), threading.Event()
     execute = cli._execute_row
 
     def recording(row):
@@ -161,8 +175,11 @@ def test_idle_worker_takes_the_back_half_of_the_longest_run(
         if N == 0:
             assert release.wait(30)
         ran[N] = threading.get_ident()
+        if N == 1:
+            resumed.set()
         if N == 4:
             release.set()
+            assert resumed.wait(30)
         return execute(row)
 
     monkeypatch.setattr(cli, "_execute_row", recording)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qschur import qpoly
 from qschur.qpoly import (QPoly, XSeries, _SLOT_CODES, _add_shifted,
                           _packed_sum, _slot)
 
@@ -200,6 +201,41 @@ def test_packed_sum_refuses_negative_entries_and_shifts():
             _packed_sum(terms, 2)
     assert _packed_sum([], 2) == QPoly.zero()
     assert _packed_sum([(0, [], [1]), (2, [3], [])], 2) == QPoly.zero()
+    with pytest.raises(ValueError):
+        _packed_sum([(0, [1], [1])], 2, minus=[(0, [1], [-1])])
+
+
+@given(packed_sum_terms(), st.data())
+def test_signed_packed_sum_against_dict_accumulator(case, data):
+    g, terms, cut = case
+    # the subtracted side: some of the added terms in another order, so
+    # that whole classes can cancel, then terms of its own
+    minus = data.draw(st.permutations(terms))[:data.draw(st.integers(0, len(terms)))]
+    minus += data.draw(packed_sum_terms())[1][:data.draw(st.integers(0, 3))]
+    assert (_packed_sum(terms, g, cut, minus)
+            == naive_packed_sum(terms, g, cut) - naive_packed_sum(minus, g, cut))
+
+
+def test_signed_packed_sum_on_wide_slots(monkeypatch):
+    # entries of 2^64 and more need slots wider than 8 bytes, which go
+    # through `bytes`
+    big = 1 << 64
+    shared = [big, 1]
+    terms = [(0, [big + 3, 2], [1, 1]), (4, [1], shared), (10, [5], shared),
+             (3, [big], [big, 7])]
+    minus = [(0, [big + 3], [1, 1]), (4, [2, 1], shared), (3, [big], [big, 6])]
+    assert _slot(big * big)[1] is None
+    total = _packed_sum(terms, 2, minus=minus)
+    assert total == naive_packed_sum(terms, 2) - naive_packed_sum(minus, 2)
+    # big^2 cancels at q^(3/2) while the class's q^(5/2) keeps 7big - 6big
+    assert total.coefficient(3) == 0 and total.coefficient(5) == big
+    assert total.coefficient(4) == 2 - big
+    assert _packed_sum(terms, 2, cut=5, minus=minus) == QPoly._raw(
+        {e: v for e, v in total.items() if e <= 5})
+    # sides that are equal class by class are never cut back into slots
+    monkeypatch.setattr(qpoly, "_unpack", None)
+    assert _packed_sum(terms, 2, minus=terms[::-1]) == QPoly.zero()
+    assert _packed_sum(terms, 2, cut=5, minus=terms) == QPoly.zero()
 
 
 def test_big_coefficients_survive_roundtrip():

@@ -6,7 +6,7 @@ and counts replayed against the brute-force enumerators.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur import schur_sums as ss
@@ -188,6 +188,112 @@ def test_termwise_recurrence_small_sweep():
 def test_termwise_recurrence_needs_all_indices():
     with pytest.raises(ValueError):
         ss.recurrence_residual(ss.IdentityId.REC_SUMMAND, 5, m=1)
+
+
+def reference_residual(kind, N, m=None, n1=None, n2=None, shift_6n=-5,
+                       with_12n=True):
+    # Reference for recurrence_residual: each recurrence as a chain of
+    # QPoly products, the summands from the uncached schur_summand.  The
+    # mutation knobs move the q^(6N-5) term to q^(6N + shift_6n) and drop
+    # the q^(12N-24) term.
+    q = QPoly.q_power
+    one_q_q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})
+    last = q(12 * N - 24) if with_12n else QPoly.zero()
+    if kind == "rec-andrews":
+        c1 = QPoly.one() + q(3 * N - 2) + q(3 * N - 1)
+        c2 = q(3 * N - 3) - q(6 * N - 6)
+        R = ss.rhs_schur
+        return R(N) - c1 * R(N - 1) - c2 * R(N - 2)
+    if kind == "rec-l":
+        c2 = q(3 * N - 3) * one_q_q2 + q(6 * N - 7) + q(6 * N + shift_6n)
+        c3 = q(6 * N - 8) * one_q_q2
+        c4 = q(9 * N - 15) - last
+        L = ss.lhs_schur
+        return L(N) - L(N - 1) - c2 * L(N - 2) - c3 * L(N - 3) - c4 * L(N - 4)
+    F = ss.schur_summand
+    return (F(N, m, n1, n2)
+            - F(N - 1, m, n1, n2)
+            - q(6 * N + shift_6n) * F(N - 2, m, n1, n2 - 2)
+            - q(6 * N - 7) * F(N - 2, m, n1 - 2, n2)
+            - q(3 * N - 3) * one_q_q2 * F(N - 2, m - 1, n1, n2)
+            - q(6 * N - 8) * one_q_q2 * F(N - 3, m - 2, n1, n2)
+            + last * F(N - 4, m, n1 - 2, n2 - 2)
+            - q(9 * N - 15) * F(N - 4, m - 3, n1, n2))
+
+
+@st.composite
+def summand_cells(draw):
+    # N below the recurrence's range included, where residuals are nonzero
+    N = draw(st.integers(-2, 14))
+    index = st.integers(-3, N + 4)
+    return N, draw(index), draw(index), draw(index)
+
+
+# the four cells of the range whose residual is nonzero
+@example((0, 0, 0, 0))
+@example((1, 0, 0, 1))
+@example((1, 0, 1, 0))
+@example((2, 0, 1, 1))
+@given(summand_cells())
+@settings(max_examples=300, deadline=None)
+def test_summand_residual_matches_reference_chain(cell):
+    assert (ss.recurrence_residual("rec-summand", *cell)
+            == reference_residual("rec-summand", *cell))
+
+
+@pytest.mark.parametrize("kind", ["rec-l", "rec-andrews"])
+def test_side_residuals_match_reference_chains(kind):
+    # every N of the property's range, the ones below the recurrence's
+    # own range (nonzero residuals) included
+    for N in range(-2, 15):
+        assert ss.recurrence_residual(kind, N) == reference_residual(kind, N), N
+
+
+@given(summand_cells())
+@settings(max_examples=200, deadline=None)
+def test_summand_table_is_the_summand_shifted_back(cell):
+    lo, table = ss._summand_term(*cell)
+    assert (QPoly._raw({lo + 2 * i: v for i, v in enumerate(table) if v})
+            == ss.schur_summand(*cell))
+
+
+def summand_cells_in_row_order(N):
+    # the cells a rec-summand row at N checks, in the runner's order
+    return [(m, n1, n2) for m in range(N + 1) for n1 in range(N + 1 - m)
+            for n2 in range(N + 1 - m - n1)]
+
+
+@pytest.mark.parametrize("kind", ["rec-l", "rec-summand"])
+@pytest.mark.parametrize("mutation", ["shift-6n-4", "drop-12n-24"])
+def test_mutated_recurrence_fails_at_the_reference_residual(
+        monkeypatch, kind, mutation):
+    # a term moved from q^(6N-5) to q^(6N-4), or the q^(12N-24) term
+    # dropped, must fail the row at the least term of the first nonzero
+    # reference residual
+    shift_6n, with_12n = (-4, True) if mutation == "shift-6n-4" else (-5, False)
+    terms = []
+    for sign, shift, factor, steps in ss._RECURRENCES[kind]:
+        if shift == (6, -5):
+            shift = (6, shift_6n)
+        if shift == (12, -24) and not with_12n:
+            continue
+        terms.append((sign, shift, factor, steps))
+    assert len(terms) + (not with_12n) == len(ss._RECURRENCES[kind])
+    monkeypatch.setitem(ss._RECURRENCES, kind, tuple(terms))
+    N = 6
+    cells = [()] if kind == "rec-l" else summand_cells_in_row_order(N)
+    for cell in cells:
+        want = reference_residual(kind, N, *cell, shift_6n=shift_6n,
+                                  with_12n=with_12n)
+        if want:
+            break
+    assert want, "the mutation left every residual of the row zero"
+    e = want.min_half_exponent()
+    report = ss.verify(kind, {"N": N})
+    assert report.status == "failed"
+    assert report.first_discrepancy == {
+        "x_degree": None, "exponent_half_steps": e,
+        "lhs": str(want.coefficient(e)), "rhs": "0"}
 
 
 @pytest.mark.parametrize("N", range(0, 13))
