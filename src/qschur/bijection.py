@@ -13,8 +13,9 @@ checks the two against brute-force enumeration.
 
 `minimal_configuration` is the only code that knows the layout; every
 other dock is read off its tuple (chain 1 is dock[:n1], chain 2 is
-dock[n1:n1+n2], the singletons dock[n1+n2:]), and the budgets are walked
-on `_cells`, the cell walk of the series builders.
+dock[n1:n1+n2], the singletons dock[n1+n2:]); its size is `weight_a`,
+and the budgets are walked on the cell walk `_cells`.  Every gap check
+reads the oracle's one rule through `is_schur_admissible`.
 
 The motion rule is one table, `_crossings`: the tuples of parts a step
 may cross, in rule order (none when nothing sits within [top+3, top+5];
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from .partitions import (Partition, _cells, _schur_walk,
-                         is_schur_admissible, weight_a)
+from .partitions import Partition, _schur_follows, _walk, is_schur_admissible
 
 
 class MotionRuleError(RuntimeError):
@@ -54,6 +54,14 @@ class MotionRuleError(RuntimeError):
 
 class DecodeError(ValueError):
     """The partition has no (or no unique) motion pre-image."""
+
+
+def weight_a(n1: int, n2: int, m: int) -> int:
+    """Size of the minimal admissible configuration with chain lengths
+    n1, n2 and m singletons: (2m+s+1)(2m+s)/2 + m*s + s^2 - n1, s=n1+n2."""
+    s = n1 + n2
+    u = 2 * m + s
+    return u * (u + 1) // 2 + m * s + s * s - n1
 
 
 def minimal_configuration(n1: int, n2: int, m: int) -> Partition:
@@ -461,6 +469,22 @@ def _increasing_from(left: int, budget: int, lo: int, max_value: int | None,
         acc.pop()
 
 
+def _cells(T: int, weight: Callable[[int, int, int], int]):
+    # (n1, n2, m, w) for every cell with w = weight(n1, n2, m) <= T; each
+    # weight grows in every index, so each loop stops at its first cell
+    # past the window.
+    n1 = 0
+    while weight(n1, 0, 0) <= T:
+        n2 = 0
+        while weight(n1, n2, 0) <= T:
+            m = 0
+            while (w := weight(n1, n2, m)) <= T:
+                yield n1, n2, m, w
+                m += 1
+            n2 += 1
+        n1 += 1
+
+
 def enumerate_motion_data(max_size: int,
                           largest_part: int | None = None) -> Iterator[MotionData]:
     """All motion data whose resulting partition has size <= max_size;
@@ -511,7 +535,7 @@ def certify_range(max_size: int) -> dict[str, Any]:
                                 "partition": list(result)}}
         image[result] = data
 
-    expected = {p for _, p in _schur_walk(max_size)}
+    expected = {p for _, p in _walk(max_size, None, _schur_follows)}
     missing = expected - set(image)
     extra = set(image) - expected
     if missing or extra:

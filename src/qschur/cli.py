@@ -452,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--L")
     p_verify.add_argument("--a")
     p_verify.add_argument("--T", type=int)
-    p_verify.add_argument("--t", type=int, choices=(1, 2))
+    p_verify.add_argument("--t", type=int,
+                          choices=swept_values(IdentityId.QT_LIMIT, "t"))
     p_verify.add_argument("--max-n", dest="max_n", type=int)
     p_verify.add_argument("--jobs", type=int, default=1)
     common(p_verify)

@@ -6,15 +6,17 @@ Two partition classes are enumerated here:
   by at least 6 whenever both parts are multiples of 3;
 * partitions into distinct parts congruent to 1 or 2 mod 3.
 
-Each class has one streamed walk, a depth-first search over part
-choices that yields (size, parts) in lexicographic order of the part
-tuples and stores nothing: the counting functions consume it directly,
-and only the two `enumerate_*` functions collect it by size.  The oracle
-deliberately knows nothing about the series builders it is used to
-validate, so an error would have to be made twice, in two unrelated
-ways, to go unnoticed.  The module also hosts `weight_a` and the cell
-walk `_cells`, which `bijection` and `schur_sums` share without an
-import cycle; the enumerators use neither, so the oracle stays apart.
+The gap rule is stated once, in `_min_gap`, the test of one adjacent
+pair; `is_schur_admissible` and the walk of the gap-admissible class both
+read it, and so does the motion bijection through `is_schur_admissible`.
+Both classes share one streamed walk, `_walk`, a depth-first search over
+part choices that yields (size, parts) in lexicographic order of the part
+tuples; a class is the test of which part may follow which.  The
+counting functions consume the walk directly, and only the two
+`enumerate_*` functions collect it by size.  The oracle deliberately
+knows nothing about the series builders it is used to validate, so an
+error would have to be made twice, in two unrelated ways, to go
+unnoticed.
 
 Partitions are ascending tuples of positive ints; the empty tuple is the
 unique partition of 0.
@@ -29,98 +31,64 @@ from .qpoly import QPoly, XSeries
 Partition = tuple[int, ...]
 
 
-def weight_a(n1: int, n2: int, m: int) -> int:
-    """Size of the minimal admissible configuration with chain lengths
-    n1, n2 and m singletons: (2m+s+1)(2m+s)/2 + m*s + s^2 - n1, s=n1+n2."""
-    s = n1 + n2
-    u = 2 * m + s
-    return u * (u + 1) // 2 + m * s + s * s - n1
-
-
-def _cells(T: int, weight: Callable[[int, int, int], int]):
-    # (n1, n2, m, w) for every cell with w = weight(n1, n2, m) <= T; each
-    # weight grows in every index, so each loop stops at its first cell
-    # past the window.
-    n1 = 0
-    while weight(n1, 0, 0) <= T:
-        n2 = 0
-        while weight(n1, n2, 0) <= T:
-            m = 0
-            while (w := weight(n1, n2, m)) <= T:
-                yield n1, n2, m, w
-                m += 1
-            n2 += 1
-        n1 += 1
+def _min_gap(prev: int, nxt: int) -> bool:
+    # the gap rule, for one adjacent pair: at least 3 apart, and at least
+    # 6 when both are multiples of 3
+    gap = nxt - prev
+    return gap >= 6 or gap >= 3 and (prev % 3 != 0 or nxt % 3 != 0)
 
 
 def is_schur_admissible(parts: Iterable[int]) -> bool:
-    """Gap >= 3 between consecutive parts, >= 6 when both are multiples
-    of 3; parts ascending and positive.  The tightening applies only when
-    both neighbours are divisible by 3: a multiple of 3 may sit 4 or 5
-    below a non-multiple."""
-    prev = None
+    """First part >= 1 and `_min_gap` between every two consecutive parts,
+    which also makes the parts ascending.  The tightening to 6 applies
+    only when both neighbours are divisible by 3: a multiple of 3 may sit
+    4 or 5 below a non-multiple."""
+    prev = 0
     for p in parts:
-        if p < 1:
+        if not (_min_gap(prev, p) if prev else p >= 1):
             return False
-        if prev is not None:
-            gap = p - prev
-            if gap < 3:
-                return False
-            if gap < 6 and p % 3 == 0 and prev % 3 == 0:
-                return False
         prev = p
     return True
 
 
-def _min_gap(prev: int, nxt: int) -> bool:
-    # admissibility of one adjacent pair
-    gap = nxt - prev
-    if gap < 3:
-        return False
-    return gap >= 6 or nxt % 3 != 0 or prev % 3 != 0
+def _schur_follows(prev: int, p: int) -> bool:
+    # the gap rule above the previous part; the first part is free
+    return prev == 0 or _min_gap(prev, p)
 
 
-def _schur_walk(n_max: int, largest_part: int | None = None
-                ) -> Iterator[tuple[int, Partition]]:
-    # (size, parts) for every gap-admissible partition of size <= n_max
-    # with parts <= largest_part, in lexicographic order of the ascending
-    # part tuples (the empty one first): depth-first, smallest part
-    # first, one range of next parts per depth
+def _pm1_follows(prev: int, p: int) -> bool:
+    # distinct parts (the walk climbs) off the multiples of 3
+    return p % 3 != 0
+
+
+def _walk(n_max: int, largest_part: int | None,
+          follows: Callable[[int, int], bool]) -> Iterator[tuple[int, Partition]]:
+    # (size, parts) for every partition of size <= n_max into parts <=
+    # largest_part, each part above the last with follows(last, part)
+    # (last = 0 for the first part), in lexicographic order of the
+    # ascending part tuples (the empty one first): depth-first, smallest
+    # part first.  The parts that may follow each part are listed once,
+    # so the search itself tests no rule: each depth runs through the
+    # list of its last part until a part outgrows the size left.
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if largest_part is not None and largest_part < 0:
         raise ValueError("largest-part bound must be >= 0")
     bound = n_max if largest_part is None else min(largest_part, n_max)
+    after = [[p for p in range(prev + 1, bound + 1) if follows(prev, p)]
+             for prev in range(bound + 1)]
     yield 0, ()
-    stack = [((), 0, iter(range(1, bound + 1)))]
+    stack = [((), 0, iter(after[0]))]
     while stack:
         prefix, size, choices = stack[-1]
         for p in choices:
-            if prefix and not _min_gap(prefix[-1], p):
-                continue
-            nxt, total = prefix + (p,), size + p
+            total = size + p
+            if total > n_max:  # and so is every later choice
+                stack.pop()
+                break
+            nxt = prefix + (p,)
             yield total, nxt
-            stack.append((nxt, total, iter(range(p + 3, min(bound, n_max - total) + 1))))
-            break
-        else:
-            stack.pop()
-
-
-def _pm1_walk(n_max: int) -> Iterator[tuple[int, Partition]]:
-    # (size, parts) for every partition into distinct parts +-1 mod 3 of
-    # size <= n_max, in lexicographic order: the walk of _schur_walk
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    yield 0, ()
-    stack = [((), 0, iter(range(1, n_max + 1)))]
-    while stack:
-        prefix, size, choices = stack[-1]
-        for p in choices:
-            if p % 3 == 0:
-                continue
-            nxt, total = prefix + (p,), size + p
-            yield total, nxt
-            stack.append((nxt, total, iter(range(p + 1, n_max - total + 1))))
+            stack.append((nxt, total, iter(after[p])))
             break
         else:
             stack.pop()
@@ -144,31 +112,31 @@ def enumerate_schur(n_max: int, largest_part: int | None = None) -> dict[int, li
     """All gap-admissible partitions of every size <= n_max, grouped by
     size, each list in lexicographic order of the ascending part tuples.
 
-    `largest_part` bounds every part when given.  Collects `_schur_walk`,
-    a depth-first search over the smallest part first.
+    `largest_part` bounds every part when given.  Collects `_walk`, a
+    depth-first search over the smallest part first.
     """
-    return _by_size(n_max, _schur_walk(n_max, largest_part))
+    return _by_size(n_max, _walk(n_max, largest_part, _schur_follows))
 
 
 def enumerate_distinct_pm1_mod3(n_max: int) -> dict[int, list[Partition]]:
     """All partitions into distinct parts congruent to +-1 mod 3, of every
     size <= n_max, grouped by size, lists in lexicographic order."""
-    return _by_size(n_max, _pm1_walk(n_max))
+    return _by_size(n_max, _walk(n_max, None, _pm1_follows))
 
 
 def schur_counts(n_max: int, largest_part: int | None = None) -> list[int]:
-    return _counts(n_max, _schur_walk(n_max, largest_part))
+    return _counts(n_max, _walk(n_max, largest_part, _schur_follows))
 
 
 def distinct_pm1_counts(n_max: int) -> list[int]:
-    return _counts(n_max, _pm1_walk(n_max))
+    return _counts(n_max, _walk(n_max, None, _pm1_follows))
 
 
 def schur_gf_oracle(T: int, largest_part: int | None = None) -> XSeries:
     """Sum of x^(number of parts) q^size over gap-admissible partitions
     of size <= T, counted straight off the walk."""
     strata: dict[int, dict[int, int]] = {}
-    for n, parts in _schur_walk(T, largest_part):
+    for n, parts in _walk(T, largest_part, _schur_follows):
         row = strata.setdefault(len(parts), {})
         row[n] = row.get(n, 0) + 1
     return XSeries(T, {x: QPoly.from_q_coeffs(row) for x, row in strata.items()})

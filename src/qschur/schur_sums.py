@@ -2,7 +2,7 @@
 registry-driven verifier.
 
 Layout: quadratic weights first (`weight_a` is re-exported from
-`partitions`), then the polynomial side builders (the left/right sides of
+`bijection`), then the polynomial side builders (the left/right sides of
 each identity as exact `QPoly` or `XSeries` values), then the identity
 registry (`IdentityId`, `check_params`, `verify`, `VerificationReport`).
 
@@ -29,7 +29,7 @@ cells of s = 2k are E_v(k) and the (odd, odd) ones E_v(k-1), while the
 (even, odd) and (odd, even) cells of s = 2k+1 are E_v(k) twice, one q
 apart, each class shifted by its least weight.
 `_graded_sum(T, weight, pieces)` is the one place the windowed cell
-series accumulate: it walks `partitions._cells(T, weight)`, shared with
+series accumulate: it walks `bijection._cells(T, weight)`, shared with
 the motion sweep, and adds each cell's x-graded pieces, each cut once to
 the room its weight leaves in the window.  The chain-indexed,
 pair-indexed, even/odd and largest-part-bounded series differ only in
@@ -74,10 +74,9 @@ from functools import lru_cache
 from operator import sub
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .bijection import certify_range
-# weight_a (re-exported) and _cells live in partitions, free of cycles
-from .partitions import (_cells, distinct_pm1_counts, schur_counts,
-                         schur_gf_oracle, weight_a)
+# weight_a (re-exported) and _cells live with the motion bijection
+from .bijection import _cells, certify_range, weight_a
+from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (
     MonomialBase,
     _gauss_coeffs,
@@ -110,12 +109,16 @@ def weight_b_half(n1: int, n2: int, m: int, N: int) -> int:
     return 3 * N * N - 2 * (3 * v - m) * m - 12 * v * (n1 // 2 + n2 // 2)
 
 
+# t of weight_q and qt-limit: the parity class of the discarded bound
+_QT_T = (1, 2)
+
+
 def weight_q(t: int, m: int, n1: int, y: int) -> int:
     """Parity-split limit weight: C(m,2) + y(3y+1)/2 + n1 + 3y*r(m+y+t,2)
-    + 6y*r(n1,2)*r(m+y+1+t,2), with r the mod-2 remainder and t in {1,2}
-    selecting the parity class of the discarded bound."""
-    if t not in (1, 2):
-        raise ValueError("t must be 1 or 2")
+    + 6y*r(n1,2)*r(m+y+1+t,2), with r the mod-2 remainder and t in
+    `_QT_T` selecting the parity class of the discarded bound."""
+    if t not in _QT_T:
+        raise ValueError("t must be %s" % " or ".join(map(str, _QT_T)))
     return (m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1
             + 3 * y * ((m + y + t) % 2)
             + 6 * y * (n1 % 2) * ((m + y + 1 + t) % 2))
@@ -434,9 +437,8 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
     """Parity-split limit sum mod q^(T+1/2):
     sum q^weight_q(t,m,n1,y) / (q^6;q^6)_y * [3y,m]_q
     [y+floor(n1/2), y]_{q^6} over m, n1, y >= 0.  Equal for t = 1 and
-    t = 2, and equal to t0_limit_product(T)."""
-    if t not in (1, 2):
-        raise ValueError("t must be 1 or 2")
+    t = 2, and equal to t0_limit_product(T).  A t outside `_QT_T` raises
+    weight_q's ValueError on the first cell."""
 
     def floor(y: int, m: int, n1: int) -> int:
         # weight_q without its nonnegative parity terms
@@ -745,8 +747,9 @@ def _run_t0_limit(p: dict) -> _Pairs:
 
 
 def _run_qt_limit(p: dict) -> _Pairs:
-    if p["t"] not in (1, 2):
-        raise UsageError("t must be 1 or 2")
+    ts = swept_values(IdentityId.QT_LIMIT, "t")
+    if p["t"] not in ts:
+        raise UsageError("t must be %s" % " or ".join(map(str, ts)))
     return [(qt_limit_sum(p["t"], p["T"]), t0_limit_product(p["T"]))]
 
 
@@ -833,7 +836,8 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
     IdentityId.T0_LIMIT: (
         {"N": _Param(0, 40), "T": _Param(0, 40)}, _run_t0_limit),
     IdentityId.QT_LIMIT: (
-        {"t": _Param(1, last=2), "T": _Param(0, 50)}, _run_qt_limit),
+        {"t": _Param(_QT_T[0], last=_QT_T[-1]), "T": _Param(0, 50)},
+        _run_qt_limit),
     IdentityId.SUMMATION_M: (
         {"M": _Param(0, last=12)}, lambda p: [summation_formula_sides(p["M"])]),
     IdentityId.WARNAAR: (

@@ -124,6 +124,13 @@ def test_verify_sweeps_the_declared_t_of_qt_limit(capsys, monkeypatch):
         assert code == 0
         assert [e["params"] for e in doc["entries"]] == [
             {"T": 5, "t": t} for t in range(spec.minimum, spec.last + 1)]
+    # --t and the runner read the same declaration: t = 2 is now outside it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "qt-limit", "--t", "2", "--T", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
+    with pytest.raises(ss.UsageError, match="t must be 1"):
+        ss.verify("qt-limit", {"t": 2, "T": 5})
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qschur import partitions
 from qschur.partitions import (
     distinct_pm1_counts,
     enumerate_distinct_pm1_mod3,
@@ -15,6 +16,7 @@ from qschur.partitions import (
     schur_gf_oracle,
 )
 from qschur.qpoly import QPoly
+from qschur.schur_sums import verify
 
 # counts of gap-admissible partitions of 0..20, frozen from a one-off
 # subset-sum enumeration over distinct parts +-1 mod 3 (a third route,
@@ -105,6 +107,31 @@ def test_streamed_counts_match_enumeration(largest_part):
         if largest_part is None:
             pm1 = enumerate_distinct_pm1_mod3(n)
             assert distinct_pm1_counts(n) == [len(pm1[k]) for k in range(n + 1)]
+
+
+# Two changes of the gap rule at its one statement, `_min_gap`, each with
+# a pair it turns admissible: a smallest gap of 2, and no tightening to 6
+# between multiples of 3.
+RULE_MUTANTS = {
+    "gap-2": (lambda rule: lambda prev, nxt: nxt - prev == 2 or rule(prev, nxt),
+              (1, 3)),
+    "no-multiple-of-3-exclusion": (lambda rule: lambda prev, nxt: nxt - prev >= 3,
+                                   (3, 6)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(RULE_MUTANTS))
+def test_a_changed_gap_rule_fails_the_oracle_rows(monkeypatch, mutant):
+    # the walk, is_schur_admissible and the motion bijection all read the
+    # rule from _min_gap, so one change there must reach every row that
+    # checks against the oracle
+    mutate, flipped = RULE_MUTANTS[mutant]
+    assert not is_schur_admissible(flipped)
+    monkeypatch.setattr(partitions, "_min_gap", mutate(partitions._min_gap))
+    assert is_schur_admissible(flipped)
+    for identity, params in (("schur-counts", {}), ("gf-bounded", {"N": 6}),
+                             ("bijection-sweep", {"max_size": 20})):
+        assert not verify(identity, params).verified, identity
 
 
 def test_negative_bound_rejected():
