@@ -7,11 +7,12 @@ exact coefficients, and `report` runs the whole verification matrix.
 
 `verify` and `report` run rows of the `schur_sums` registry, composite
 rows (partition counts, the bounded-sum corollary, the bijection sweep)
-included; a row's parameters are checked there, and the report's rows are
-built there from each identity's declarations (`acceptance_matrix`).
-`series` runs from one table, `_SERIES`, of each builder and the options
-it reads.  The hard caps below are the CLI's own, applied by `_check_cap`
-to every subcommand's input before any work.
+included, and `series` the series declared beside it.  Each parameter's
+rules, its hard cap included, are declared there and checked by one
+validator, with the caps bound, before any work.  `enumerate` and
+`bijection --max-n` take the rules of the rows they mirror, and
+`--largest-part` those of the oracle series; only `--jobs` and `--motions`
+data have caps of their own, below.
 
 Exit codes: 0 when everything requested verified, 1 when any check found
 a discrepancy, 2 for usage errors and for a run that could not complete
@@ -46,37 +47,19 @@ from . import __version__
 from .bijection import (DecodeError, MotionData, MotionRuleError,
                         apply_motions, certify_range, decode)
 from .partitions import (distinct_pm1_counts, format_partition,
-                         parse_partition, schur_counts, schur_gf_oracle)
+                         parse_partition, schur_counts)
 from .qpoly import XSeries
-from .schur_sums import (IdentityId, UsageError, acceptance_matrix,
-                         ali_gf_truncated, bounded_gf, check_params,
-                         even_odd_split_lhs, kursungoz_gf_truncated,
-                         lhs_schur, rhs_schur, schur_product_truncated,
-                         swept_values, verify)
+from .schur_sums import (_SERIES, IdentityId, UsageError, _resolve,
+                         acceptance_matrix, check_params, swept_values, verify)
 
-MAX_INDEX = 100   # hard cap on N-like parameters
-MAX_WINDOW = 500  # hard cap on truncation windows
 MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
 MAX_JOBS = 32     # hard cap on worker processes
-
-# each capped value by the name it travels under; the cap bounds |value|.
-# The oracle walks every admissible partition up to its window T, so its
-# cap bounds time.
-_CAPS = {"N": MAX_INDEX, "M": MAX_INDEX, "L": MAX_INDEX, "a": MAX_INDEX,
-         "max_n": MAX_INDEX, "largest_part": MAX_INDEX, "T": MAX_WINDOW,
-         "oracle_T": MAX_INDEX, "motion_size": MAX_MOTION_SIZE,
-         "jobs": MAX_JOBS}
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
 
-def _check_cap(name: str, value: Any) -> None:
-    cap = _CAPS.get(name)
-    if cap is not None and isinstance(value, int) and abs(value) > cap:
-        raise UsageError("%s=%d exceeds the hard cap %d" % (name, value, cap))
-
-
-def _parse_range(text: str, name: str) -> list[int]:
+def _parse_range(text: str, name: str) -> range:
+    # a range, not a list: its ends are checked before any value is built
     match = _RANGE_RE.match(text)
     if not match:
         raise UsageError("--%s must be an integer or a..b range, got %r" % (name, text))
@@ -84,9 +67,7 @@ def _parse_range(text: str, name: str) -> list[int]:
     hi = int(match.group(2)) if match.group(2) is not None else lo
     if hi < lo:
         raise UsageError("--%s range is empty: %s" % (name, text))
-    _check_cap(name, lo)
-    _check_cap(name, hi)
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +225,8 @@ def _verify_rows(rows: list[dict[str, Any]], args: argparse.Namespace) -> int:
     # the tail verify and report share: run, emit, exit code
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    if args.jobs > MAX_JOBS:
+        raise UsageError("jobs=%d exceeds the hard cap %d" % (args.jobs, MAX_JOBS))
     entries = _run_rows(rows, args.jobs)
     doc = _entries_doc(entries)
     _emit(doc, args, [_entry_line(e) for e in entries]
@@ -262,12 +245,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sweeps["t"] = list(swept_values(IdentityId.QT_LIMIT, "t"))
     fixed = {name: value for name, value in (("T", args.T), ("max", args.max_n))
              if value is not None}
-    if args.identity == IdentityId.GF_BOUNDED.value:
-        _check_cap("oracle_T", args.T)
-    # names, types and minimums, on the least value of each range (ranges
-    # ascend), before the sweep product is built
-    check_params(args.identity,
-                 {**fixed, **{name: values[0] for name, values in sweeps.items()}})
+    # both ends of every range (ranges ascend), before the product is built
+    for end in (-1, 0):
+        check_params(args.identity, {
+            **fixed, **{name: values[end] for name, values in sweeps.items()}},
+            capped=True)
     rows = [{"check": args.identity, "params": fixed}]
     for name, values in sweeps.items():
         rows = [{"check": args.identity, "params": {**row["params"], name: v}}
@@ -292,8 +274,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n_max = args.max_n
     which = args.cls
-    if args.largest_part is not None and which != "schur":
-        raise UsageError("--largest-part only applies to the gap-condition class")
+    check_params(IdentityId.SCHUR_COUNTS, {"max_n": n_max}, capped=True)
+    if args.largest_part is not None:
+        _SERIES["oracle"][1]["largest_part"].check(
+            "largest_part", args.largest_part, capped=True)
+        if which != "schur":
+            raise UsageError("--largest-part only applies to the gap-condition class")
     counts: dict[str, list[int]] = {}
     if which in ("schur", "both"):
         counts["schur"] = schur_counts(n_max, args.largest_part)
@@ -326,7 +312,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise UsageError("bad motion data: %s" % exc)
         # every budget is at most the size, so this caps them all
-        _check_cap("motion_size", data.size)
+        if data.size > MAX_MOTION_SIZE:
+            raise UsageError("motion_size=%d exceeds the hard cap %d"
+                             % (data.size, MAX_MOTION_SIZE))
         try:
             result = apply_motions(data)
         except MotionRuleError as exc:
@@ -363,6 +351,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
                                         json.dumps(data.as_dict()))])
         return 0
 
+    check_params(IdentityId.BIJECTION_SWEEP, {"max_size": args.max_n}, capped=True)
     summary = certify_range(args.max_n)
     lines = ["sweep to size %d: %s" % (args.max_n, summary["status"])]
     if summary["status"] == "verified":
@@ -373,48 +362,20 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0 if summary["status"] == "verified" else 1
 
 
-# each series: its builder and the options it reads, in argument order;
-# any other option is refused, not dropped
-_SERIES = {
-    "lhs": (lhs_schur, ("N",)), "rhs": (rhs_schur, ("N",)),
-    "ali": (ali_gf_truncated, ("T",)),
-    "kursungoz": (kursungoz_gf_truncated, ("T",)),
-    "even-odd": (even_odd_split_lhs, ("T",)),
-    "bounded": (bounded_gf, ("largest_part", "T")),
-    "oracle": (schur_gf_oracle, ("T", "largest_part")),
-    "product": (schur_product_truncated, ("T",)),
-}
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
-    builder, reads = _SERIES[name]
-    for option in ("N", "T", "largest_part"):
-        if getattr(args, option) is not None and option not in reads:
-            raise UsageError("series %r does not read --%s"
-                             % (name, option.replace("_", "-")))
-    values = []
-    for option in reads:
-        value = getattr(args, option)
-        # the oracle's largest-part bound is optional
-        if value is None and (name, option) != ("oracle", "largest_part"):
-            raise UsageError("series %r needs --%s"
-                             % (name, option.replace("_", "-")))
-        if option == "N":
-            value = _parse_range(value, "N")
-            if len(value) != 1:
-                raise UsageError("series takes a single --N")
-            value = value[0]
-        # a negative largest part is the builder's to refuse
-        if option in ("N", "T") and value < 0:
-            raise UsageError("%s must be >= 0" % option)
-        values.append(value)
-    if name == "oracle":
-        _check_cap("oracle_T", args.T)
-    result = builder(*values)
+    span = None if args.N is None else _parse_range(args.N, "N")
+    given = {option: value for option, value in (
+        ("N", span[0] if span else None), ("T", args.T),
+        ("largest_part", args.largest_part)) if value is not None}
+    builder, declared = _SERIES[name]
+    params = _resolve("series %r" % name, declared, given, capped=True)
+    if span is not None and len(span) != 1:
+        raise UsageError("series takes a single --N")
+    result = builder(*params.values())
 
     doc: dict[str, Any] = {"series": name}
-    doc.update((o, v) for o, v in zip(reads, values) if o != "largest_part")
+    doc.update((o, v) for o, v in params.items() if o != "largest_part")
     if isinstance(result, XSeries):
         doc["strata"] = result.to_strata_pairs()
         lines = ["x^%d: %s" % (x, result.stratum(x))
@@ -422,8 +383,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         doc["pairs"] = result.to_pairs()
         lines = [str(result)]
-    if args.largest_part is not None:
-        doc["largest_part"] = args.largest_part
+    if "largest_part" in params:
+        doc["largest_part"] = params["largest_part"]
     _emit(doc, args, lines)
     return 0
 
@@ -506,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads --opt=-- as []
                 raise UsageError("%s: '--' is not a value" % name)
-            _check_cap(name, value)
         return _COMMANDS[args.command](args)
     except (ValueError, ChildProcessError) as exc:
         # UsageError, and the ValueError a library function raises for an

@@ -9,13 +9,14 @@ registry (`IdentityId`, `check_params`, `verify`, `VerificationReport`).
 The registry holds every row kind of the verification report, the
 composite ones included: brute-force partition counts against the product
 side, the bounded-sum corollary, and the bijection sweep.  Each entry
-declares its integer parameters (a minimum, and a default or none) and a
-runner that returns the (left, right) pairs to compare.  `check_params`
-is the one place a request is validated; `verify` compares the pairs
-exactly and reports the first discrepancy.  The registry also declares
-the report sweep: its entries are in report order, and a swept parameter
-names the last value it reaches, so `acceptance_matrix` builds every
-report row from the declarations.
+declares its integer parameters (a minimum, a default or none, and the
+CLI's hard cap) and a runner that returns the (left, right) pairs to
+compare; the series the CLI prints are declared beside it, in `_SERIES`.
+One validator reads every declaration, the caps bound or not
+(`check_params`); `verify` compares the pairs exactly and reports the
+first discrepancy.  The registry also declares the report sweep: its
+entries are in report order, and a swept parameter names the last value
+it reaches, so `acceptance_matrix` builds every report row from them.
 
 One private walk carries each sum family.  `_triple_sum(N, weight)` is
 the triple q-binomial sum over (n1, n2, m); the central left side, the
@@ -726,6 +727,12 @@ def _perturb(side: Any, hook: dict) -> Any:
     return side + poly
 
 
+# The CLI's hard caps: MAX_INDEX, the default, on indices, largest parts and
+# the partition oracle's windows (it bounds the walk's time); MAX_WINDOW on
+# every other window.
+MAX_INDEX, MAX_WINDOW = 100, 500
+
+
 class _Param(NamedTuple):
     # one declared integer parameter; with neither a default nor optional
     # set, the caller must give it
@@ -733,6 +740,17 @@ class _Param(NamedTuple):
     default: int | None = None
     optional: bool = False   # omitted without a default: the runner sees no key
     last: int | None = None  # the report sweeps it from minimum to last
+    cap: int = MAX_INDEX     # the CLI's hard cap on |value|
+
+    def check(self, name: str, value: Any, capped: bool = False) -> int:
+        # value, if this declaration admits it; the cap binds only if capped
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError("parameter %r must be an integer" % name)
+        if capped and abs(value) > self.cap:
+            raise UsageError("%s=%d exceeds the hard cap %d" % (name, value, self.cap))
+        if self.minimum is not None and value < self.minimum:
+            raise UsageError("parameter %r must be >= %d" % (name, self.minimum))
+        return value
 
 
 _Pairs = Iterable[tuple[Any, Any]]
@@ -755,17 +773,23 @@ def _run_qt_limit(p: dict) -> _Pairs:
 
 def _run_warnaar(p: dict) -> _Pairs:
     L = p["L"]
+    if abs(p.get("a", 0)) > L:
+        raise UsageError("warnaar needs |a| <= L=%d, else both sides vanish" % L)
     for a in [p["a"]] if "a" in p else range(-L, L + 1):
         yield warnaar_sides(L, a)
 
 
 def _run_rec_summand(p: dict) -> _Pairs:
     N = p["N"]
-    given = [name for name in ("m", "n1", "n2") if name in p]
-    if given and len(given) != 3:
+    given = tuple(p[name] for name in ("m", "n1", "n2") if name in p)
+    if len(given) not in (0, 3):
         raise UsageError("give all of m, n1, n2 or none of them")
     if given:
-        cells = [(p["m"], p["n1"], p["n2"])]
+        m, n1, n2 = given
+        if m > 3 * (N - m - n1 - n2):
+            raise UsageError("rec-summand needs m <= 3(N-m-n1-n2), else the "
+                             "summand and every shifted one vanish")
+        cells = [given]
     else:
         cells = [(m, n1, n2)
                  for m in range(N + 1)
@@ -824,19 +848,19 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
             schur_gf_oracle(p["T"], largest_part=p["N"]))]),
     IdentityId.COR1_BOUNDED_SUM: (
         {"N": _Param(1, last=10)}, lambda p: [cor1_bounded_sum(p["N"])]),
-    IdentityId.GF_ALI_EQ_KURSUNGOZ: ({"T": _Param(0, 60)}, lambda p: [(
+    IdentityId.GF_ALI_EQ_KURSUNGOZ: ({"T": _Param(0, 60, cap=MAX_WINDOW)}, lambda p: [(
         ali_gf_truncated(p["T"]), kursungoz_gf_truncated(p["T"]))]),
-    IdentityId.GF_EVEN_ODD_SPLIT: ({"T": _Param(0, 60)}, lambda p: [(
+    IdentityId.GF_EVEN_ODD_SPLIT: ({"T": _Param(0, 60, cap=MAX_WINDOW)}, lambda p: [(
         even_odd_split_lhs(p["T"]), kursungoz_gf_truncated(p["T"]))]),
-    IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60)}, lambda p: [(
+    IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60, cap=MAX_WINDOW)}, lambda p: [(
         ali_gf_truncated(p["T"]).at_x_one(), schur_product_truncated(p["T"]))]),
     IdentityId.DUAL: ({"N": _Param(0, last=20)}, lambda p: [dual_sides(p["N"])]),
     IdentityId.T0_BINOM: (
         {"N": _Param(0, last=20)}, lambda p: [t0_binomial_sides(p["N"])]),
     IdentityId.T0_LIMIT: (
-        {"N": _Param(0, 40), "T": _Param(0, 40)}, _run_t0_limit),
+        {"N": _Param(0, 40), "T": _Param(0, 40, cap=MAX_WINDOW)}, _run_t0_limit),
     IdentityId.QT_LIMIT: (
-        {"t": _Param(_QT_T[0], last=_QT_T[-1]), "T": _Param(0, 50)},
+        {"t": _Param(_QT_T[0], last=_QT_T[-1]), "T": _Param(0, 50, cap=MAX_WINDOW)},
         _run_qt_limit),
     IdentityId.SUMMATION_M: (
         {"M": _Param(0, last=12)}, lambda p: [summation_formula_sides(p["M"])]),
@@ -849,6 +873,19 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
     IdentityId.BIJECTION_SWEEP: (
         {"max_size": _Param(0, 40)}, _run_bijection_sweep),
     IdentityId.EXPONENT_DIFF: ({"max": _Param(0, 20)}, _run_exponent_diff),
+}
+
+# Each series `qschur series` prints: its builder and its declared
+# parameters, in argument order.
+_SERIES: dict[str, tuple[Callable[..., Any], dict[str, _Param]]] = {
+    "lhs": (lhs_schur, {"N": _Param(0)}),
+    "rhs": (rhs_schur, {"N": _Param(0)}),
+    "ali": (ali_gf_truncated, {"T": _Param(0, cap=MAX_WINDOW)}),
+    "kursungoz": (kursungoz_gf_truncated, {"T": _Param(0, cap=MAX_WINDOW)}),
+    "even-odd": (even_odd_split_lhs, {"T": _Param(0, cap=MAX_WINDOW)}),
+    "bounded": (bounded_gf, {"largest_part": _Param(0), "T": _Param(0, cap=MAX_WINDOW)}),
+    "oracle": (schur_gf_oracle, {"T": _Param(0), "largest_part": _Param(0, optional=True)}),
+    "product": (schur_product_truncated, {"T": _Param(0, cap=MAX_WINDOW)}),
 }
 
 
@@ -878,35 +915,36 @@ def acceptance_matrix() -> list[dict[str, Any]]:
     return rows
 
 
-def check_params(identity: "IdentityId | str",
-                 params: dict[str, Any]) -> tuple[IdentityId, dict[str, int]]:
-    """Resolve a verification request against the registry: the identity,
-    and every parameter it declares, defaults filled in.  Raises
-    UsageError for an unknown identity, a name it does not declare (other
-    than an underscore-prefixed testing hook), a missing or non-integer
-    value, or a value below its declared minimum."""
-    try:
-        ident = IdentityId(identity)
-    except ValueError:
-        raise UsageError("unknown identity %r" % (identity,)) from None
-    declared = _REGISTRY[ident][0]
+def _resolve(label: str, declared: dict[str, _Param], params: dict[str, Any],
+             capped: bool) -> dict[str, int]:
+    # every declared parameter, defaults filled in, in declaration order
     unknown = [k for k in params if k not in declared and not k.startswith("_")]
     if unknown:
         raise UsageError("%s does not take parameter %s" % (
-            ident.value, ", ".join(repr(k) for k in unknown)))
+            label, ", ".join(repr(k) for k in unknown)))
     resolved: dict[str, int] = {}
     for name, spec in declared.items():
         if name not in params and spec.default is None:
             if spec.optional:
                 continue
             raise UsageError("missing parameter %r" % name)
-        value = params.get(name, spec.default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError("parameter %r must be an integer" % name)
-        if spec.minimum is not None and value < spec.minimum:
-            raise UsageError("parameter %r must be >= %d" % (name, spec.minimum))
-        resolved[name] = value
-    return ident, resolved
+        resolved[name] = spec.check(name, params.get(name, spec.default), capped)
+    return resolved
+
+
+def check_params(identity: "IdentityId | str", params: dict[str, Any],
+                 capped: bool = False) -> tuple[IdentityId, dict[str, int]]:
+    """Resolve a verification request against the registry: the identity,
+    and every parameter it declares, defaults filled in.  Raises
+    UsageError for an unknown identity, a name it does not declare (other
+    than an underscore-prefixed testing hook), a missing or non-integer
+    value, a value below its declared minimum, or, when capped (the CLI's
+    hard caps), a value past its declared cap."""
+    try:
+        ident = IdentityId(identity)
+    except ValueError:
+        raise UsageError("unknown identity %r" % (identity,)) from None
+    return ident, _resolve(ident.value, _REGISTRY[ident][0], params, capped)
 
 
 def verify(identity: "IdentityId | str", params: dict[str, Any] | None = None,

@@ -102,6 +102,10 @@ def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, "verify", "--identity", "schur-counts",
                          "--max-n", "20")
     assert code == 2 and out == "" and "'max'" in err
+    # |a| > L leaves both sides zero: refused rather than verified
+    code, out, err = run(capsys, "verify", "--identity", "warnaar",
+                         "--L", "3", "--a", "5")
+    assert code == 2 and out == "" and "|a| <= L" in err
 
 
 def test_verify_runs_the_composite_rows(capsys):
@@ -131,6 +135,90 @@ def test_verify_sweeps_the_declared_t_of_qt_limit(capsys, monkeypatch):
     assert "invalid choice: 2" in capsys.readouterr().err
     with pytest.raises(ss.UsageError, match="t must be 1"):
         ss.verify("qt-limit", {"t": 2, "T": 5})
+
+
+class Worked(Exception):
+    """Raised in place of any work: the input got past validation."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    # every kind of work a subcommand starts raises Worked instead, so a
+    # test sees validation alone and runs no builder at a cap
+    def work(*args, **kwargs):
+        raise Worked
+    for name in ("_run_rows", "schur_counts", "distinct_pm1_counts",
+                 "certify_range", "apply_motions", "decode"):
+        monkeypatch.setattr(cli, name, work)
+    for name, (_, declared) in list(ss._SERIES.items()):
+        monkeypatch.setitem(ss._SERIES, name, (work, declared))
+
+
+# the verify option each capped parameter travels under; t has no cap of
+# its own, as argparse takes only its declared values, and no option
+# reaches rec-summand's m, n1 and n2
+VERIFY_OPTIONS = {"N": "--N", "M": "--M", "L": "--L", "a": "--a", "T": "--T",
+                  "max": "--max-n"}
+# the subcommands that take the rules of a row for their --max-n
+MIRRORS = {("schur-counts", "max_n"): "enumerate",
+           ("bijection-sweep", "max_size"): "bijection"}
+
+
+def capped_options():
+    """(argv, option, declaration) for every parameter a CLI option reaches,
+    the argv giving every other parameter the caller must give."""
+    def required(declared, skip):
+        return ["--%s=%d" % (name.replace("_", "-"), spec.minimum)
+                for name, spec in declared.items()
+                if name != skip and spec.default is None and not spec.optional]
+
+    for ident, (declared, _) in ss._REGISTRY.items():
+        for name, spec in declared.items():
+            if (ident.value, name) in MIRRORS:
+                yield [MIRRORS[ident.value, name]], "--max-n", spec
+            elif name in VERIFY_OPTIONS:
+                yield (["verify", "--identity", ident.value,
+                        *required(declared, name)], VERIFY_OPTIONS[name], spec)
+            else:
+                assert name in ("t", "m", "n1", "n2"), (ident, name)
+    for series, (_, declared) in ss._SERIES.items():
+        for name, spec in declared.items():
+            yield (["series", series, *required(declared, name)],
+                   "--" + name.replace("_", "-"), spec)
+    # enumerate's largest part takes the oracle series' declaration
+    yield (["enumerate", "--max-n=0", "--class=schur"], "--largest-part",
+           ss._SERIES["oracle"][1]["largest_part"])
+
+
+def test_every_declared_cap_holds_on_the_cli_path(capsys, no_work):
+    walked = 0
+    for argv, option, spec in capped_options():
+        walked += 1
+        # the cap passes validation and reaches the work
+        for value in {spec.cap, -spec.cap}:
+            if spec.minimum is None or value >= spec.minimum:
+                with pytest.raises(Worked):
+                    main([*argv, "%s=%d" % (option, value)])
+        # one past it, either way, is refused before any work
+        for value in (spec.cap + 1, -spec.cap - 1):
+            code, out, err = run(capsys, *argv, "%s=%d" % (option, value))
+            assert code == 2 and out == "", (argv, option, value)
+            assert "exceeds the hard cap %d" % spec.cap in err, (argv, option)
+        # the library is held to no cap
+        assert spec.check(option, spec.cap + 1) == spec.cap + 1
+    assert walked == 34
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "gf-bounded", "--N", "3", "--T", "101"],
+    ["report", "--identity", "q1-quad", "--jobs", str(cli.MAX_JOBS + 1)],
+    ["enumerate", "--max-n", "101"],
+    ["bijection", "--motions", '{"n1":0,"n2":2,"m":0,"rho2":[99999999]}'],
+    ["series", "oracle", "--T", "101"],
+], ids=["verify", "report", "enumerate", "bijection", "series"])
+def test_one_past_a_cap_exits_2_before_any_work(capsys, no_work, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "exceeds the hard cap" in err
 
 
 @pytest.fixture
@@ -443,9 +531,9 @@ def test_series_strata_output(capsys):
 
 def test_series_usage_errors(capsys):
     code, _, err = run(capsys, "series", "product")
-    assert code == 2 and "--T" in err
+    assert code == 2 and "missing parameter 'T'" in err
     code, _, err = run(capsys, "series", "bounded", "--T", "10")
-    assert code == 2 and "largest-part" in err
+    assert code == 2 and "missing parameter 'largest_part'" in err
     code, _, err = run(capsys, "series", "lhs", "--N", "0..3")
     assert code == 2 and "single" in err
     code, _, err = run(capsys, "series", "lhs")
@@ -454,10 +542,10 @@ def test_series_usage_errors(capsys):
                        "--largest-part", "-1")
     assert code == 2 and err.startswith("error:")
     code, out, err = run(capsys, "series", "product", "--T", "-1")
-    assert code == 2 and out == "" and "T must be >= 0" in err
+    assert code == 2 and out == "" and "'T' must be >= 0" in err
     for name in ("lhs", "rhs"):
         code, out, err = run(capsys, "series", name, "--N", "-2")
-        assert code == 2 and out == "" and "N must be >= 0" in err
+        assert code == 2 and out == "" and "'N' must be >= 0" in err
     code, out, err = run(capsys, "series", "oracle", "--T", "10",
                          "--largest-part", "-1")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -475,7 +563,7 @@ def test_series_usage_errors(capsys):
                  ("product", "--T", "3", "--N", "7"),
                  ("kursungoz", "--T", "3", "--N", "9")):
         code, out, err = run(capsys, "series", *argv)
-        assert code == 2 and out == "" and "does not read" in err, argv
+        assert code == 2 and out == "" and "does not take" in err, argv
 
 
 def test_out_writes_json_even_in_text_mode(capsys, tmp_path):

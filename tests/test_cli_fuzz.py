@@ -15,8 +15,8 @@ from io import StringIO
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.cli import MAX_INDEX, MAX_WINDOW, main
-from qschur.schur_sums import IdentityId
+from qschur.cli import main
+from qschur.schur_sums import MAX_INDEX, MAX_WINDOW, IdentityId
 
 JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "0x3", "3..1", "..2",
                         "1..", "٣"])

@@ -8,6 +8,7 @@ from qschur.schur_sums import (
     IdentityId,
     UsageError,
     VerificationReport,
+    check_params,
     verify,
 )
 
@@ -133,11 +134,31 @@ def test_termwise_recurrence_cell_selection():
     # a negative index selects a zero summand, which would pass vacuously
     with pytest.raises(UsageError, match="'m'"):
         verify(IdentityId.REC_SUMMAND, {"N": 6, "m": -1, "n1": 1, "n2": 1})
+    # so does a cell with m > 3(N-m-n1-n2): the summand and every shifted
+    # one vanish, so the cell is refused rather than verified
+    for cell in ((5, 0, 0), (1, 1, 2), (4, 0, 0)):
+        with pytest.raises(UsageError, match="vanish"):
+            verify(IdentityId.REC_SUMMAND,
+                   {"N": 4, **dict(zip(("m", "n1", "n2"), cell))})
+    # m = 3(N-m-n1-n2) still checks a nonzero summand
+    rep = verify(IdentityId.REC_SUMMAND, {"N": 4, "m": 3, "n1": 0, "n2": 0})
+    assert rep.status == "verified"
 
 
 def test_warnaar_single_a_selection():
-    rep = verify(IdentityId.WARNAAR, {"L": 5, "a": -2})
-    assert rep.status == "verified"
+    for L, a in ((5, -2), (3, 3), (3, -3)):
+        assert verify(IdentityId.WARNAAR, {"L": L, "a": a}).status == "verified"
+    # past |a| = L both sides vanish: refused rather than verified
+    for a in (4, -4, 5):
+        with pytest.raises(UsageError, match="vanish"):
+            verify(IdentityId.WARNAAR, {"L": 3, "a": a})
+
+
+def test_library_verify_is_not_held_to_the_cli_caps():
+    # the declared caps bind only when the caller asks, as the CLI does
+    assert verify(IdentityId.T0_LIMIT, {"N": 101, "T": 5}).status == "verified"
+    with pytest.raises(UsageError, match="N=101 exceeds the hard cap 100"):
+        check_params(IdentityId.T0_LIMIT, {"N": 101, "T": 5}, capped=True)
 
 
 def test_report_invariant_is_enforced():
