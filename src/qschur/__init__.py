@@ -13,14 +13,12 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
                         apply_motions, certify_range, decode,
                         enumerate_motion_data, max_motions,
                         minimal_configuration)
-from .partitions import (Partition, distinct_pm1_counts,
-                         enumerate_distinct_pm1_mod3, enumerate_schur,
-                         format_partition, is_schur_admissible,
-                         parse_partition, schur_counts, schur_gf_oracle)
+from .partitions import (Partition, distinct_pm1_counts, format_partition,
+                         is_schur_admissible, parse_partition, schur_counts,
+                         schur_gf_oracle)
 from .qcoeff import (MonomialBase, gauss_binomial, pochhammer_finite,
                      pochhammer_infinite_truncated, round_trinomial,
-                     series_reciprocal_truncated, t0_trinomial_nonneg,
-                     t_trinomial)
+                     series_reciprocal_truncated, t_trinomial)
 from .qpoly import QPoly, XSeries
 from .schur_sums import (IdentityId, UsageError, VerificationReport,
                          ali_gf_truncated, bounded_gf, cor1_bounded_sum,
@@ -39,17 +37,16 @@ __all__ = [
     "MotionRuleError", "Partition", "QPoly", "UsageError",
     "VerificationReport", "XSeries", "ali_gf_truncated", "apply_motions",
     "bounded_gf", "certify_range", "cor1_bounded_sum", "decode",
-    "distinct_pm1_counts", "dual_sides", "enumerate_distinct_pm1_mod3",
-    "enumerate_motion_data", "enumerate_schur", "even_odd_split_lhs",
-    "format_partition", "gauss_binomial", "is_schur_admissible",
-    "kursungoz_gf_truncated", "lhs_schur", "max_motions",
-    "minimal_configuration", "parse_partition", "pochhammer_finite",
-    "pochhammer_infinite_truncated", "q1_quad_value", "q1_triple_value",
-    "qt_limit_sum", "recurrence_residual", "rhs_schur", "round_trinomial",
-    "schur_counts", "schur_gf_oracle", "schur_product_truncated",
-    "schur_summand", "series_reciprocal_truncated",
+    "distinct_pm1_counts", "dual_sides", "enumerate_motion_data",
+    "even_odd_split_lhs", "format_partition", "gauss_binomial",
+    "is_schur_admissible", "kursungoz_gf_truncated", "lhs_schur",
+    "max_motions", "minimal_configuration", "parse_partition",
+    "pochhammer_finite", "pochhammer_infinite_truncated", "q1_quad_value",
+    "q1_triple_value", "qt_limit_sum", "recurrence_residual", "rhs_schur",
+    "round_trinomial", "schur_counts", "schur_gf_oracle",
+    "schur_product_truncated", "schur_summand", "series_reciprocal_truncated",
     "summation_formula_sides", "summation_limit_sum", "t0_binomial_sides",
-    "t0_half_sum", "t0_half_sum_truncated", "t0_limit_product",
-    "t0_trinomial_nonneg", "t_trinomial", "verify", "warnaar_sides",
-    "weight_a", "weight_b_half", "weight_k", "weight_q",
+    "t0_half_sum", "t0_half_sum_truncated", "t0_limit_product", "t_trinomial",
+    "verify", "warnaar_sides", "weight_a", "weight_b_half", "weight_k",
+    "weight_q",
 ]

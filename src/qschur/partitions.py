@@ -12,11 +12,10 @@ read it, and so does the motion bijection through `is_schur_admissible`.
 Both classes share one streamed walk, `_walk`, a depth-first search over
 part choices that yields (size, parts) in lexicographic order of the part
 tuples; a class is the test of which part may follow which.  The
-counting functions consume the walk directly, and only the two
-`enumerate_*` functions collect it by size.  The oracle deliberately
-knows nothing about the series builders it is used to validate, so an
-error would have to be made twice, in two unrelated ways, to go
-unnoticed.
+counting functions consume the walk without storing it.  The oracle
+deliberately knows nothing about the series builders it is used to
+validate, so an error would have to be made twice, in two unrelated
+ways, to go unnoticed.
 
 Partitions are ascending tuples of positive ints; the empty tuple is the
 unique partition of 0.
@@ -94,34 +93,11 @@ def _walk(n_max: int, largest_part: int | None,
             stack.pop()
 
 
-def _by_size(n_max: int, walk: Iterable[tuple[int, Partition]]) -> dict[int, list[Partition]]:
-    by_size: dict[int, list[Partition]] = {n: [] for n in range(n_max + 1)}
-    for size, parts in walk:
-        by_size[size].append(parts)
-    return by_size
-
-
 def _counts(n_max: int, walk: Iterable[tuple[int, Partition]]) -> list[int]:
     counts = [0] * (n_max + 1)
     for size, _ in walk:
         counts[size] += 1
     return counts
-
-
-def enumerate_schur(n_max: int, largest_part: int | None = None) -> dict[int, list[Partition]]:
-    """All gap-admissible partitions of every size <= n_max, grouped by
-    size, each list in lexicographic order of the ascending part tuples.
-
-    `largest_part` bounds every part when given.  Collects `_walk`, a
-    depth-first search over the smallest part first.
-    """
-    return _by_size(n_max, _walk(n_max, largest_part, _schur_follows))
-
-
-def enumerate_distinct_pm1_mod3(n_max: int) -> dict[int, list[Partition]]:
-    """All partitions into distinct parts congruent to +-1 mod 3, of every
-    size <= n_max, grouped by size, lists in lexicographic order."""
-    return _by_size(n_max, _walk(n_max, None, _pm1_follows))
 
 
 def schur_counts(n_max: int, largest_part: int | None = None) -> list[int]:

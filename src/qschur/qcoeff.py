@@ -6,10 +6,11 @@ expression in q^3, modulus 6 in q^6, and so on.  Arguments of Pochhammer
 symbols are restricted to signed monomials, which is all the series in
 this package ever need.
 
-Both trinomial families are one k-walk, `_trinomial_terms`, differing
-only in the leading exponent of each k-term.  Its terms are pairs of dense
+Both trinomial families rest on one k-walk, `_trinomial_terms`: the T_n
+family is the round one at q -> 1/q.  Its terms are pairs of dense
 binomial tables, summed by `qpoly._packed_sum`; the round-trinomial side
-and the T0 half sums of `schur_sums` feed every j's walk to one such sum.
+and the T0 half sums of `schur_sums` feed every j's walk to one such sum,
+each under the leading exponent of its own k-terms.
 
 Caching: the coefficient tables of base-q binomials and the finite
 Pochhammer products are memoized (they are requested thousands of times
@@ -150,18 +151,6 @@ def _trinomial_terms(m: int, a: int, lead: Callable[[int], int],
             yield shift, _gauss_coeffs(m - k, k + a), _gauss_coeffs(m, k)
 
 
-def _trinomial(m: int, a: int, modulus: int, lead: Callable[[int], int]) -> QPoly:
-    """sum_k q^(lead(k)/2) [m,k] [m-k,k+a] in base q^modulus, lead in
-    half-steps."""
-    terms = list(_trinomial_terms(m, a, lead))
-    # a round trinomial with b < a can lead below q^0: sum from its least
-    # lead, then move the sum back down
-    base = min([0] + [shift for shift, _, _ in terms])
-    return _packed_sum([(shift - base, left, right)
-                        for shift, left, right in terms],
-                       2 * modulus).shift(base)
-
-
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
     """Round q-trinomial: sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a], base q^modulus.
 
@@ -169,7 +158,13 @@ def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
     shifts the start of that range, negative b only tilts the q-weight.
     An empty range (in particular any m < 0) gives 0.
     """
-    return _trinomial(m, a, modulus, lambda k: 2 * modulus * k * (k + b))
+    terms = list(_trinomial_terms(m, a, lambda k: 2 * modulus * k * (k + b)))
+    # with b < a the sum can lead below q^0: sum from its least lead, then
+    # move the sum back down
+    base = min([0] + [shift for shift, _, _ in terms])
+    return _packed_sum([(shift - base, left, right)
+                        for shift, left, right in terms],
+                       2 * modulus).shift(base)
 
 
 def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
@@ -180,13 +175,3 @@ def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
     inner = round_trinomial(m, a - n_sub, a, modulus).substitute_q_power(-1)
     return inner.shift(pre_half)
 
-
-def t0_trinomial_nonneg(m: int, a: int, modulus: int = 1) -> QPoly:
-    """t_trinomial(0, m, a) rewritten with all exponents >= 0 for m >= 0:
-
-        sum_k q^(modulus*(m-a-2k)^2/2) [m,k] [m-k,k+a]   (base q^modulus).
-
-    Same value as the definitional form (binomial inversion folds the
-    prefactor into the summand); the tests cross-check the two routes.
-    """
-    return _trinomial(m, a, modulus, lambda k: modulus * (m - a - 2 * k) ** 2)

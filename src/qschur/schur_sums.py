@@ -358,8 +358,9 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 
 def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
     # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
-    # q^(T+1/2) when T is given: the k-terms of every
-    # t0_trinomial_nonneg(N, j, 3) in one sum, cut at 2T half-steps
+    # q^(T+1/2) when T is given: T0 rewritten with all exponents >= 0,
+    # sum_k q^(3(N-j-2k)^2/2) [N,k]_{q^3} [N-k,k+j]_{q^3}, every j's
+    # k-terms in one sum, cut at 2T half-steps
     cut = None if T is None else 2 * T
     terms = []
     for j in range(-N, N + 1):
@@ -479,7 +480,8 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
 def summation_limit_sum(T: int) -> QPoly:
     """The M -> infinity image of the quadruple sum: the outer binomial
     becomes 1/(q^3;q^3)_N.  Truncated at T; the N-layer's least exponent
-    is N(3N-1)/2, which bounds the loop."""
+    is N(3N-1)/2, which bounds the loop.  Equals
+    schur_product_truncated(T), as the analytic-schur row checks."""
     if T < 0:
         raise ValueError("T must be >= 0")
     acc: dict[int, int] = {}
@@ -779,22 +781,29 @@ def _run_warnaar(p: dict) -> _Pairs:
         yield warnaar_sides(L, a)
 
 
+def _run_analytic_schur(p: dict) -> _Pairs:
+    # two analytic forms of the partition theorem against one product:
+    # the chain-indexed series at x = 1, and the summation formula's
+    # M -> infinity image
+    T = p["T"]
+    product = schur_product_truncated(T)
+    yield ali_gf_truncated(T).at_x_one(), product
+    yield summation_limit_sum(T), product
+
+
 def _run_rec_summand(p: dict) -> _Pairs:
     N = p["N"]
     given = tuple(p[name] for name in ("m", "n1", "n2") if name in p)
     if len(given) not in (0, 3):
         raise UsageError("give all of m, n1, n2 or none of them")
-    if given:
-        m, n1, n2 = given
-        if m > 3 * (N - m - n1 - n2):
-            raise UsageError("rec-summand needs m <= 3(N-m-n1-n2), else the "
-                             "summand and every shifted one vanish")
-        cells = [given]
-    else:
-        cells = [(m, n1, n2)
-                 for m in range(N + 1)
-                 for n1 in range(N + 1 - m)
-                 for n2 in range(N + 1 - m - n1)]
+    cells = [given] if given else [(m, n1, n2)
+                                   for m in range(N + 1)
+                                   for n1 in range(N + 1 - m)
+                                   for n2 in range(N + 1 - m - n1)]
+    cells = [(m, n1, n2) for m, n1, n2 in cells if m <= 3 * (N - m - n1 - n2)]
+    if given and not cells:
+        raise UsageError("rec-summand needs m <= 3(N-m-n1-n2), else the "
+                         "summand and every shifted one vanish")
     for m, n1, n2 in cells:
         yield (recurrence_residual(IdentityId.REC_SUMMAND, N, m, n1, n2),
                QPoly.zero())
@@ -837,8 +846,10 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
         recurrence_residual(IdentityId.REC_ANDREWS, p["N"]), QPoly.zero())]),
     IdentityId.REC_L: ({"N": _Param(4, last=25)}, lambda p: [(
         recurrence_residual(IdentityId.REC_L, p["N"]), QPoly.zero())]),
+    # rec-summand's N takes a cap of its own: a row checks O(N^3) cells,
+    # each over tables that grow with N
     IdentityId.REC_SUMMAND: (
-        {"N": _Param(4, last=12), "m": _Param(0, optional=True),
+        {"N": _Param(4, last=12, cap=25), "m": _Param(0, optional=True),
          "n1": _Param(0, optional=True), "n2": _Param(0, optional=True)},
         _run_rec_summand),
     IdentityId.SCHUR_COUNTS: ({"max_n": _Param(0, 60)}, _run_schur_counts),
@@ -852,8 +863,8 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
         ali_gf_truncated(p["T"]), kursungoz_gf_truncated(p["T"]))]),
     IdentityId.GF_EVEN_ODD_SPLIT: ({"T": _Param(0, 60, cap=MAX_WINDOW)}, lambda p: [(
         even_odd_split_lhs(p["T"]), kursungoz_gf_truncated(p["T"]))]),
-    IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60, cap=MAX_WINDOW)}, lambda p: [(
-        ali_gf_truncated(p["T"]).at_x_one(), schur_product_truncated(p["T"]))]),
+    IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60, cap=MAX_WINDOW)},
+                                _run_analytic_schur),
     IdentityId.DUAL: ({"N": _Param(0, last=20)}, lambda p: [dual_sides(p["N"])]),
     IdentityId.T0_BINOM: (
         {"N": _Param(0, last=20)}, lambda p: [t0_binomial_sides(p["N"])]),

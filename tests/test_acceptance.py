@@ -89,7 +89,9 @@ def test_criterion_05_pair_series_equivalences():
     split = ss.even_odd_split_lhs(T)
     assert ali == kur
     assert split == kur
-    assert ali.at_x_one() == ss.schur_product_truncated(T)
+    product = ss.schur_product_truncated(T)
+    assert ali.at_x_one() == product
+    assert ss.summation_limit_sum(T) == product
     _report("pair-series", started, 120)
 
 

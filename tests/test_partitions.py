@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from qschur import partitions
 from qschur.partitions import (
+    _pm1_follows,
+    _schur_follows,
+    _walk,
     distinct_pm1_counts,
-    enumerate_distinct_pm1_mod3,
-    enumerate_schur,
     format_partition,
     is_schur_admissible,
     parse_partition,
@@ -46,40 +47,40 @@ def test_the_two_classes_are_equinumerous():
     assert schur_counts(n) == distinct_pm1_counts(n)
 
 
+def schur_walk(n_max, largest_part=None):
+    return list(_walk(n_max, largest_part, _schur_follows))
+
+
 def test_enumeration_is_admissible_and_sorted():
-    by_size = enumerate_schur(24)
-    for n, plist in by_size.items():
-        assert plist == sorted(plist)
-        for parts in plist:
-            assert sum(parts) == n
-            assert is_schur_admissible(parts)
+    walk = schur_walk(24)
+    assert [parts for _, parts in walk] == sorted(parts for _, parts in walk)
+    for n, parts in walk:
+        assert sum(parts) == n
+        assert is_schur_admissible(parts)
 
 
 def test_distinct_class_members():
-    by_size = enumerate_distinct_pm1_mod3(18)
-    for n, plist in by_size.items():
-        for parts in plist:
-            assert sum(parts) == n
-            assert len(set(parts)) == len(parts)
-            assert all(p % 3 != 0 for p in parts)
+    walk = list(_walk(18, None, _pm1_follows))
+    assert [parts for _, parts in walk] == sorted(parts for _, parts in walk)
+    for n, parts in walk:
+        assert sum(parts) == n
+        assert len(set(parts)) == len(parts)
+        assert all(p % 3 != 0 for p in parts)
 
 
 def test_largest_part_bound_filters():
-    full = enumerate_schur(20)
-    capped = enumerate_schur(20, largest_part=7)
-    for n in range(21):
-        want = [p for p in full[n] if not p or p[-1] <= 7]
-        assert capped[n] == want
+    want = [(n, p) for n, p in schur_walk(20) if not p or p[-1] <= 7]
+    assert schur_walk(20, largest_part=7) == want
 
 
 def test_oracle_strata_match_enumeration():
     T = 18
     series = schur_gf_oracle(T)
-    by_size = enumerate_schur(T)
+    walk = schur_walk(T)
     for x in series.x_degrees():
         stratum = series.stratum(x)
         for n in range(T + 1):
-            want = sum(1 for p in by_size[n] if len(p) == x)
+            want = sum(1 for size, p in walk if size == n and len(p) == x)
             assert stratum.coefficient_q(n) == want
 
 
@@ -91,22 +92,27 @@ def test_oracle_at_x_one_counts_everything():
         assert totals.coefficient_q(n) == counts[n]
 
 
+def sizes(walk):
+    return [size for size, _ in walk]
+
+
 @pytest.mark.parametrize("largest_part", [None, 0, 1, 4, 7, 10])
 def test_streamed_counts_match_enumeration(largest_part):
-    # the counting functions read the walk without storing it; the
-    # enumerators collect the same walk
+    # the counting functions read the walk without storing it; here the
+    # same walk is stored and counted by hand
     for n in range(41):
-        by_size = enumerate_schur(n, largest_part)
-        assert schur_counts(n, largest_part) == [len(by_size[k]) for k in range(n + 1)]
+        walk = schur_walk(n, largest_part)
+        assert schur_counts(n, largest_part) == [
+            sizes(walk).count(k) for k in range(n + 1)]
         series = schur_gf_oracle(n, largest_part)
-        assert set(series.x_degrees()) == {
-            len(p) for plist in by_size.values() for p in plist}
+        assert set(series.x_degrees()) == {len(p) for _, p in walk}
         for x in series.x_degrees():
             assert series.stratum(x) == QPoly.from_q_coeffs(
-                {k: sum(1 for p in by_size[k] if len(p) == x) for k in range(n + 1)})
+                {k: sum(1 for size, p in walk if size == k and len(p) == x)
+                 for k in range(n + 1)})
         if largest_part is None:
-            pm1 = enumerate_distinct_pm1_mod3(n)
-            assert distinct_pm1_counts(n) == [len(pm1[k]) for k in range(n + 1)]
+            pm1 = sizes(_walk(n, None, _pm1_follows))
+            assert distinct_pm1_counts(n) == [pm1.count(k) for k in range(n + 1)]
 
 
 # Two changes of the gap rule at its one statement, `_min_gap`, each with
@@ -136,11 +142,11 @@ def test_a_changed_gap_rule_fails_the_oracle_rows(monkeypatch, mutant):
 
 def test_negative_bound_rejected():
     with pytest.raises(ValueError):
-        enumerate_schur(-1)
+        schur_counts(-1)
     with pytest.raises(ValueError):
-        enumerate_distinct_pm1_mod3(-2)
+        distinct_pm1_counts(-2)
     with pytest.raises(ValueError):
-        enumerate_schur(10, largest_part=-1)
+        schur_counts(10, largest_part=-1)
     with pytest.raises(ValueError):
         schur_gf_oracle(10, largest_part=-1)
 

@@ -13,7 +13,6 @@ from qschur.qcoeff import (
     pochhammer_infinite_truncated,
     round_trinomial,
     series_reciprocal_truncated,
-    t0_trinomial_nonneg,
     t_trinomial,
 )
 from qschur.qpoly import QPoly
@@ -144,18 +143,6 @@ def test_t_trinomial_definition(n_sub, m, a):
     assert t_trinomial(n_sub, m, a) == expect
 
 
-@given(st.integers(0, 9), st.integers(-4, 4), st.integers(1, 3))
-def test_t0_nonneg_matches_defining_form(m, a, mod):
-    assert t0_trinomial_nonneg(m, a, mod) == t_trinomial(0, m, a, mod)
-
-
-@given(st.integers(0, 9), st.integers(-4, 4))
-def test_t0_nonneg_has_no_negative_exponents(m, a):
-    p = t0_trinomial_nonneg(m, a)
-    lo = p.min_half_exponent()
-    assert lo is None or lo >= 0
-
-
 def naive_trinomial(m, a, modulus, lead):
     # Reference walk: every k whose binomials could be nonzero, and more;
     # gauss_binomial is zero outside its range.
@@ -169,12 +156,8 @@ def naive_trinomial(m, a, modulus, lead):
 
 @pytest.mark.parametrize("mod", [1, 2, 3])
 def test_round_trinomial_matches_naive_walk(mod):
-    # the T0 form walks the same k-terms under another lead
     for m in range(-1, 10):
         for a in range(-4, 5):
-            want = naive_trinomial(m, a, mod,
-                                   lambda k: mod * (m - a - 2 * k) ** 2)
-            assert t0_trinomial_nonneg(m, a, mod) == want, (m, a)
             for b in range(-3, 4):
                 want = naive_trinomial(m, a, mod,
                                        lambda k: 2 * mod * k * (k + b))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
 from qschur.qcoeff import (MonomialBase, gauss_binomial, pochhammer_finite,
-                           series_reciprocal_truncated)
+                           series_reciprocal_truncated, t_trinomial)
 from qschur.qpoly import QPoly
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -92,6 +92,17 @@ def test_wide_slot_sums_match_naive_walks():
     for N in (20, 21):
         assert ss.lhs_schur(N) == naive_triple_sum(
             N, lambda n1, n2, m: 2 * ss.weight_a(n1, n2, m)), N
+
+
+def test_t0_half_walk_matches_the_defining_trinomials():
+    # the walk's lead, q^((N+j)/2 + 3(N-j-2k)^2/2) per k-term, against T0
+    # as defined: the round trinomial at q -> 1/q, times its prefactor
+    for N in range(10):
+        want = QPoly.zero()
+        for j in range(-N, N + 1):
+            want = want + t_trinomial(0, N, j, 3).shift(N + j)
+        assert ss.t0_half_sum(N) == want, N
+        assert want.min_half_exponent() >= 0, N
 
 
 def naive_warnaar_lhs(L, a):
@@ -257,10 +268,45 @@ def test_summand_table_is_the_summand_shifted_back(cell):
             == ss.schur_summand(*cell))
 
 
-def summand_cells_in_row_order(N):
-    # the cells a rec-summand row at N checks, in the runner's order
+def index_triples(N):
+    # every (m, n1, n2) with m + n1 + n2 <= N, in the runner's order
     return [(m, n1, n2) for m in range(N + 1) for n1 in range(N + 1 - m)
             for n2 in range(N + 1 - m - n1)]
+
+
+def summand_cells_in_row_order(N):
+    # the cells a rec-summand row at N checks, in the runner's order: the
+    # rest have m > 3(N-m-n1-n2), where every summand of the recurrence
+    # vanishes
+    return [(m, n1, n2) for m, n1, n2 in index_triples(N)
+            if m <= 3 * (N - m - n1 - n2)]
+
+
+def test_summand_rows_sweep_only_the_cells_one_cell_verify_accepts(monkeypatch):
+    swept = []
+    residual = ss.recurrence_residual
+
+    def counted(kind, N, m, n1, n2):
+        swept.append((N, (m, n1, n2)))
+        return residual(kind, N, m, n1, n2)
+
+    monkeypatch.setattr(ss, "recurrence_residual", counted)
+    rows = range(4, 13)  # the report's rec-summand rows
+    for N in rows:
+        assert ss.verify("rec-summand", {"N": N}).verified, N
+    # 494 of the 1,785 index triples are left out
+    assert len(swept) == 1291
+    row_cells = list(swept)
+    for N in rows:
+        cells = [cell for n, cell in row_cells if n == N]
+        assert cells == summand_cells_in_row_order(N), N
+        for cell in index_triples(N):
+            params = {"N": N, **dict(zip(("m", "n1", "n2"), cell))}
+            if cell in cells:
+                assert ss.verify("rec-summand", params).verified, params
+            else:
+                with pytest.raises(ss.UsageError, match="vanish"):
+                    ss.verify("rec-summand", params)
 
 
 @pytest.mark.parametrize("kind", ["rec-l", "rec-summand"])
@@ -385,6 +431,21 @@ def test_finite_summation_formula(M):
 def test_summation_limit_reaches_the_product():
     T = 25
     assert ss.summation_limit_sum(T) == ss.schur_product_truncated(T)
+
+
+def test_a_changed_summation_limit_fails_the_analytic_row(monkeypatch):
+    # analytic-schur's second pair reads the summation limit: q^T added
+    # to it must fail the row at q^T
+    T = 60
+    limit = ss.summation_limit_sum
+    monkeypatch.setattr(ss, "summation_limit_sum",
+                        lambda T: limit(T) + QPoly.q_power(T))
+    c = ss.schur_product_truncated(T).coefficient_q(T)
+    report = ss.verify("analytic-schur", {"T": T})
+    assert report.status == "failed"
+    assert report.first_discrepancy == {
+        "x_degree": None, "exponent_half_steps": 2 * T,
+        "lhs": str(c + 1), "rhs": str(c)}
 
 
 def test_warnaar_small_grid():
