@@ -15,7 +15,8 @@ from qschur.qcoeff import (
     series_reciprocal_truncated,
     t_trinomial,
 )
-from qschur.qpoly import QPoly
+from qschur.qcoeff import _trinomial_terms
+from qschur.qpoly import QPoly, _packed_sum
 
 
 def test_pochhammer_base_cases():
@@ -141,6 +142,26 @@ def test_t_trinomial_definition(n_sub, m, a):
     pre = m * (m - n_sub) - a * (a - n_sub)
     expect = round_trinomial(m, a - n_sub, a).substitute_q_power(-1).shift(pre)
     assert t_trinomial(n_sub, m, a) == expect
+
+
+def t0_trinomial_nonneg(m, a, mod=1):
+    # T0(m; q^mod choose a) rewritten with all exponents >= 0,
+    # sum_k q^(mod(m-a-2k)^2/2) [m,k] [m-k,k+a], through the k-walk and
+    # packed sum the T0 half sums of schur_sums are built on
+    return _packed_sum(list(_trinomial_terms(
+        m, a, lambda k: mod * (m - a - 2 * k) ** 2)), 2 * mod)
+
+
+@given(st.integers(0, 9), st.integers(-4, 4), st.integers(1, 3))
+def test_t0_nonneg_matches_defining_form(m, a, mod):
+    assert t0_trinomial_nonneg(m, a, mod) == t_trinomial(0, m, a, mod)
+
+
+@given(st.integers(0, 9), st.integers(-4, 4))
+def test_t0_nonneg_has_no_negative_exponents(m, a):
+    p = t0_trinomial_nonneg(m, a)
+    lo = p.min_half_exponent()
+    assert lo is None or lo >= 0
 
 
 def naive_trinomial(m, a, modulus, lead):
