@@ -25,12 +25,19 @@ keyed on part values, not on the role (singleton or chain member) a part
 had at dock time.  `_jump` is the only code that moves a pair, in either
 direction, and the inverse step tries every crossing size k on the k
 parts just below the pair, so a new rule goes into `_crossings` alone.
-"""
+
+`decode` does not search: it reads the chain lengths and the pair labels
+off the partition (same-residue parts 3 apart, paired lowest first,
+`_greedy_bottoms`) and undoes each pair's steps, the last pair first.
+Where two inverse steps both replay, the same pairing of their shared
+pre-state keeps one.  Every decoded result is replayed forward, and the
+replay alone accepts it."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterator
 
 from .partitions import Partition, _schur_follows, _walk, is_schur_admissible
@@ -64,6 +71,8 @@ def weight_a(n1: int, n2: int, m: int) -> int:
     return u * (u + 1) // 2 + m * s + s * s - n1
 
 
+# pure, and its tuple immutable: each (n1, n2, m) is laid out once
+@lru_cache(maxsize=None)
 def minimal_configuration(n1: int, n2: int, m: int) -> Partition:
     """n1 consecutive 1 mod 3 parts, then n2 consecutive 2 mod 3 parts,
     then m parts exactly 4 apart; the unique smallest admissible
@@ -112,9 +121,9 @@ class MotionData:
                                 ("rho1", self.rho1, self.n1 // 2)):
             if len(lst) != want:
                 raise ValueError("%s must have length %d" % (name, want))
-            if any(v < 0 for v in lst):
+            if lst and min(lst) < 0:
                 raise ValueError("%s entries must be >= 0" % name)
-            if any(a > b for a, b in zip(lst, lst[1:])):
+            if list(lst) != sorted(lst):
                 raise ValueError("%s must be weakly increasing" % name)
 
     @property
@@ -211,17 +220,16 @@ def _advance_pair(state: list[int], bottom: int) -> int:
     Takes the first crossing of _crossings whose jump satisfies the gap
     conditions.  Raises MotionRuleError when none does.
     """
-    before = tuple(state)
     for crossed in _crossings(state, bottom):
         moved, new_bottom = _jump(state, bottom, crossed, 1)
-        if not is_schur_admissible(tuple(moved)):
+        if not is_schur_admissible(moved):
             continue
-        assert sum(moved) == sum(before) + 6
+        assert sum(moved) == sum(state) + 6
         assert new_bottom - bottom == 3 * (1 + len(crossed))
-        assert len(moved) == len(before)
+        assert len(moved) == len(state)
         state[:] = moved
         return new_bottom
-    raise MotionRuleError(bottom % 3, bottom, before)
+    raise MotionRuleError(bottom % 3, bottom, tuple(state))
 
 
 def apply_motions(data: MotionData) -> Partition:
@@ -240,7 +248,7 @@ def apply_motions(data: MotionData) -> Partition:
         if ri:
             state.remove(z)
             insort(state, z + ri)
-        assert is_schur_admissible(tuple(state))
+        assert is_schur_admissible(state)
     assert sum(state) == sum(dock) + sum(data.r)
 
     for docks, steps_list in ((_pair_docks(dock, n1, n2), data.rho2),
@@ -256,18 +264,6 @@ def apply_motions(data: MotionData) -> Partition:
 # ---------------------------------------------------------------------------
 # inverse motions
 
-def _replay_matches(pre: list[int], pre_bottom: int,
-                    post: tuple[int, ...], post_bottom: int) -> bool:
-    # A pre-state is only accepted if the forward rules, with their own
-    # precedence, reproduce the post-state exactly.
-    probe = list(pre)
-    try:
-        nb = _advance_pair(probe, pre_bottom)
-    except MotionRuleError:
-        return False
-    return nb == post_bottom and tuple(probe) == post
-
-
 def _unstep_candidates(state: list[int], bottom: int) -> Iterator[tuple[list[int], int]]:
     """All (pre_state, pre_bottom) whose forward step reproduces state.
 
@@ -275,156 +271,164 @@ def _unstep_candidates(state: list[int], bottom: int) -> Iterator[tuple[list[int
     conditions leave nothing within 2 of it), so after the jump those k
     parts are the k largest below the new bottom, each above
     bottom - 3k - 6.  Each k is tried until that bound breaks, which it
-    then does for every larger k; the forward replay is the only judge.
+    then does for every larger k.  A pre-state is only accepted if the
+    forward rules, with their own precedence, reproduce state exactly.
     """
-    post = tuple(state)
     below = bisect_left(state, bottom)
     for k in range(below + 1):
         crossed = tuple(state[below - k:below])
         if crossed and crossed[0] <= bottom - 3 * k - 6:
             break
         pre, pre_bottom = _jump(state, bottom, crossed, -1)
-        if is_schur_admissible(tuple(pre)) \
-                and _replay_matches(pre, pre_bottom, post, bottom):
+        if not is_schur_admissible(pre):
+            continue
+        probe = list(pre)
+        try:
+            moved = _advance_pair(probe, pre_bottom)
+        except MotionRuleError:
+            continue
+        if moved == bottom and probe == state:
             yield pre, pre_bottom
 
 
-def _unwind_pairs(state: list[int], pair_bottoms: list[int],
-                  docks: list[int]) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """Backtracking search over inverse motions for one family.
+def _greedy_bottoms(values: list[int], reserved: int | None = None) -> list[int]:
+    """Pair same-residue values (ascending) 3 apart, lowest first; the
+    bottoms of the pairs, ascending.  reserved (an odd chain's remainder)
+    stays unpaired."""
+    bottoms: list[int] = []
+    waiting = None  # the last value left without a partner
+    for v in values:
+        if waiting is not None and v == waiting + 3 and v != reserved:
+            bottoms.append(waiting)
+            waiting = None
+        else:
+            waiting = None if v == reserved else v
+    return bottoms
 
-    pair_bottoms and docks are aligned, lowest pair first (the last pair
-    to have moved forward, so the first to be undone).  Yields every
-    (state_after_unwinding, step_counts) reachable; step counts come out
-    lowest pair first and must be weakly increasing to be consistent
-    with the forward ordering.
+
+def _unwind(state: list[int], bottoms: list[int], docks: tuple[int, ...],
+            reserved: int | None) -> tuple[list[int], tuple[int, ...]] | None:
+    """One family's pairs stepped back to their docks: the state and the
+    step counts, or None if a pair cannot get there.
+
+    bottoms and docks are aligned, lowest pair first: the last to have
+    moved forward, so the first undone, and with the smallest count.
+    Forward motion strictly raises the bottom, so the dock pins the count.
+    Where two candidates for a step both replay, they share one pre-state
+    holding x, x+3, x+6 of the pair's residue: either (x+3, x+6) moved
+    across k parts, or (x, x+3) across x+6 and the same k parts.  That
+    pre-state is an image too (this pair's count cut short), so the labels
+    `decode` reads off an image settle it: the step kept is the one whose
+    pre-bottom `_greedy_bottoms` pairs.
     """
-    if not pair_bottoms:
-        yield list(state), ()
-        return
-    for unwound, sigma in _unwind_steps(list(state), pair_bottoms[0], docks[0], 0):
-        for rest_state, rest_sigmas in _unwind_pairs(unwound, pair_bottoms[1:], docks[1:]):
-            combined = (sigma,) + rest_sigmas
-            if all(a <= b for a, b in zip(combined, combined[1:])):
-                yield rest_state, combined
-
-
-def _unwind_steps(cur: list[int], b: int, dock: int,
-                  steps: int) -> Iterator[tuple[list[int], int]]:
-    # (state, steps + inverse steps taken) for every run of inverse steps
-    # that brings the pair bottom b down to dock; forward motion strictly
-    # raises the bottom, so reaching the dock pins the step count and
-    # below the dock is unreachable
-    if b == dock:
-        yield list(cur), steps
-        return
-    if b < dock:
-        return
-    for pre, pre_b in _unstep_candidates(cur, b):
-        yield from _unwind_steps(pre, pre_b, dock, steps + 1)
-
-
-def _pair_labelings(values: list[int], k: int, reserved: int | None) -> Iterator[list[int]]:
-    """Choose k disjoint (v, v+3) pairs among same-residue values; yields
-    the list of pair bottoms, ascending.  reserved is a value that must
-    stay unpaired (the immobile chain remainder), or None."""
-    yield from _labelings_from([v for v in values if v != reserved], 0, k, [])
-
-
-def _labelings_from(usable: list[int], idx: int, need: int,
-                    acc: list[int]) -> Iterator[list[int]]:
-    # the labelings of usable[idx:] with need more pairs, after acc
-    if need == 0:
-        yield list(acc)
-        return
-    if idx >= len(usable):
-        return
-    # pair usable[idx] with its +3 neighbor if present
-    v = usable[idx]
-    if idx + 1 < len(usable) and usable[idx + 1] == v + 3:
-        acc.append(v)
-        yield from _labelings_from(usable, idx + 2, need - 1, acc)
-        acc.pop()
-    # or leave it as a singleton
-    yield from _labelings_from(usable, idx + 1, need, acc)
+    counts: list[int] = []
+    for b, dock in zip(bottoms, docks):
+        steps = 0
+        while b > dock:
+            found = list(_unstep_candidates(state, b))
+            if len(found) > 1:
+                found = [(pre, pre_b) for pre, pre_b in found if pre_b in
+                         _greedy_bottoms([v for v in pre if v % 3 == b % 3], reserved)]
+            if len(found) != 1:
+                return None
+            (state, b), steps = found[0], steps + 1
+        if b < dock or (counts and steps < counts[-1]):
+            return None
+        counts.append(steps)
+    return state, tuple(counts)
 
 
 def decode(partition: Partition) -> MotionData:
     """Invert apply_motions: recover the unique motion data whose forward
     replay produces the given admissible partition.
 
-    Every candidate split into chain lengths, pair labelings, and
-    inverse-motion paths is explored; each survivor is gated by a full
-    forward replay, and more than one distinct survivor is an error (as
-    is none).
+    The chain lengths and pair labels are read off the partition.  Pairing
+    same-residue parts 3 apart, lowest first, gives k1 pairs among the
+    1 mod 3 parts and k2 among the 2 mod 3 parts, so n1 is 2k1 or 2k1+1
+    and n2 is 2k2 or 2k2+1.  For each such split the same pairing gives
+    chain 1's pair bottoms (part 1, the remainder, left out when n1 is
+    odd); chain 1 is unwound, and the pairing of the 2 mod 3 parts of
+    what is left (3n1+2 left out when n2 is odd) gives chain 2's.  Each
+    split's survivor is replayed forward in full; none, or two distinct
+    ones, is an error.
+
+    On the certified sizes this restricted search finds the only
+    pre-image: within `certify_range` every image decodes to its own data,
+    and no two data share an image.  Beyond them the read-off is checked
+    against an exhaustive search over every split and labelling, in the
+    tests and in CI.
     """
     p = tuple(partition)
     if not is_schur_admissible(p):
         raise ValueError("partition violates the gap conditions: %s" % (p,))
-    n = len(p)
     size = sum(p)
-    pset = set(p)
-    zeros = sum(1 for v in p if v % 3 == 0)
+    res1 = [v for v in p if v % 3 == 1]
+    res2 = [v for v in p if v % 3 == 2]
+    zeros = len(p) - len(res1) - len(res2)
+    k1, k2 = len(_greedy_bottoms(res1)), len(_greedy_bottoms(res2))
 
-    found: list[MotionData] = []
-    for n1 in range(n + 1):
-        for n2 in range(n + 1 - n1):
-            m = n - n1 - n2
-            if weight_a(n1, n2, m) > size or zeros > m:
+    found: set[MotionData] = set()
+    for n1 in (2 * k1, 2 * k1 + 1):
+        # the low chain remainder has nothing beneath it and stays put
+        rem1 = 1 if n1 % 2 else None
+        if rem1 is not None and (not res1 or res1[0] != rem1):
+            continue
+        # leaving part 1 out can cost the pairing a pair, never add one
+        bottoms1 = _greedy_bottoms(res1, rem1)
+        if len(bottoms1) < k1:
+            continue
+        for n2 in (2 * k2, 2 * k2 + 1):
+            m = len(p) - n1 - n2
+            if m < zeros or weight_a(n1, n2, m) > size:
                 continue
-            rem1 = 1 if n1 % 2 else None
+            # the high remainder can be crossed by lower pairs, dropping
+            # 6 per crossing, so only its residue and a ceiling survive,
+            # and a 2 mod 3 part beyond the 2*k2 in pairs
             rem2 = 3 * n1 + 2 if n2 % 2 else None
-            # the low chain remainder has nothing beneath it and stays
-            # put; the high one can be crossed by lower pairs, dropping
-            # 6 per crossing, so only its residue and a ceiling survive
-            if rem1 is not None and rem1 not in pset:
+            if rem2 is not None and (len(res2) <= 2 * k2 or not any(
+                    v <= rem2 and v % 6 == rem2 % 6 for v in res2)):
                 continue
-            if rem2 is not None and not any(
-                    v <= rem2 and v % 6 == rem2 % 6 for v in p):
-                continue
-            res1 = [v for v in p if v % 3 == 1]
-            res2 = [v for v in p if v % 3 == 2]
-            k1, k2 = n1 // 2, n2 // 2
-            have1 = len(res1) - (rem1 is not None)
-            have2 = len(res2) - (rem2 is not None)
-            if have1 < 2 * k1 or have2 < 2 * k2:
-                continue
-            for bottoms1 in _pair_labelings(res1, k1, rem1):
-                for d in _decode_labeled(p, n1, n2, m, bottoms1, rem2):
-                    if apply_motions(d) == p:
-                        found.append(d)
-    distinct = set(found)
-    if not distinct:
+            data = _decode_split(p, n1, n2, m, bottoms1, rem1, rem2)
+            if data is not None:
+                found.add(data)
+    if not found:
         raise DecodeError("no motion pre-image for %s" % (p,))
-    if len(distinct) > 1:
+    if len(found) > 1:
         raise DecodeError("ambiguous motion pre-image for %s: %s"
-                          % (p, [d.as_dict() for d in sorted(distinct, key=repr)]))
-    return found[0]
+                          % (p, [d.as_dict() for d in sorted(found, key=repr)]))
+    return found.pop()
 
 
-def _decode_labeled(p: Partition, n1: int, n2: int, m: int,
-                    bottoms1: list[int], rem2: int | None) -> Iterator[MotionData]:
+def _decode_split(p: Partition, n1: int, n2: int, m: int, bottoms1: list[int],
+                  rem1: int | None, rem2: int | None) -> MotionData | None:
+    # the motion data of this split, if its full forward replay gives p
     dock = minimal_configuration(n1, n2, m)
-    chain = set(dock[:n1 + n2])
-    docks1, docks2 = _pair_docks(dock, 0, n1), _pair_docks(dock, n1, n2)
+    chains, k2 = n1 + n2, n2 // 2
 
     # 1 mod 3 pairs were the last to move forward, so they unwind first.
     # Their crossings can have displaced whole 2 mod 3 pairs, so those
     # pairs are only identified afterwards, in the intermediate state.
-    for state1, rho1 in _unwind_pairs(list(p), sorted(bottoms1), docks1):
-        res2 = [v for v in state1 if v % 3 == 2]
-        for bottoms2 in _pair_labelings(res2, n2 // 2, rem2):
-            for state0, rho2 in _unwind_pairs(state1, sorted(bottoms2), docks2):
-                if not chain <= set(state0):
-                    continue
-                singles = sorted(v for v in state0 if v not in chain)
-                if len(singles) != m:
-                    continue
-                r = tuple(v - z for v, z in zip(singles, dock[n1 + n2:]))
-                # 0 <= r[0] <= r[1] <= ...
-                if any(a > b for a, b in zip((0,) + r, r)):
-                    continue
-                yield MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
+    unwound = _unwind(list(p), bottoms1, _pair_docks(dock, 0, n1), rem1)
+    if unwound is None:
+        return None
+    state1, rho1 = unwound
+    bottoms2 = _greedy_bottoms([v for v in state1 if v % 3 == 2], rem2)[:k2]
+    if len(bottoms2) < k2:
+        return None
+    unwound = _unwind(state1, bottoms2, _pair_docks(dock, n1, n2), rem2)
+    if unwound is None:
+        return None
+    state0, rho2 = unwound
+    # the chains are back on their docks, below every singleton dock, so
+    # a singleton below them would have moved down
+    if tuple(state0[:chains]) != dock[:chains]:
+        return None
+    r = tuple(v - z for v, z in zip(state0[chains:], dock[chains:]))
+    # 0 <= r[0] <= r[1] <= ...
+    if any(a > b for a, b in zip((0,) + r, r)):
+        return None
+    data = MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
+    return data if apply_motions(data) == p else None
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +448,18 @@ def max_motions(n1: int, n2: int, m: int, N: int) -> dict[str, int | None]:
     return {"r": r_cap, "rho2": rho2_cap, "rho1": rho1_cap}
 
 
-def _weakly_increasing(count: int, total: int,
-                       max_value: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples of the given length, entries >= 0, sum
+def _weakly_increasing(count: int, total: int, max_value: int | None = None,
+                       lo: int = 0) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing tuples of the given length, entries >= lo, sum
     <= total, optionally with entries <= max_value."""
-    if total < 0 or (max_value is not None and max_value < 0 and count > 0):
+    if count == 0:
+        if total >= 0:
+            yield ()
         return
-    yield from _increasing_from(count, total, 0, max_value, [])
-
-
-def _increasing_from(left: int, budget: int, lo: int, max_value: int | None,
-                     acc: list[int]) -> Iterator[tuple[int, ...]]:
-    # acc extended by left more entries in [lo, max_value], weakly
-    # increasing, summing to at most budget
-    if left == 0:
-        yield tuple(acc)
-        return
-    hi = budget // left
-    if max_value is not None:
-        hi = min(hi, max_value)
+    hi = total // count if max_value is None else min(total // count, max_value)
     for v in range(lo, hi + 1):
-        acc.append(v)
-        yield from _increasing_from(left - 1, budget - v, v, max_value, acc)
-        acc.pop()
+        for rest in _weakly_increasing(count - 1, total - v, max_value, v):
+            yield (v,) + rest
 
 
 def _cells(T: int, weight: Callable[[int, int, int], int]):

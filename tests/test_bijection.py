@@ -21,7 +21,8 @@ from qschur.bijection import (
     max_motions,
     minimal_configuration,
 )
-from qschur.partitions import is_schur_admissible, schur_counts
+from qschur.partitions import (_schur_follows, _walk, is_schur_admissible,
+                               schur_counts)
 from qschur.schur_sums import weight_a
 
 
@@ -144,6 +145,125 @@ def test_decode_examples():
     assert decode((5, 8)) == MotionData(0, 2, 0, rho2=(1,))
     assert decode((1, 4, 8, 12)) == MotionData(2, 1, 1, r=(0,), rho1=(0,))
     assert decode((5,)) == MotionData(0, 0, 1, r=(2,))
+    # an odd chain 1 keeps part 1 as its remainder, so (4, 7) is the pair
+    assert decode((1, 4, 7)) == MotionData(3, 0, 0, rho1=(0,))
+    # one inverse step, two candidates: both lead back to (1, 4, 7), with
+    # bottom 4 or bottom 1; with part 1 the remainder, (4, 7) is the pair
+    assert decode((1, 7, 10)) == MotionData(3, 0, 0, rho1=(1,))
+
+
+def _labelings(values, k, reserved, idx=0, acc=()):
+    # every choice of k disjoint (v, v+3) pairs among the same-residue
+    # values other than reserved, as ascending pair bottoms
+    usable = [v for v in values if v != reserved]
+    if k == 0:
+        yield list(acc)
+        return
+    for i in range(idx, len(usable) - 1):
+        if usable[i + 1] == usable[i] + 3:
+            yield from _labelings(usable, k - 1, None, i + 2, acc + (usable[i],))
+
+
+def _unwinds(state, bottoms, docks, floor=0):
+    # every (state, step counts) of inverse-step runs that take each pair,
+    # lowest first, back to its dock with weakly increasing counts,
+    # backtracking over every candidate of every step
+    if not bottoms:
+        yield state, ()
+        return
+    for unwound, steps in _pair_unwinds(state, bottoms[0], docks[0], 0):
+        if steps >= floor:
+            for rest_state, rest in _unwinds(unwound, bottoms[1:], docks[1:], steps):
+                yield rest_state, (steps,) + rest
+
+
+def _pair_unwinds(state, b, dock, steps):
+    if b == dock:
+        yield state, steps
+    elif b > dock:
+        for pre, pre_b in _unstep_candidates(state, b):
+            yield from _pair_unwinds(pre, pre_b, dock, steps + 1)
+
+
+def reference_decode(partition):
+    """decode by exhaustive search: every split into chain lengths, every
+    pair labelling and every inverse path, each survivor replayed.  It
+    shares only the inverse step, `_unstep_candidates`, with decode."""
+    p = tuple(partition)
+    if not is_schur_admissible(p):
+        raise ValueError("partition violates the gap conditions: %s" % (p,))
+    n, size = len(p), sum(p)
+    zeros = sum(1 for v in p if v % 3 == 0)
+    found = set()
+    for n1 in range(n + 1):
+        for n2 in range(n + 1 - n1):
+            m = n - n1 - n2
+            if weight_a(n1, n2, m) > size or zeros > m:
+                continue
+            rem1 = 1 if n1 % 2 else None
+            rem2 = 3 * n1 + 2 if n2 % 2 else None
+            if rem1 is not None and rem1 not in p:
+                continue
+            if rem2 is not None and not any(
+                    v <= rem2 and v % 6 == rem2 % 6 for v in p):
+                continue
+            res1 = [v for v in p if v % 3 == 1]
+            res2 = [v for v in p if v % 3 == 2]
+            if len(res1) - (rem1 is not None) < n1 - n1 % 2 or \
+                    len(res2) - (rem2 is not None) < n2 - n2 % 2:
+                continue
+            dock = minimal_configuration(n1, n2, m)
+            chain = set(dock[:n1 + n2])
+            docks1 = bijection._pair_docks(dock, 0, n1)
+            docks2 = bijection._pair_docks(dock, n1, n2)
+            for bottoms1 in _labelings(res1, n1 // 2, rem1):
+                for state1, rho1 in _unwinds(list(p), bottoms1, docks1):
+                    state1_res2 = [v for v in state1 if v % 3 == 2]
+                    for bottoms2 in _labelings(state1_res2, n2 // 2, rem2):
+                        for state0, rho2 in _unwinds(state1, bottoms2, docks2):
+                            if not chain <= set(state0):
+                                continue
+                            singles = sorted(v for v in state0 if v not in chain)
+                            r = tuple(v - z for v, z in zip(singles, dock[n1 + n2:]))
+                            if any(a > b for a, b in zip((0,) + r, r)):
+                                continue
+                            d = MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
+                            if apply_motions(d) == p:
+                                found.add(d)
+    if not found:
+        raise DecodeError("no motion pre-image for %s" % (p,))
+    if len(found) > 1:
+        raise DecodeError("ambiguous motion pre-image for %s: %s"
+                          % (p, [d.as_dict() for d in sorted(found, key=repr)]))
+    return found.pop()
+
+
+def outcome(decoder, partition):
+    # the decoded data, or the class and message of the error raised
+    try:
+        return decoder(partition)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_decode_agrees_with_the_exhaustive_search():
+    # every admissible partition up to 40: the read-off split and labels
+    # find what the search over every split and labelling finds
+    walked = 0
+    for _, p in _walk(40, None, _schur_follows):
+        walked += 1
+        assert outcome(decode, p) == outcome(reference_decode, p), p
+    assert walked == sum(schur_counts(40))
+
+
+@given(motion_data)
+@example(MotionData(3, 0, 0, rho1=(1,)))
+def test_decode_agrees_with_the_exhaustive_search_on_drawn_data(data):
+    try:
+        p = apply_motions(data)
+    except MotionRuleError:
+        assume(False)
+    assert outcome(decode, p) == outcome(reference_decode, p)
 
 
 def test_decode_rejects_inadmissible():

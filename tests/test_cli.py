@@ -221,6 +221,20 @@ def test_one_past_a_cap_exits_2_before_any_work(capsys, no_work, argv):
     assert code == 2 and out == "" and "exceeds the hard cap" in err
 
 
+@pytest.mark.parametrize("identity, option, cap", [
+    ("schur-poly", "--N", 60), ("cor1-bounded-sum", "--N", 40),
+    ("warnaar", "--L", 50)])
+def test_steep_rows_take_caps_of_their_own(capsys, no_work, identity, option, cap):
+    # below the index cap of 100, these rows ran for minutes; each cap is
+    # the largest value that verifies in under 10 s, whole process
+    with pytest.raises(Worked):
+        main(["verify", "--identity", identity, "%s=%d" % (option, cap)])
+    code, out, err = run(capsys, "verify", "--identity", identity,
+                         "%s=%d" % (option, cap + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: %s=%d exceeds the hard cap %d\n" % (option[2:], cap + 1, cap)
+
+
 @pytest.fixture
 def thread_workers(monkeypatch):
     # stands in for the worker processes: each serves rows on a thread over
