@@ -841,8 +841,8 @@ def _run_bijection_sweep(p: dict) -> _Pairs:
 # acceptance_matrix).
 _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] = {
     # schur-poly's N, cor1-bounded-sum's N and warnaar's L take caps of their
-    # own: time climbs steeply with them, and each cap is the largest value
-    # that verifies in under 10 s, whole process, on a 2-vCPU Xeon VM
+    # own: time climbs steeply with them, and each cap is a round value that
+    # verifies in under 10 s, whole process, on a 2-vCPU Xeon VM
     IdentityId.SCHUR_POLY: ({"N": _Param(0, last=25, cap=60)}, lambda p: [
         (lhs_schur(p["N"]), rhs_schur(p["N"]))]),
     IdentityId.REC_ANDREWS: ({"N": _Param(2, last=25)}, lambda p: [(

@@ -226,7 +226,7 @@ def test_one_past_a_cap_exits_2_before_any_work(capsys, no_work, argv):
     ("warnaar", "--L", 50)])
 def test_steep_rows_take_caps_of_their_own(capsys, no_work, identity, option, cap):
     # below the index cap of 100, these rows ran for minutes; each cap is
-    # the largest value that verifies in under 10 s, whole process
+    # a round value that verifies in under 10 s, whole process
     with pytest.raises(Worked):
         main(["verify", "--identity", identity, "%s=%d" % (option, cap)])
     code, out, err = run(capsys, "verify", "--identity", identity,
