@@ -18,17 +18,17 @@ and to memoize.
 to count parts of a partition) and fixes one q-truncation bound for every
 stratum at construction time.
 
-Sums are built by one of two accumulators.  `_packed_sum` adds up
-products of dense nonnegative coefficient tables, less an optional
-second such sum, as one big integer per side and residue class of the
-shifts (Kronecker substitution over the whole sum, the slot width taken
-from an exact bound on every coefficient of either side); a class whose
-two sides are equal integers is never unpacked.  The triple and
-trinomial sums and the recurrence residuals go through it.
-`_add_shifted` adds a `QPoly` into a dict in place, for the builders
-whose terms carry coefficients of both signs or are graded by x;
-`schur_sums._graded_sum` is the one place the windowed cell series
-accumulate through it.
+`_packed_sum` is the one Kronecker kernel: it adds up products of
+dense nonnegative coefficient tables, less an optional second such sum,
+as one big integer per side and residue class of the shifts, the slot
+width taken from an exact bound on every coefficient of either side; a
+class whose two sides are equal integers is never unpacked.  The triple
+and trinomial sums, the recurrence residuals and the packed route of
+`QPoly.__mul__` (its factors' sign parts, like-signed pairs added and
+mixed pairs subtracted) go through it.  `_add_shifted` adds a `QPoly`
+into a dict in place, for the builders whose terms carry coefficients
+of both signs or are graded by x; `schur_sums._graded_sum` is the one
+place the windowed cell series accumulate through it.
 """
 
 from __future__ import annotations
@@ -41,22 +41,22 @@ from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Up to this many coefficient pairs the plain dict convolution wins over
-# the packed-integer route.  Measured with scripts/mul_crossover.py
-# (products of two [top, 3] binomials, best of 9, microseconds; 2-vCPU
-# Xeon VM, CPython 3.11):
+# the packed route.  scripts/mul_crossover.py (two [top, 3] binomials,
+# best of 9, microseconds; 2-vCPU Xeon VM, CPython 3.11):
 #
-#   pairs    28   49   70  100  130  169  256  361  484  784 1156 1849
-#   dict      5    9   12   15   20   24   34   42   87  140  208  294
-#   packed   14   15   16   17   18   18   21   24   29   33   37   40
+#   pairs    28   49   70  100  130  169  208  256  361  484  784 1156 1849
+#   dict      4    7    9   12   15   20   24   28   41   53   88  121  196
+#   packed   14   15   16   17   17   19   20   21   22   24   26   30   34
 #
-# Replaying every multi-term product of `qschur report` through both
-# routes put the crossover at the same place: dict ahead up to 128
-# pairs (17.6 against 19.0 us per product at 113-128), packed ahead from
-# 129 on (19.9 against 20.8 at 129-160, 29.8 against 62.9 at 385-512).
-# The replay counted the triple and trinomial sums' products, which now
-# go through `_packed_sum`; `__mul__`'s report callers are the summands,
-# the recurrences and the truncated series.
-_PACK_THRESHOLD = 128
+# The products `qschur report` makes have factors of uneven length, which
+# favours dict: replayed through both routes (best of 21), dict led up to
+# 192 pairs (16-18 against 23-25 us per product at 129-192), the two were
+# within 4 us at 193-320, and packed led past 320 (37 against 145 us).
+_PACK_THRESHOLD = 192
+
+# Past this many slots in the product's span (64 MB at 8-byte slots and
+# 8-byte list pointers) the packed route hands over to the dict route.
+_MAX_SLOTS = 1 << 22
 
 # Unsigned array typecodes by item size, for the slot widths the packed
 # route moves through `array` in C; wider slots go through `bytes`.
@@ -70,18 +70,14 @@ def _dense(c: dict[int, int], lo: int, hi: int, g: int) -> list[int]:
     return list(map(c.get, range(lo, hi + 1, g), repeat(0)))
 
 
-def _sign_classes(c: dict[int, int], emin: int, emax: int, g: int,
-                  lo: int, hi: int) -> list[tuple[int, list[int]]]:
-    """c laid out densely along stride g as (sign, absolute values)
-    classes, lo and hi being its least and greatest coefficient: one
-    class when every coefficient has the same sign, else two."""
-    dense = _dense(c, emin, emax, g)
-    if lo > 0:
-        return [(1, dense)]
-    if hi < 0:
-        return [(-1, [-v for v in dense])]
-    return [(1, [v if v > 0 else 0 for v in dense]),
-            (-1, [-v if v < 0 else 0 for v in dense])]
+def _sign_parts(dense: list[int]) -> tuple[list[int], list[int]]:
+    """dense as its positive part and the absolute value of its negative
+    part, [] for a part with no entry."""
+    if min(dense) >= 0:
+        return dense, []
+    if max(dense) <= 0:
+        return [], [-v for v in dense]
+    return [v if v > 0 else 0 for v in dense], [-v if v < 0 else 0 for v in dense]
 
 
 def _slot(bound: int) -> tuple[int, str | None]:
@@ -279,37 +275,17 @@ class QPoly:
 
     @staticmethod
     def _mul_packed(a: dict[int, int], b: dict[int, int]) -> "QPoly":
-        # Kronecker substitution: lay each factor out over its own exponent
-        # span along one common stride g, one w-byte slot per step, read
-        # the slots as one bigint, multiply, and cut the product back into
-        # slots.  Slots hold absolute values and never carry: a factor
-        # with a negative coefficient is split into its positive and
-        # negative parts, and only the class pairs present are multiplied.
+        # one signed `_packed_sum` over the factors' sign parts, each
+        # factor laid out from its least exponent along one common stride
         amin, amax = min(a), max(a)
         bmin, bmax = min(b), max(b)
         g = gcd(*[e - amin for e in a], *[e - bmin for e in b]) or 1
-        n_out = (amax - amin) // g + (bmax - bmin) // g + 1
-        alo, ahi = min(a.values()), max(a.values())
-        blo, bhi = min(b.values()), max(b.values())
-        w, code = _slot(min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo))
-        # a slot costs w packed bytes plus an 8-byte list pointer while it
-        # is laid out; refuse more than 64MB of them and fall back
-        if n_out * (w + 8) > 1 << 26:
+        if (amax - amin) // g + (bmax - bmin) // g >= _MAX_SLOTS:
             return QPoly._mul_dict(a, b)
-        pb = [(sign, _pack(dense, w, code)) for sign, dense
-              in _sign_classes(b, bmin, bmax, g, blo, bhi)]
-        pos = neg = 0
-        for sa, dense in _sign_classes(a, amin, amax, g, alo, ahi):
-            x = _pack(dense, w, code)
-            for sb, y in pb:
-                if sa == sb:
-                    pos += x * y
-                else:
-                    neg += x * y
-        vals = _unpack_difference(pos, neg, n_out, w, code)
-        base = amin + bmin
-        return QPoly._raw({e: v for e, v in
-                           zip(range(base, base + g * n_out, g), vals) if v})
+        (ap, an), (bp, bn) = (_sign_parts(_dense(c, lo, hi, g))
+                              for c, lo, hi in ((a, amin, amax), (b, bmin, bmax)))
+        return _packed_sum([(0, ap, bp), (0, an, bn)], g,
+                           minus=[(0, ap, bn), (0, an, bp)]).shift(amin + bmin)
 
     def substitute_q_power(self, k: int) -> "QPoly":
         """Map q to q^k for nonzero integer k; k = -1 is the q -> 1/q dual."""
@@ -400,7 +376,9 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
     their left tables are summed first, shifted by whole slots.  A class
     whose two sides are equal integers contributes nothing and is never
     unpacked; only an unequal class is cut back into slots.  A negative
-    entry or shift raises ValueError."""
+    entry or shift raises ValueError.  A product AB of signed tables goes
+    in split by sign, A = A+ - A- (A- the absolute value of the negative
+    part, [] when empty): A+B+ and A-B- less A+B- and A-B+."""
     kept = []
     bounds = [0, 0]
     top = 0

@@ -40,11 +40,13 @@ weight, and meets 1/(q^6;q^6)_y once per y-slice.  The trinomial sides
 sum over j of the one k-walk in `qcoeff`; both T0 half sums, exact and
 windowed, share the j-walk `_t0_half_walk`.
 
-Two accumulators sum the terms.  `qpoly._packed_sum` takes products of
-dense nonnegative coefficient tables and keeps the sum as big integers:
-the triple sum, its pair family, the round-trinomial side (all j and k in
-one sum), both T0 half sums, the single-binomial T0 form and the
-summation and Warnaar left sides.  With its subtracted terms it also
+The terms are summed by `qpoly._packed_sum`, the one Kronecker kernel,
+which also serves the large products of `QPoly.__mul__`, or added into a
+dict.  `_packed_sum` takes products of dense nonnegative coefficient
+tables and keeps the sum as big integers: the triple sum, its pair
+family, the round-trinomial side (all j and k in one sum), both T0 half
+sums, the single-binomial T0 form and the summation and Warnaar left
+sides.  With its subtracted terms it also
 takes every recurrence residual, declared term by term in
 `_RECURRENCES`: the sides are read as dense tables, lhs_schur and
 rhs_schur through `_table` and each summand from the cached

@@ -125,11 +125,17 @@ def factor_terms(draw):
     return draw(st.dictionaries(exponent, coeff, max_size=8))
 
 
-@example({0: 1, 2: 1}, {0: 1, 2: 1})                      # 1-byte slots
-@example({0: 100, 2: 3}, {0: 100, 4: -1})                 # 2-byte slots
-@example({1: 30000, 3: 1}, {-3: 30000, 5: 7})             # 4-byte slots
-@example({0: 1 << 30, 6: 5}, {0: -(1 << 30), 12: -3})     # 8-byte slots
-@example({0: 3, 5: -2, 11: 7}, {-4: 1, 3: 10 ** 30})      # bytes path
+# (a, b, the slot width in bytes `_packed_sum` takes for a * b): widths
+# past 8 bytes go through `bytes`
+SLOT_EXAMPLES = [
+    ({0: 1, 2: 1}, {0: 1, 2: 1}, 1),
+    ({0: 100, 2: 3}, {0: 100, 4: -1}, 2),
+    ({1: 30000, 3: 1}, {-3: 30000, 5: 7}, 4),
+    ({0: 1 << 30, 6: 5}, {0: -(1 << 30), 12: -3}, 8),
+    ({0: 3, 5: -2, 11: 7}, {-4: 1, 3: 10 ** 30}, 13),
+]
+
+
 @example({}, {0: 5, 2: -1})                               # empty factor
 @example({7: -3}, {0: 1, 4: 2})                           # single term
 @given(factor_terms(), factor_terms())
@@ -139,7 +145,36 @@ def test_kronecker_product_against_schoolbook(a, b):
     assert QPoly._raw(a) * QPoly._raw(b) == expected
     if a and b:
         # called directly, so the pair-count threshold does not pick it
-        assert QPoly._mul_packed(a, b) == expected
+        widths = []
+
+        def recording(bound):
+            widths.append(_slot(bound))
+            return widths[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qpoly, "_slot", recording)
+            assert QPoly._mul_packed(a, b) == expected
+        for ea, eb, width in SLOT_EXAMPLES:
+            if (a, b) == (ea, eb):
+                assert [w for w, _ in widths] == [width]
+
+
+for _a, _b, _ in SLOT_EXAMPLES:
+    test_kronecker_product_against_schoolbook = example(_a, _b)(
+        test_kronecker_product_against_schoolbook)
+
+
+def test_packed_product_of_a_wide_span_takes_the_dict_route(monkeypatch):
+    # 12-term factors of mixed signs, exponents 2^40 apart on stride 1:
+    # the dense span would take 2^40 slots, so nothing is laid out
+    a = {e: (-1) ** e * (e + 1) for e in range(6)}
+    a.update({(1 << 40) + e: 7 - e for e in range(6)})
+    b = {e: e + 2 for e in range(-3, 3)}
+    b.update({(1 << 40) - e: -3 * e - 1 for e in range(6)})
+    expected = QPoly._mul_dict(a, b)
+    monkeypatch.setattr(qpoly, "_dense", None)
+    monkeypatch.setattr(qpoly, "_packed_sum", None)
+    assert QPoly._mul_packed(a, b) == expected
 
 
 def naive_packed_sum(terms, g, cut=None):
