@@ -25,8 +25,8 @@ from qschur.qcoeff import gauss_binomial
 from qschur.qpoly import QPoly
 
 # tops of the two factors; [top, 3] has 3*(top-3)+1 terms
-SHAPES = ((4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8), (8, 8), (9, 9),
-          (10, 10), (12, 12), (14, 14), (17, 17), (20, 20), (24, 24))
+SHAPES = ((4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8), (8, 8),
+          (9, 9), (10, 10), (12, 12), (14, 14), (17, 17), (20, 20), (24, 24))
 
 
 def best_us(a: dict, b: dict, repeat: int) -> tuple[float, float]:
