@@ -8,11 +8,11 @@ and by `_mul_packed`, which hands the product to `qpoly._packed_sum` as
 one signed sum of its factors' sign parts.  It asserts that the two
 routes agree, and prints the coefficient pairs with the best time of
 each route in microseconds; the routes take turns in every round, so a
-drift in the machine's speed reaches both.  `_PACK_THRESHOLD` in
-`qpoly.py` is read off this table together with a replay of the
-products `qschur report` makes, whose factors are seldom this even in
-length.  The triple and trinomial sums call `_packed_sum` directly, so
-the threshold serves the summands, the recurrences and the truncated
+drift in the machine's speed reaches both.  Factors this even in length
+favour the packed route, so `_PACK_THRESHOLD` in `qpoly.py` is read off
+replays of the products the package makes instead (see the comment
+above it).  The triple and trinomial sums call `_packed_sum` directly,
+so the threshold serves the summands, the recurrences and the truncated
 series.
 """
 

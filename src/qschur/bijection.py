@@ -361,25 +361,13 @@ def decode(partition: Partition) -> MotionData:
     p = tuple(partition)
     if not is_schur_admissible(p):
         raise ValueError("partition violates the gap conditions: %s" % (p,))
-    found = {data for data in _decode_candidates(p) if apply_motions(data) == p}
-    if not found:
-        raise DecodeError("no motion pre-image for %s" % (p,))
-    if len(found) > 1:
-        raise DecodeError("ambiguous motion pre-image for %s: %s"
-                          % (p, [d.as_dict() for d in sorted(found, key=repr)]))
-    return found.pop()
-
-
-def _decode_candidates(p: Partition) -> list[MotionData]:
-    # decode's motion data, one per split that unwinds onto its docks,
-    # before the forward replay
     size = sum(p)
     res1 = [v for v in p if v % 3 == 1]
     res2 = [v for v in p if v % 3 == 2]
     zeros = len(p) - len(res1) - len(res2)
     k1, k2 = len(_greedy_bottoms(res1)), len(_greedy_bottoms(res2))
 
-    found = []
+    found: set[MotionData] = set()
     for n1 in (2 * k1, 2 * k1 + 1):
         # the low chain remainder has nothing beneath it and stays put
         rem1 = 1 if n1 % 2 else None
@@ -402,13 +390,18 @@ def _decode_candidates(p: Partition) -> list[MotionData]:
                 continue
             data = _decode_split(p, n1, n2, m, bottoms1, rem1, rem2)
             if data is not None:
-                found.append(data)
-    return found
+                found.add(data)
+    if not found:
+        raise DecodeError("no motion pre-image for %s" % (p,))
+    if len(found) > 1:
+        raise DecodeError("ambiguous motion pre-image for %s: %s"
+                          % (p, [d.as_dict() for d in sorted(found, key=repr)]))
+    return found.pop()
 
 
 def _decode_split(p: Partition, n1: int, n2: int, m: int, bottoms1: list[int],
                   rem1: int | None, rem2: int | None) -> MotionData | None:
-    # the motion data of this split, if p unwinds onto its docks
+    # the motion data of this split, if its full forward replay gives p
     dock = minimal_configuration(n1, n2, m)
     chains, k2 = n1 + n2, n2 // 2
 
@@ -434,7 +427,8 @@ def _decode_split(p: Partition, n1: int, n2: int, m: int, bottoms1: list[int],
     # 0 <= r[0] <= r[1] <= ...
     if any(a > b for a, b in zip((0,) + r, r)):
         return None
-    return MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
+    data = MotionData(n1, n2, m, r=r, rho2=rho2, rho1=rho1)
+    return data if apply_motions(data) == p else None
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +538,6 @@ def certify_range(max_size: int) -> dict[str, Any]:
                             "extra": sorted(extra)[:5]}}
 
     for result, data in image.items():
-        # data's replay is the image it encoded, so a lone candidate equal
-        # to data is decode's answer; any other set goes through decode
-        if _decode_candidates(result) == [data]:
-            continue
         try:
             back = decode(result)
         except DecodeError as exc:

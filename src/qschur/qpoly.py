@@ -18,17 +18,14 @@ and to memoize.
 to count parts of a partition) and fixes one q-truncation bound for every
 stratum at construction time.
 
-`_packed_sum` is the one Kronecker kernel: it adds up products of
-dense nonnegative coefficient tables, less an optional second such sum,
-as one big integer per side and residue class of the shifts, the slot
-width taken from an exact bound on every coefficient of either side; a
-class whose two sides are equal integers is never unpacked.  The triple
+`_packed_sum` is the one Kronecker kernel: it adds up products of dense
+nonnegative coefficient tables, less an optional second such sum, as
+one big integer per side and residue class of the shifts.  The triple
 and trinomial sums, the recurrence residuals and the packed route of
-`QPoly.__mul__` (its factors' sign parts, like-signed pairs added and
-mixed pairs subtracted) go through it.  `_add_shifted` adds a `QPoly`
-into a dict in place, for the builders whose terms carry coefficients
-of both signs or are graded by x; `schur_sums._graded_sum` is the one
-place the windowed cell series accumulate through it.
+`QPoly.__mul__` (its factors' sign parts) go through it.  `_add_shifted`
+adds a `QPoly` into a dict in place, for the builders whose terms carry
+coefficients of both signs or are graded by x; `schur_sums._graded_sum`
+is the one place the windowed cell series accumulate through it.
 """
 
 from __future__ import annotations
@@ -41,22 +38,20 @@ from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Up to this many coefficient pairs the plain dict convolution wins over
-# the packed route.  scripts/mul_crossover.py (two [top, 3] binomials,
-# best of 9, microseconds; 2-vCPU Xeon VM, CPython 3.11):
+# the packed route.  Replaying the products of `qschur report`, and of
+# the `verify` rows gf-even-odd-split and analytic-schur at T = 240 and
+# qt-limit at T = 100 ("series"), through each route (best of 21, us per
+# product; 2-vCPU Xeon VM, CPython 3.11): dict led on both up to 256
+# pairs, the lead at 257-320 changed sides between runs, packed led past.
 #
-#   pairs    28   49   70  100  130  169  208  256  361  484  784 1156 1849
-#   dict      4    7    9   12   15   20   24   28   41   53   88  121  196
-#   packed   14   15   16   17   17   19   20   21   22   24   26   30   34
+#   pairs               129-192  193-256  257-320  321-384  385-512
+#   report     dict        18       25       30       38       45
+#              packed      25       29       31       36       38
+#   series     dict        20       26       35       40       88
+#              packed      27       28       32       32       69
 #
-# The products `qschur report` makes have factors of uneven length, which
-# favours dict: replayed through both routes (best of 21), dict led up to
-# 192 pairs (16-18 against 23-25 us per product at 129-192), the two were
-# within 4 us at 193-320, and packed led past 320 (37 against 145 us).
-_PACK_THRESHOLD = 192
-
-# Past this many slots in the product's span (64 MB at 8-byte slots and
-# 8-byte list pointers) the packed route hands over to the dict route.
-_MAX_SLOTS = 1 << 22
+# scripts/mul_crossover.py's even-length binomials cross sooner, at 169.
+_PACK_THRESHOLD = 256
 
 # Unsigned array typecodes by item size, for the slot widths the packed
 # route moves through `array` in C; wider slots go through `bytes`.
@@ -70,12 +65,14 @@ def _dense(c: dict[int, int], lo: int, hi: int, g: int) -> list[int]:
     return list(map(c.get, range(lo, hi + 1, g), repeat(0)))
 
 
-def _sign_parts(dense: list[int]) -> tuple[list[int], list[int]]:
-    """dense as its positive part and the absolute value of its negative
-    part, [] for a part with no entry."""
-    if min(dense) >= 0:
+def _sign_parts(c: dict[int, int], lo: int, hi: int,
+                g: int) -> tuple[list[int], list[int]]:
+    """c laid out by `_dense` as its positive part and the absolute value
+    of its negative part, [] for a part with no entry."""
+    dense = _dense(c, lo, hi, g)
+    if min(c.values()) > 0:
         return dense, []
-    if max(dense) <= 0:
+    if max(c.values()) < 0:
         return [], [-v for v in dense]
     return [v if v > 0 else 0 for v in dense], [-v if v < 0 else 0 for v in dense]
 
@@ -114,16 +111,6 @@ def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
         return slots.tolist()
     return [int.from_bytes(buf[i:i + w], "little")
             for i in range(0, n * w, w)]
-
-
-def _unpack_difference(pos: int, neg: int, n: int, w: int,
-                       code: str | None) -> list[int]:
-    # slot by slot, the n slots of pos less those of neg
-    if not neg:
-        return _unpack(pos, n, w, code)
-    if not pos:
-        return [-v for v in _unpack(neg, n, w, code)]
-    return list(map(sub, _unpack(pos, n, w, code), _unpack(neg, n, w, code)))
 
 
 class QPoly:
@@ -275,16 +262,22 @@ class QPoly:
 
     @staticmethod
     def _mul_packed(a: dict[int, int], b: dict[int, int]) -> "QPoly":
-        # one signed `_packed_sum` over the factors' sign parts, each
-        # factor laid out from its least exponent along one common stride
+        # one signed `_packed_sum` of the factors' sign parts, laid out from
+        # their least exponents along one common stride; no coefficient of
+        # either side, nor any entry, exceeds min(len) max|a| max|b|
         amin, amax = min(a), max(a)
         bmin, bmax = min(b), max(b)
         g = gcd(*[e - amin for e in a], *[e - bmin for e in b]) or 1
-        if (amax - amin) // g + (bmax - bmin) // g >= _MAX_SLOTS:
+        n_out = (amax - amin) // g + (bmax - bmin) // g + 1
+        bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+                 * max(map(abs, b.values())))
+        # a slot costs about the bound's bytes packed plus an 8-byte list
+        # pointer while it is laid out; past 64 MB the dict route runs
+        if n_out * ((bound.bit_length() + 7) // 8 + 8) > 1 << 26:
             return QPoly._mul_dict(a, b)
-        (ap, an), (bp, bn) = (_sign_parts(_dense(c, lo, hi, g))
-                              for c, lo, hi in ((a, amin, amax), (b, bmin, bmax)))
-        return _packed_sum([(0, ap, bp), (0, an, bn)], g,
+        ap, an = _sign_parts(a, amin, amax, g)
+        bp, bn = _sign_parts(b, bmin, bmax, g)
+        return _packed_sum([(0, ap, bp), (0, an, bn)], g, bound=bound,
                            minus=[(0, ap, bn), (0, an, bp)]).shift(amin + bmin)
 
     def substitute_q_power(self, k: int) -> "QPoly":
@@ -354,8 +347,8 @@ class QPoly:
 
 def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                 g: int, cut: int | None = None,
-                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = ()
-                ) -> QPoly:
+                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = (),
+                bound: int | None = None) -> QPoly:
     """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, less the
     same sum over the minus terms, where L and R are dense coefficient
     tables on stride g half-steps (L[i] is the coefficient of q^(g*i/2)),
@@ -378,7 +371,8 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
     unpacked; only an unequal class is cut back into slots.  A negative
     entry or shift raises ValueError.  A product AB of signed tables goes
     in split by sign, A = A+ - A- (A- the absolute value of the negative
-    part, [] when empty): A+B+ and A-B- less A+B- and A-B+."""
+    part, [] when empty): A+B+ and A-B- less A+B- and A-B+.  A caller
+    that knows a smaller bound on all of these passes it as bound."""
     kept = []
     bounds = [0, 0]
     top = 0
@@ -401,10 +395,11 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                 group = groups.setdefault(key, [i, right])
                 group[0] = min(group[0], i)
                 ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
-                sl, sr = sum(left), sum(right)
-                bounds[side] += sl * sr
-                top = max(top, sl, sr)
-    w, code = _slot(max(*bounds, top))
+                if bound is None:
+                    sl, sr = sum(left), sum(right)
+                    bounds[side] += sl * sr
+                    top = max(top, sl, sr)
+    w, code = _slot(max(*bounds, top) if bound is None else bound)
     lefts = dict.fromkeys(groups, 0)
     sums: dict[tuple[int, int], int] = {}    # (side, residue) -> packed sum
     try:
@@ -424,8 +419,10 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
             pos, neg = pos & mask, neg & mask
         if pos == neg:
             continue
-        for e, v in zip(range(r, r + g * n, g),
-                        _unpack_difference(pos, neg, n, w, code)):
+        vals = _unpack(pos, n, w, code)
+        if neg:
+            vals = list(map(sub, vals, _unpack(neg, n, w, code)))
+        for e, v in zip(range(r, r + g * n, g), vals):
             if v:
                 out[e] = v
     return QPoly._raw(out)

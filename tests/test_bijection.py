@@ -427,48 +427,3 @@ def test_certify_reports_the_known_gap_without_raising():
     assert report["failure"]["kind"] == "no-rule"
     assert report["failure"]["data"] == {
         "n1": 2, "n2": 2, "m": 1, "r": [1], "rho2": [1], "rho1": [2]}
-
-
-def test_certify_plays_each_datum_forward_once(monkeypatch):
-    # certify_range encodes each datum once; an image whose only decode
-    # candidate is that datum needs no second replay.  The verdicts stay
-    # those of a full decode of every image.
-    calls = []
-
-    def counting(data):
-        calls.append(data)
-        return apply_motions(data)
-
-    monkeypatch.setattr(bijection, "apply_motions", counting)
-    assert certify_range(40) == {"max_size": 40, "status": "verified",
-                                 "partitions": 1617, "failure": None}
-    assert len(calls) == len(set(calls)) == 1617
-    assert certify_range(56)["status"] == "verified"
-    assert certify_range(58) == {
-        "max_size": 58, "status": "failed",
-        "failure": {"kind": "no-rule",
-                    "data": {"n1": 2, "n2": 2, "m": 1, "r": [1],
-                             "rho2": [1], "rho1": [2]},
-                    "detail": "no forwards motion applies: family=1 "
-                              "pair=(4,7) state=(4, 7, 10, 14, 17)"}}
-
-
-def test_certify_sends_other_candidate_sets_through_decode(monkeypatch):
-    # decode replays them: a candidate that does not replay is dropped,
-    # one that does makes the image ambiguous, and no candidate at all is
-    # decode's failure
-    real = bijection._decode_candidates
-    stray = MotionData(0, 0, 2, r=(0, 5), rho2=(), rho1=())   # size 15
-    monkeypatch.setattr(bijection, "_decode_candidates", lambda p: (
-        real(p) + [stray] if p == (1, 5) else real(p)))
-    assert certify_range(10)["status"] == "verified"
-    monkeypatch.setattr(bijection, "apply_motions", lambda data: (
-        (1, 5) if data == stray else apply_motions(data)))
-    failure = certify_range(10)["failure"]
-    assert failure["kind"] == "decode"
-    assert failure["detail"].startswith("ambiguous motion pre-image for (1, 5)")
-    monkeypatch.setattr(bijection, "_decode_candidates",
-                        lambda p: [] if p == (1, 5) else real(p))
-    assert certify_range(10)["failure"] == {
-        "kind": "decode", "partition": [1, 5],
-        "detail": "no motion pre-image for (1, 5)"}

@@ -126,9 +126,12 @@ def factor_terms(draw):
 
 
 # (a, b, the slot width in bytes `_packed_sum` takes for a * b): widths
-# past 8 bytes go through `bytes`
+# past 8 bytes go through `bytes`.  `_mul_packed` passes the bound
+# min(len) max|a| max|b|: twenty ones times twenty ones bound 20, one
+# byte, where the tables' sums would bound 400
 SLOT_EXAMPLES = [
     ({0: 1, 2: 1}, {0: 1, 2: 1}, 1),
+    ({2 * i: 1 for i in range(20)}, {2 * i: 1 for i in range(20)}, 1),
     ({0: 100, 2: 3}, {0: 100, 4: -1}, 2),
     ({1: 30000, 3: 1}, {-3: 30000, 5: 7}, 4),
     ({0: 1 << 30, 6: 5}, {0: -(1 << 30), 12: -3}, 8),
@@ -164,13 +167,18 @@ for _a, _b, _ in SLOT_EXAMPLES:
         test_kronecker_product_against_schoolbook)
 
 
-def test_packed_product_of_a_wide_span_takes_the_dict_route(monkeypatch):
-    # 12-term factors of mixed signs, exponents 2^40 apart on stride 1:
-    # the dense span would take 2^40 slots, so nothing is laid out
-    a = {e: (-1) ** e * (e + 1) for e in range(6)}
-    a.update({(1 << 40) + e: 7 - e for e in range(6)})
+@pytest.mark.parametrize("span, scale", [
+    (1 << 40, 1),           # 2^40 slots of 1 byte
+    (1 << 20, 10 ** 300),   # 2^21 slots of 126 bytes: 268 MB laid out
+], ids=["narrow-slots", "wide-slots"])
+def test_packed_product_of_a_wide_span_takes_the_dict_route(
+        monkeypatch, span, scale):
+    # 12-term factors of mixed signs, exponents `span` apart on stride 1:
+    # the guard weighs the span by the slot width, so nothing is laid out
+    a = {e: (-1) ** e * (e + 1) * scale for e in range(6)}
+    a.update({span + e: 7 - e for e in range(6)})
     b = {e: e + 2 for e in range(-3, 3)}
-    b.update({(1 << 40) - e: -3 * e - 1 for e in range(6)})
+    b.update({span - e: -3 * e - 1 for e in range(6)})
     expected = QPoly._mul_dict(a, b)
     monkeypatch.setattr(qpoly, "_dense", None)
     monkeypatch.setattr(qpoly, "_packed_sum", None)
