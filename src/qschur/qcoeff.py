@@ -1,10 +1,18 @@
-"""Pochhammer symbols, Gaussian binomials and two q-trinomial families.
+"""Partition products, Gaussian binomials and two q-trinomial families.
 
-Every function returns an exact `QPoly`.  Bases other than q itself are
-handled by an integer `modulus` argument: modulus 3 reads the whole
-expression in q^3, modulus 6 in q^6, and so on.  Arguments of Pochhammer
-symbols are restricted to signed monomials, which is all the series in
-this package ever need.
+Every q-product of the package counts partitions into a fixed multiset
+of parts, and one private kernel, `_parts_series`, builds them all as
+dense coefficient tables on whole q-steps: Schur's
+(-q;q^3)_inf (-q^2;q^3)_inf, the finite (-q;q^3)_M (-q^2;q^3)_M and
+(-q^2;q^3)_j, the T0 limit 1/((q^2;q^3)_inf (q;q^6)_inf) and the
+reciprocals 1/(q^6;q^6)_h and 1/(q;q)_m of the limit and bivariate
+series.  A part used at most once is a factor 1 + q^p, one descending
+pass over the table; a part used freely is a factor 1/(1 - q^p), one
+ascending pass.
+
+The public functions return exact `QPoly` values.  Bases other than q
+itself are handled by an integer `modulus` argument: modulus 3 reads the
+whole expression in q^3, modulus 6 in q^6, and so on.
 
 Both trinomial families rest on one k-walk, `_trinomial_terms`: the T_n
 family is the round one at q -> 1/q.  Its terms are pairs of dense
@@ -12,97 +20,42 @@ binomial tables, summed by `qpoly._packed_sum`; the round-trinomial side
 and the T0 half sums of `schur_sums` feed every j's walk to one such sum,
 each under the leading exponent of its own k-terms.
 
-Caching: the coefficient tables of base-q binomials and the finite
-Pochhammer products are memoized (they are requested thousands of times
-by the sum builders).  `functools.lru_cache` is safe under threads; under
-`--jobs` each worker process simply grows its own cache.
+Caching: the coefficient tables of base-q binomials are memoized (they
+are requested thousands of times by the sum builders).
+`functools.lru_cache` is safe under threads; under `--jobs` each worker
+process simply grows its own cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .qpoly import QPoly, _packed_sum
 
 
-@dataclass(frozen=True)
-class MonomialBase:
-    """The argument a = sign * q^(half_exponent/2) of (a; q^modulus)_n."""
-
-    sign: int
-    half_exponent: int
-    modulus: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-
-    @classmethod
-    def of_q(cls, sign: int, q_exponent: int, modulus: int = 1) -> "MonomialBase":
-        """Convenience builder with the exponent given in q-units."""
-        return cls(sign, 2 * q_exponent, modulus)
-
-
-@lru_cache(maxsize=None)
-def pochhammer_finite(a: MonomialBase, n: int) -> QPoly:
-    """(a; q^modulus)_n = prod_{i=0}^{n-1} (1 - a q^(modulus*i)); n = 0 is 1."""
-    if n < 0:
-        raise ValueError("pochhammer length must be >= 0")
-    if n == 0:
-        return QPoly.one()
-    prev = pochhammer_finite(a, n - 1)
-    step = a.half_exponent + 2 * a.modulus * (n - 1)
-    return prev - prev.shift(step) * a.sign
-
-
-def pochhammer_infinite_truncated(a: MonomialBase, T: int) -> QPoly:
-    """The infinite product (a; q^modulus)_inf reduced mod q^(T+1/2).
-
-    Only bases with positive exponent converge coefficient-wise; factors
-    whose monomial already exceeds the bound multiply to 1 mod q^(T+1/2),
-    so the product is finite.
-    """
-    if a.half_exponent <= 0:
-        raise ValueError("infinite product needs a base with positive exponent")
-    p = QPoly.one()
-    i = 0
-    while a.half_exponent + 2 * a.modulus * i <= 2 * T:
-        step = a.half_exponent + 2 * a.modulus * i
-        p = (p - p.shift(step) * a.sign).truncate(T)
-        i += 1
-    return p
-
-
-def series_reciprocal_truncated(p: QPoly, T: int) -> QPoly:
-    """r with p*r = 1 mod q^(T+1/2), by incremental coefficient solving.
-
-    Needs constant term +-1 (no rational arithmetic then) and no negative
-    exponents.
-    """
-    c0 = p.coefficient(0)
-    if c0 not in (1, -1):
-        raise ValueError("reciprocal needs constant term +1 or -1")
-    lo = p.min_half_exponent()
-    if lo is not None and lo < 0:
-        raise ValueError("reciprocal needs non-negative exponents")
-    cut = 2 * T
-    tail = sorted((e, v) for e, v in p.items() if 0 < e <= cut)
-    r: dict[int, int] = {0: c0}
-    for e in range(1, cut + 1):
-        s = 0
-        for f, v in tail:
-            if f > e:
-                break
-            t = r.get(e - f)
-            if t:
-                s += v * t
-        if s:
-            r[e] = -c0 * s
-    return QPoly.from_pairs(r.items())
+def _parts_series(T: int, once: Iterable[int] = (), free: Iterable[int] = (),
+                  start: Sequence[int] = (1,)) -> list[int]:
+    """start times prod (1 + q^p) over the parts p of once, times
+    prod 1/(1 - q^p) over the parts p of free, mod q^(T+1/2), as the dense
+    table of its coefficients at q^0..q^T (start is such a table too, cut
+    or padded to T).  From start = 1, entry n counts the partitions of n
+    into parts of free, each used any number of times, and parts of once,
+    each listed occurrence used at most once.  A part listed twice is two
+    factors; a part above T changes nothing.  Parts must be >= 1."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    c = list(start[:T + 1])
+    c += [0] * (T + 1 - len(c))
+    for p in once:
+        # descending, so each c[n - p] is read before p reaches it
+        for n in range(T, p - 1, -1):
+            c[n] += c[n - p]
+    for p in free:
+        # ascending, so c[n - p] already holds every use of p below n
+        for n in range(p, T + 1):
+            c[n] += c[n - p]
+    return c
 
 
 @lru_cache(maxsize=None)

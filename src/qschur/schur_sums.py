@@ -52,9 +52,18 @@ takes every recurrence residual, declared term by term in
 rhs_schur through `_table` and each summand from the cached
 `_summand_table`, and a residual that vanishes is settled by comparing
 two integers per class, without unpacking.  `schur_summand` stays the
-uncached QPoly form of one summand.  `qpoly._add_shifted` adds `QPoly`
-values into a dict for the rest: `_graded_sum` and the truncated limit
-sums, whose terms meet reciprocal Pochhammer series.
+uncached QPoly form of one summand.  `qpoly._add_shifted` adds the
+x-graded pieces of `_graded_sum` into a dict.
+
+Every q-product is a count of partitions into a fixed multiset of parts,
+built by the one kernel `qcoeff._parts_series` on a dense table: the
+Schur product, the T0 limit product, the finite product of the summation
+formula at full degree, the prefixes (-q^2;q^3)_j of the single-binomial
+T0 form, one pass per part, and the reciprocal factor of each graded
+cell, `_recip_cell`, one call per cell cut to the room its weight
+leaves.  The truncated limit sums hand each y-slice or N-layer to the
+kernel as its start table, so 1/(q^6;q^6)_y and 1/(q^3;q^3)_N are
+applied to it part by part, never built and multiplied.
 
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
@@ -74,22 +83,14 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import sub
+from operator import add, sub
 from typing import Any, Callable, Iterable, NamedTuple
 
 # weight_a (re-exported) and _cells live with the motion bijection
 from .bijection import _cells, certify_range, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
-from .qcoeff import (
-    MonomialBase,
-    _gauss_coeffs,
-    _trinomial_terms,
-    gauss_binomial,
-    pochhammer_finite,
-    pochhammer_infinite_truncated,
-    series_reciprocal_truncated,
-    t_trinomial,
-)
+from .qcoeff import (_gauss_coeffs, _parts_series, _trinomial_terms,
+                     gauss_binomial, t_trinomial)
 from .qpoly import QPoly, XSeries, _add_shifted, _dense, _packed_sum
 
 # ---------------------------------------------------------------------------
@@ -401,9 +402,12 @@ def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
     sum_k q^k [N,k]_{q^3} (-q^2; q^3)_{N-k}."""
     if N < 0:
         raise ValueError("t0 binomial sides need N >= 0")
-    mq2 = MonomialBase.of_q(-1, 2, 3)
-    rhs = _packed_sum([_product_term(2 * k, gauss_binomial(N, k, 3),
-                                     pochhammer_finite(mq2, N - k))
+    # (-q^2; q^3)_j for j = 0..N, each the one before times its own part
+    poch = [[1]]
+    for part in range(2, 3 * N, 3):
+        poch.append(_parts_series(len(poch[-1]) - 1 + part, once=[part],
+                                  start=poch[-1]))
+    rhs = _packed_sum([(2 * k, _table(gauss_binomial(N, k, 3))[1], poch[N - k])
                        for k in range(N + 1)], 2)
     return t0_half_sum(N), rhs
 
@@ -416,18 +420,10 @@ def t0_half_sum_truncated(N: int, T: int) -> QPoly:
 
 
 def t0_limit_product(T: int) -> QPoly:
-    """1/((q^2;q^3)_inf (q;q^6)_inf) mod q^(T+1/2), via the truncated
-    products and one series inversion."""
-    prod = (pochhammer_infinite_truncated(MonomialBase.of_q(1, 2, 3), T)
-            * pochhammer_infinite_truncated(MonomialBase.of_q(1, 1, 6), T))
-    return series_reciprocal_truncated(prod.truncate(T), T)
-
-
-@lru_cache(maxsize=None)
-def _recip_poch(modulus: int, n: int, T: int) -> QPoly:
-    # 1 / (q^modulus; q^modulus)_n mod q^(T+1/2)
-    return series_reciprocal_truncated(
-        pochhammer_finite(MonomialBase.of_q(1, modulus, modulus), n), T)
+    """1/((q^2;q^3)_inf (q;q^6)_inf) mod q^(T+1/2): partitions into parts
+    congruent to 2 mod 3 or to 1 mod 6, each used freely."""
+    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(T, free=[
+        p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))))
 
 
 def _cut_binomial(top: int, bottom: int, modulus: int, room: int) -> QPoly:
@@ -458,10 +454,13 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
                          * _cut_binomial(y + n1 // 2, y, 6, room))
 
     slices = _graded_sum(T, floor, pieces)
-    acc: dict[int, int] = {}
+    acc = [0] * (T + 1)
     for y in slices.x_degrees():
-        _add_shifted(acc, (slices.stratum(y) * _recip_poch(6, y, T)).truncate(T), 0)
-    return QPoly._raw(acc)
+        # the y-slice over (q^6;q^6)_y: its parts 6..6y, each used freely
+        acc = list(map(add, acc, _parts_series(
+            T, free=range(6, 6 * y + 1, 6),
+            start=_dense(slices.stratum(y)._c, 0, 2 * T, 2))))
+    return QPoly.from_q_coeffs(dict(enumerate(acc)))
 
 
 def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
@@ -474,8 +473,9 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
     lhs = _packed_sum([_product_term(N * (3 * N - 1), gauss_binomial(M, N, 3),
                                      _dual_sum(N))
                        for N in range(M + 1)], 2)
-    rhs = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), M)
-           * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), M))
+    # distinct parts below 3M, none divisible by 3; they sum to 3M^2
+    rhs = QPoly.from_q_coeffs(dict(enumerate(_parts_series(3 * M * M, once=[
+        p for p in range(1, 3 * M) if p % 3]))))
     return lhs, rhs
 
 
@@ -486,13 +486,17 @@ def summation_limit_sum(T: int) -> QPoly:
     schur_product_truncated(T), as the analytic-schur row checks."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    acc: dict[int, int] = {}
+    acc = [0] * (T + 1)
     N = 0
     while N * (3 * N - 1) <= 2 * T:
-        layer = _dual_sum(N).shift(N * (3 * N - 1)).truncate(T)
-        _add_shifted(acc, (layer * _recip_poch(3, N, T)).truncate(T), 0)
+        # the N-layer, read from q^0 to q^T, over (q^3;q^3)_N: its parts
+        # 3..3N, each used freely
+        lead = N * (3 * N - 1)
+        acc = list(map(add, acc, _parts_series(
+            T, free=range(3, 3 * N + 1, 3),
+            start=_dense(_dual_sum(N)._c, -lead, 2 * T - lead, 2))))
         N += 1
-    return QPoly._raw(acc)
+    return QPoly.from_q_coeffs(dict(enumerate(acc)))
 
 
 @lru_cache(maxsize=None)
@@ -541,16 +545,16 @@ def q1_quad_value(M: int) -> int:
 
 def schur_product_truncated(T: int) -> QPoly:
     """(-q; q^3)_inf (-q^2; q^3)_inf mod q^(T+1/2): the distinct-parts
-    side of the partition theorem."""
-    return (pochhammer_infinite_truncated(MonomialBase.of_q(-1, 1, 3), T)
-            * pochhammer_infinite_truncated(MonomialBase.of_q(-1, 2, 3), T)
-            ).truncate(T)
+    side of the partition theorem, its parts the ones not divisible by 3."""
+    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(T, once=[
+        p for p in range(1, T + 1) if p % 3]))))
 
 
-def _recip_cell(h1: int, h2: int, m: int, T: int) -> QPoly:
-    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m), exact through q^T
-    term = (_recip_poch(6, h1, T) * _recip_poch(6, h2, T)).truncate(T)
-    return term * _recip_poch(1, m, T)
+def _recip_cell(h1: int, h2: int, m: int, room: int) -> QPoly:
+    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m) mod q^(room+1/2): the parts
+    # 6..6h1, 6..6h2 and 1..m, each used freely
+    parts = [*range(6, 6 * h1 + 1, 6), *range(6, 6 * h2 + 1, 6), *range(1, m + 1)]
+    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(room, free=parts))))
 
 
 def ali_gf_truncated(T: int) -> XSeries:
@@ -558,7 +562,7 @@ def ali_gf_truncated(T: int) -> XSeries:
     x^(n1+n2+m) q^weight_a / ((q^6;q^6)_{floor(n1/2)} (q^6;q^6)_{floor(n2/2)} (q)_m)
     mod q^(T+1/2).  x marks the number of parts."""
     return _graded_sum(T, weight_a, lambda n1, n2, m, a: [
-        (n1 + n2 + m, a, _recip_cell(n1 // 2, n2 // 2, m, T))])
+        (n1 + n2 + m, a, _recip_cell(n1 // 2, n2 // 2, m, T - a))])
 
 
 def kursungoz_gf_truncated(T: int) -> XSeries:
@@ -566,7 +570,7 @@ def kursungoz_gf_truncated(T: int) -> XSeries:
     x^(2n1+2n2+m) q^weight_k / ((q^6;q^6)_{n1} (q^6;q^6)_{n2} (q)_m)
     mod q^(T+1/2).  Same bivariate series as ali_gf_truncated."""
     return _graded_sum(T, weight_k, lambda n1, n2, m, k: [
-        (2 * n1 + 2 * n2 + m, k, _recip_cell(n1, n2, m, T))])
+        (2 * n1 + 2 * n2 + m, k, _recip_cell(n1, n2, m, T - k))])
 
 
 def even_odd_split_lhs(T: int) -> XSeries:
@@ -578,7 +582,8 @@ def even_odd_split_lhs(T: int) -> XSeries:
         return weight_k(n1, n2, m) + 2 * m
 
     def pieces(n1: int, n2: int, m: int, base: int):
-        denom = _recip_cell(n1, n2, m, T)
+        # one cell for all four pieces, at the room of the first
+        denom = _recip_cell(n1, n2, m, T - base)
         x0 = 2 * n1 + 2 * n2 + m
         s6 = 6 * n1 + 6 * n2 + 3 * m
         return [(x0, base, denom), (x0 + 1, base + s6 + 1, denom),
@@ -842,14 +847,15 @@ def _run_bijection_sweep(p: dict) -> _Pairs:
 # in report order, and each declares the rows it adds to the report (see
 # acceptance_matrix).
 _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] = {
-    # schur-poly's N, cor1-bounded-sum's N and warnaar's L take caps of their
-    # own: time climbs steeply with them, and each cap is a round value that
-    # verifies in under 10 s, whole process, on a 2-vCPU Xeon VM
+    # schur-poly's, rec-l's, cor1-bounded-sum's, dual's and t0-binom's N,
+    # summation-m's, q1-triple's and q1-quad's M and warnaar's L take caps
+    # of their own: time climbs steeply with them, and each cap is a round
+    # value that verifies in under 10 s, whole process, on a 2-vCPU Xeon VM
     IdentityId.SCHUR_POLY: ({"N": _Param(0, last=25, cap=60)}, lambda p: [
         (lhs_schur(p["N"]), rhs_schur(p["N"]))]),
     IdentityId.REC_ANDREWS: ({"N": _Param(2, last=25)}, lambda p: [(
         recurrence_residual(IdentityId.REC_ANDREWS, p["N"]), QPoly.zero())]),
-    IdentityId.REC_L: ({"N": _Param(4, last=25)}, lambda p: [(
+    IdentityId.REC_L: ({"N": _Param(4, last=25, cap=50)}, lambda p: [(
         recurrence_residual(IdentityId.REC_L, p["N"]), QPoly.zero())]),
     # rec-summand's N takes a cap of its own: a row checks O(N^3) cells,
     # each over tables that grow with N
@@ -870,21 +876,23 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
         even_odd_split_lhs(p["T"]), kursungoz_gf_truncated(p["T"]))]),
     IdentityId.ANALYTIC_SCHUR: ({"T": _Param(0, 60, cap=MAX_WINDOW)},
                                 _run_analytic_schur),
-    IdentityId.DUAL: ({"N": _Param(0, last=20)}, lambda p: [dual_sides(p["N"])]),
+    IdentityId.DUAL: (
+        {"N": _Param(0, last=20, cap=60)}, lambda p: [dual_sides(p["N"])]),
     IdentityId.T0_BINOM: (
-        {"N": _Param(0, last=20)}, lambda p: [t0_binomial_sides(p["N"])]),
+        {"N": _Param(0, last=20, cap=80)}, lambda p: [t0_binomial_sides(p["N"])]),
     IdentityId.T0_LIMIT: (
         {"N": _Param(0, 40), "T": _Param(0, 40, cap=MAX_WINDOW)}, _run_t0_limit),
     IdentityId.QT_LIMIT: (
         {"t": _Param(_QT_T[0], last=_QT_T[-1]), "T": _Param(0, 50, cap=MAX_WINDOW)},
         _run_qt_limit),
     IdentityId.SUMMATION_M: (
-        {"M": _Param(0, last=12)}, lambda p: [summation_formula_sides(p["M"])]),
+        {"M": _Param(0, last=12, cap=50)},
+        lambda p: [summation_formula_sides(p["M"])]),
     IdentityId.WARNAAR: (
         {"L": _Param(0, last=12, cap=50), "a": _Param(optional=True)}, _run_warnaar),
-    IdentityId.Q1_TRIPLE: ({"M": _Param(0, last=15)}, lambda p: [
+    IdentityId.Q1_TRIPLE: ({"M": _Param(0, last=15, cap=60)}, lambda p: [
         (q1_triple_value(p["M"]), 3 ** p["M"])]),
-    IdentityId.Q1_QUAD: ({"M": _Param(0, last=15)}, lambda p: [
+    IdentityId.Q1_QUAD: ({"M": _Param(0, last=15, cap=50)}, lambda p: [
         (q1_quad_value(p["M"]), 4 ** p["M"])]),
     IdentityId.BIJECTION_SWEEP: (
         {"max_size": _Param(0, 40)}, _run_bijection_sweep),

@@ -223,10 +223,13 @@ def test_one_past_a_cap_exits_2_before_any_work(capsys, no_work, argv):
 
 @pytest.mark.parametrize("identity, option, cap", [
     ("schur-poly", "--N", 60), ("cor1-bounded-sum", "--N", 40),
-    ("warnaar", "--L", 50)])
+    ("warnaar", "--L", 50), ("rec-l", "--N", 50), ("dual", "--N", 60),
+    ("t0-binom", "--N", 80), ("summation-m", "--M", 50),
+    ("q1-triple", "--M", 60), ("q1-quad", "--M", 50)])
 def test_steep_rows_take_caps_of_their_own(capsys, no_work, identity, option, cap):
-    # below the index cap of 100, these rows ran for minutes; each cap is
-    # a round value that verifies in under 10 s, whole process
+    # at or below the index cap of 100, each of these rows ran for half a
+    # minute or more; each cap is a round value that verifies in under
+    # 10 s, whole process
     with pytest.raises(Worked):
         main(["verify", "--identity", identity, "%s=%d" % (option, cap)])
     code, out, err = run(capsys, "verify", "--identity", identity,

@@ -1,66 +1,66 @@
-"""Coefficient-level checks of the Pochhammer / binomial / trinomial kit."""
+"""Coefficient-level checks of the partition-product / binomial /
+trinomial kit."""
 
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur.qcoeff import (
-    MonomialBase,
-    gauss_binomial,
-    pochhammer_finite,
-    pochhammer_infinite_truncated,
-    round_trinomial,
-    series_reciprocal_truncated,
-    t_trinomial,
-)
-from qschur.qcoeff import _trinomial_terms
+from qschur.qcoeff import (_parts_series, _trinomial_terms, gauss_binomial,
+                           round_trinomial, t_trinomial)
 from qschur.qpoly import QPoly, _packed_sum
 
 
-def test_pochhammer_base_cases():
-    a = MonomialBase.of_q(-1, 1)
-    assert pochhammer_finite(a, 0) == QPoly.one()
-    # (-q; q)_1 = 1 + q
-    assert pochhammer_finite(a, 1) == QPoly.one() + QPoly.q_power(1)
+def naive_parts_series(T, once=(), free=(), start=None):
+    # Reference: start (default 1) times a QPoly factor 1 + q^p for each
+    # part p of once and a geometric series 1 + q^p + ... + q^(p floor(T/p))
+    # for each part of free, the product cut to q^T
+    total = QPoly.one() if start is None else start
+    for p in once:
+        total = (total * (QPoly.one() + QPoly.q_power(p))).truncate(T)
+    for p in free:
+        geometric = QPoly.from_q_coeffs({p * i: 1 for i in range(T // p + 1)})
+        total = (total * geometric).truncate(T)
+    return total.truncate(T)
 
 
-@given(st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 3),
-       st.integers(0, 8))
-def test_pochhammer_product_recursion(sign, qe, mod, n):
-    # (a;Q)_{n+1} = (a;Q)_n * (1 - a Q^n), Q = q^mod
-    a = MonomialBase.of_q(sign, qe, mod)
-    factor = QPoly.one() - QPoly.monomial(sign, 2 * qe + 2 * mod * n)
-    assert pochhammer_finite(a, n + 1) == pochhammer_finite(a, n) * factor
+def dense(p, T):
+    # p on q^0..q^T as a list, zero where it has no term
+    return [p.coefficient_q(n) for n in range(T + 1)]
 
 
-def test_pochhammer_infinite_stabilizes():
-    a = MonomialBase.of_q(1, 1)
-    T = 12
-    inf = pochhammer_infinite_truncated(a, T)
-    # long finite products agree with the infinite one below the cut
-    assert pochhammer_finite(a, 40).truncate(T) == inf
+parts = st.lists(st.integers(1, 40), max_size=8)
 
 
-def test_pochhammer_infinite_rejects_nonpositive_base():
-    with pytest.raises(ValueError):
-        pochhammer_infinite_truncated(MonomialBase(1, 0), 5)
+@given(st.integers(0, 30), parts, parts)
+@example(0, [], [])                   # T = 0, no parts
+@example(12, [], [])                  # no parts: 1
+@example(12, [2, 2, 5], [3, 3, 4])    # a part listed twice, each way
+@example(6, [7, 40], [9])             # parts above T change nothing
+@example(9, [1, 2, 3, 4], [])         # distinct parts
+@settings(max_examples=200, deadline=None)
+def test_parts_series_matches_the_naive_product(T, once, free):
+    got = _parts_series(T, once, free)
+    assert len(got) == T + 1
+    assert got == dense(naive_parts_series(T, once, free), T)
 
 
-@given(st.integers(1, 10))
-def test_series_reciprocal_inverts(n):
-    p = pochhammer_finite(MonomialBase.of_q(1, 1), n)
-    T = 14
-    r = series_reciprocal_truncated(p, T)
-    assert (p * r).truncate(T) == QPoly.one()
+@given(st.integers(0, 20), st.lists(st.integers(-9, 9), max_size=25),
+       parts, parts)
+@example(0, [], [1], [1])             # an empty start is the zero series
+@example(3, [1, 2, 3, 4, 5, 6], [], [])  # a longer start is cut to T
+@settings(max_examples=100, deadline=None)
+def test_parts_series_multiplies_its_start(T, start, once, free):
+    # a signed start table is multiplied as it is, cut or padded to T
+    poly = QPoly.from_q_coeffs(dict(enumerate(start)))
+    assert (_parts_series(T, once, free, start=start)
+            == dense(naive_parts_series(T, once, free, poly.truncate(T)), T))
 
 
-def test_series_reciprocal_requires_unit_constant():
-    with pytest.raises(ValueError):
-        series_reciprocal_truncated(QPoly.from_q_coeffs({0: 2}), 5)
-    with pytest.raises(ValueError):
-        series_reciprocal_truncated(QPoly.monomial(1, -2) + QPoly.one(), 5)
+def test_parts_series_rejects_a_negative_window():
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        _parts_series(-1, [1], [2])
 
 
 def test_gauss_binomial_edges():

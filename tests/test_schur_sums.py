@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
-from qschur.qcoeff import (MonomialBase, gauss_binomial, pochhammer_finite,
-                           series_reciprocal_truncated, t_trinomial)
+from qschur.qcoeff import gauss_binomial, t_trinomial
 from qschur.qpoly import QPoly
+from test_qcoeff import naive_parts_series
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
 GOLDEN_LOW = {
@@ -390,8 +390,7 @@ def naive_qt_limit_sum(t, T):
     total = QPoly.zero()
     y = 0
     while y * (3 * y + 1) // 2 <= T:
-        recip = series_reciprocal_truncated(
-            pochhammer_finite(MonomialBase.of_q(1, 6, 6), y), T)
+        recip = naive_parts_series(T, free=range(6, 6 * y + 1, 6))
         for m in range(3 * y + 1):
             if m * (m - 1) // 2 + y * (3 * y + 1) // 2 > T:
                 break
@@ -507,8 +506,10 @@ def test_pair_series_agree_with_each_other_and_the_oracle(T):
 
 @pytest.mark.parametrize("build", [
     ss.ali_gf_truncated, ss.kursungoz_gf_truncated, ss.even_odd_split_lhs,
-    lambda T: ss.bounded_gf(3, T), lambda T: ss.qt_limit_sum(1, T)],
-    ids=["ali", "kursungoz", "even-odd", "bounded", "qt-limit"])
+    lambda T: ss.bounded_gf(3, T), lambda T: ss.qt_limit_sum(1, T),
+    ss.schur_product_truncated, ss.t0_limit_product],
+    ids=["ali", "kursungoz", "even-odd", "bounded", "qt-limit", "product",
+         "t0-limit"])
 def test_windowed_series_reject_negative_window(build):
     with pytest.raises(ValueError, match="T must be >= 0"):
         build(-1)
@@ -532,11 +533,12 @@ def test_bounded_sum_collapses_to_central_lhs(N):
 
 
 def test_analytic_product_identity_small():
-    # (-q;q^3)(-q^2;q^3) infinite products expanded two ways
+    # (-q;q^3)(-q^2;q^3) infinite products expanded two ways: against the
+    # naive product of its first T factors of each kind, cut to q^T
     T = 24
     prod = ss.schur_product_truncated(T)
-    direct = (pochhammer_finite(MonomialBase.of_q(-1, 1, 3), T)
-              * pochhammer_finite(MonomialBase.of_q(-1, 2, 3), T)).truncate(T)
+    direct = naive_parts_series(T, once=[3 * i + r for i in range(T)
+                                         for r in (1, 2)])
     assert prod == direct
 
 
