@@ -20,12 +20,11 @@ stratum at construction time.
 
 `_packed_sum` is the one Kronecker kernel: it adds up products of dense
 nonnegative coefficient tables, less an optional second such sum, as
-one big integer per side and residue class of the shifts.  The triple
-and trinomial sums, the recurrence residuals and the packed route of
-`QPoly.__mul__` (its factors' sign parts) go through it.  `_add_shifted`
-adds a `QPoly` into a dict in place, for the builders whose terms carry
-coefficients of both signs or are graded by x; `schur_sums._graded_sum`
-is the one place the windowed cell series accumulate through it.
+one big integer per side and residue class of the shifts.  Every sum of
+products the package builds goes through it: the triple and trinomial
+sums, the windowed cell series, the recurrence residuals and the cached
+summand tables.  `QPoly.__mul__` is the plain schoolbook convolution,
+kept for the uncached reference forms and the tests.
 """
 
 from __future__ import annotations
@@ -33,28 +32,11 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import repeat
-from math import gcd
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-# Up to this many coefficient pairs the plain dict convolution wins over
-# the packed route.  Replaying the products of `qschur report`, and of
-# the `verify` rows gf-even-odd-split and analytic-schur at T = 240 and
-# qt-limit at T = 100 ("series"), through each route (best of 21, us per
-# product; 2-vCPU Xeon VM, CPython 3.11): dict led on both up to 256
-# pairs, the lead at 257-320 changed sides between runs, packed led past.
-#
-#   pairs               129-192  193-256  257-320  321-384  385-512
-#   report     dict        18       25       30       38       45
-#              packed      25       29       31       36       38
-#   series     dict        20       26       35       40       88
-#              packed      27       28       32       32       69
-#
-# scripts/mul_crossover.py's even-length binomials cross sooner, at 169.
-_PACK_THRESHOLD = 256
-
-# Unsigned array typecodes by item size, for the slot widths the packed
-# route moves through `array` in C; wider slots go through `bytes`.
+# Unsigned array typecodes by item size, for the slot widths `_packed_sum`
+# moves through `array` in C; wider slots go through `bytes`.
 _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -63,18 +45,6 @@ def _dense(c: dict[int, int], lo: int, hi: int, g: int) -> list[int]:
     """c's coefficients at exponents lo, lo + g, ..., hi, zero where c has
     none."""
     return list(map(c.get, range(lo, hi + 1, g), repeat(0)))
-
-
-def _sign_parts(c: dict[int, int], lo: int, hi: int,
-                g: int) -> tuple[list[int], list[int]]:
-    """c laid out by `_dense` as its positive part and the absolute value
-    of its negative part, [] for a part with no entry."""
-    dense = _dense(c, lo, hi, g)
-    if min(c.values()) > 0:
-        return dense, []
-    if max(c.values()) < 0:
-        return [], [-v for v in dense]
-    return [v if v > 0 else 0 for v in dense], [-v if v < 0 else 0 for v in dense]
 
 
 def _slot(bound: int) -> tuple[int, str | None]:
@@ -229,23 +199,8 @@ class QPoly:
             return QPoly._raw({e: v * other for e, v in self._c.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
+        # schoolbook convolution over the shorter factor
         a, b = self._c, other._c
-        if not a or not b:
-            return QPoly._raw({})
-        if len(a) == 1:
-            (ea, ca), = a.items()
-            return QPoly._raw({ea + e: ca * v for e, v in b.items()})
-        if len(b) == 1:
-            (eb, cb), = b.items()
-            return QPoly._raw({eb + e: cb * v for e, v in a.items()})
-        if len(a) * len(b) <= _PACK_THRESHOLD:
-            return self._mul_dict(a, b)
-        return self._mul_packed(a, b)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _mul_dict(a: dict[int, int], b: dict[int, int]) -> "QPoly":
         if len(a) > len(b):
             a, b = b, a
         c: dict[int, int] = {}
@@ -260,25 +215,7 @@ class QPoly:
                     c.pop(e, None)
         return QPoly._raw(c)
 
-    @staticmethod
-    def _mul_packed(a: dict[int, int], b: dict[int, int]) -> "QPoly":
-        # one signed `_packed_sum` of the factors' sign parts, laid out from
-        # their least exponents along one common stride; no coefficient of
-        # either side, nor any entry, exceeds min(len) max|a| max|b|
-        amin, amax = min(a), max(a)
-        bmin, bmax = min(b), max(b)
-        g = gcd(*[e - amin for e in a], *[e - bmin for e in b]) or 1
-        n_out = (amax - amin) // g + (bmax - bmin) // g + 1
-        bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-                 * max(map(abs, b.values())))
-        # a slot costs about the bound's bytes packed plus an 8-byte list
-        # pointer while it is laid out; past 64 MB the dict route runs
-        if n_out * ((bound.bit_length() + 7) // 8 + 8) > 1 << 26:
-            return QPoly._mul_dict(a, b)
-        ap, an = _sign_parts(a, amin, amax, g)
-        bp, bn = _sign_parts(b, bmin, bmax, g)
-        return _packed_sum([(0, ap, bp), (0, an, bn)], g, bound=bound,
-                           minus=[(0, ap, bn), (0, an, bp)]).shift(amin + bmin)
+    __rmul__ = __mul__
 
     def substitute_q_power(self, k: int) -> "QPoly":
         """Map q to q^k for nonzero integer k; k = -1 is the q -> 1/q dual."""
@@ -347,8 +284,8 @@ class QPoly:
 
 def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                 g: int, cut: int | None = None,
-                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = (),
-                bound: int | None = None) -> QPoly:
+                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = ()
+                ) -> QPoly:
     """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, less the
     same sum over the minus terms, where L and R are dense coefficient
     tables on stride g half-steps (L[i] is the coefficient of q^(g*i/2)),
@@ -366,40 +303,46 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
     the sum over its terms of sum(L) sum(R), and no entry its own table's
     sum; the slot width covers both sides.  Terms of one side and class
     that share their right table (the same object) are multiplied once:
-    their left tables are summed first, shifted by whole slots.  A class
+    their left tables are summed first, shifted by whole slots, and the
+    right table is cut once, to the room of the group's earliest term.
+    The products that a later term thus gains all land past the cut, so
+    only the slots that the cut drops may overflow.  A class
     whose two sides are equal integers contributes nothing and is never
     unpacked; only an unequal class is cut back into slots.  A negative
     entry or shift raises ValueError.  A product AB of signed tables goes
     in split by sign, A = A+ - A- (A- the absolute value of the negative
-    part, [] when empty): A+B+ and A-B- less A+B- and A-B+.  A caller
-    that knows a smaller bound on all of these passes it as bound."""
+    part, [] when empty): A+B+ and A-B- less A+B- and A-B+."""
     kept = []
     bounds = [0, 0]
     top = 0
-    # (side, residue, id(R)) -> [least slot, R]; side 0 adds, 1 subtracts
+    # (side, residue, id(R)) -> [least slot, R cut to its room]; side 0
+    # adds, 1 subtracts
     groups: dict[tuple[int, int, int], list] = {}
-    ends: dict[int, int] = {}                # residue -> slots in the sum
+    # residue -> slots in the sum, read off the uncut right tables: a group
+    # multiplies its earliest term's cut, which may pass a later term's
+    ends: dict[int, int] = {}
     for side, side_terms in enumerate((terms, minus)):
         for shift, left, right in side_terms:
             if shift < 0:
                 raise ValueError("packed sum needs shifts >= 0")
+            cut_right = right
             if cut is not None:
                 if shift > cut:
                     continue
                 room = (cut - shift) // g + 1
-                left, right = left[:room], right[:room]
-            if left and right:
+                left, cut_right = left[:room], right[:room]
+            if left and cut_right:
                 i, r = divmod(shift, g)
                 key = side, r, id(right)
                 kept.append((i, key, left))
-                group = groups.setdefault(key, [i, right])
-                group[0] = min(group[0], i)
+                group = groups.setdefault(key, [i, cut_right])
+                if i < group[0]:
+                    group[:] = i, cut_right
                 ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
-                if bound is None:
-                    sl, sr = sum(left), sum(right)
-                    bounds[side] += sl * sr
-                    top = max(top, sl, sr)
-    w, code = _slot(max(*bounds, top) if bound is None else bound)
+                sl, sr = sum(left), sum(cut_right)
+                bounds[side] += sl * sr
+                top = max(top, sl, sr)
+    w, code = _slot(max(*bounds, top))
     lefts = dict.fromkeys(groups, 0)
     sums: dict[tuple[int, int], int] = {}    # (side, residue) -> packed sum
     try:
@@ -426,20 +369,6 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
             if v:
                 out[e] = v
     return QPoly._raw(out)
-
-
-def _add_shifted(row: dict[int, int], term: QPoly, shift: int) -> None:
-    # row += term * q^(shift/2) in place, keeping row canonical (a + b
-    # copies the whole sum): the accumulate step of the builders whose
-    # terms carry coefficients of both signs or are graded by x;
-    # _packed_sum serves the rest
-    for e, c in term._c.items():
-        key = e + shift
-        s = row.get(key, 0) + c
-        if s:
-            row[key] = s
-        else:
-            del row[key]
 
 
 class XSeries:
@@ -508,10 +437,10 @@ class XSeries:
         return out
 
     def at_x_one(self) -> QPoly:
-        acc: dict[int, int] = {}
+        acc = QPoly.zero()
         for p in self._s.values():
-            _add_shifted(acc, p, 0)
-        return QPoly._raw(acc)
+            acc = acc + p
+        return acc
 
     def to_strata_pairs(self) -> list[list]:
         return [[x, self._s[x].to_pairs()] for x in sorted(self._s)]

@@ -31,36 +31,38 @@ cells of s = 2k are E_v(k) and the (odd, odd) ones E_v(k-1), while the
 apart, each class shifted by its least weight.
 `_graded_sum(T, weight, pieces)` is the one place the windowed cell
 series accumulate: it walks `bijection._cells(T, weight)`, shared with
-the motion sweep, and adds each cell's x-graded pieces, each cut once to
-the room its weight leaves in the window.  The chain-indexed,
-pair-indexed, even/odd and largest-part-bounded series differ only in
-the weight and the pieces they pass it, and `qt_limit_sum` grades
-(y, m, n1) by y on the floor of weight_q, keeps each cell on its exact
-weight, and meets 1/(q^6;q^6)_y once per y-slice.  The trinomial sides
+the motion sweep, collects each cell's x-graded pieces, each a product
+of two tables, and sums each grade as one `_packed_sum` cut at the
+window.  The chain-indexed, pair-indexed, even/odd and
+largest-part-bounded series differ only in the weight and the pieces
+they pass it, and `qt_limit_sum` grades (y, m, n1) by y on the floor of
+weight_q, keeps each cell on its exact weight, and meets 1/(q^6;q^6)_y
+once per y-slice.  The trinomial sides
 sum over j of the one k-walk in `qcoeff`; both T0 half sums, exact and
 windowed, share the j-walk `_t0_half_walk`.
 
-The terms are summed by `qpoly._packed_sum`, the one Kronecker kernel,
-which also serves the large products of `QPoly.__mul__`, or added into a
-dict.  `_packed_sum` takes products of dense nonnegative coefficient
-tables and keeps the sum as big integers: the triple sum, its pair
-family, the round-trinomial side (all j and k in one sum), both T0 half
-sums, the single-binomial T0 form and the summation and Warnaar left
-sides.  With its subtracted terms it also
-takes every recurrence residual, declared term by term in
-`_RECURRENCES`: the sides are read as dense tables, lhs_schur and
-rhs_schur through `_table` and each summand from the cached
-`_summand_table`, and a residual that vanishes is settled by comparing
-two integers per class, without unpacking.  `schur_summand` stays the
-uncached QPoly form of one summand.  `qpoly._add_shifted` adds the
-x-graded pieces of `_graded_sum` into a dict.
+Every product of binomial tables is a term of `qpoly._packed_sum`, the
+one Kronecker kernel, which takes products of dense nonnegative
+coefficient tables on whole q-steps and keeps the sum as big integers:
+the triple sum, its pair family, the round-trinomial side (all j and k
+in one sum), both T0 half sums, the single-binomial T0 form, the
+summation and Warnaar left sides, each grade of the windowed cell
+series and the cached summand tables.  A binomial in q^3 or q^6, or a
+product of two in q^6, is laid on whole q-steps by the cached
+`_spread`.  With its subtracted terms the kernel also takes every
+recurrence residual, declared term by term in `_RECURRENCES`: the sides
+are read as dense tables, lhs_schur and rhs_schur through `_table` and
+each summand from the cached `_summand_table`, and a residual that
+vanishes is settled by comparing two integers per class, without
+unpacking.  `schur_summand` stays the uncached QPoly form of one
+summand, built by schoolbook products.
 
 Every q-product is a count of partitions into a fixed multiset of parts,
 built by the one kernel `qcoeff._parts_series` on a dense table: the
 Schur product, the T0 limit product, the finite product of the summation
 formula at full degree, the prefixes (-q^2;q^3)_j of the single-binomial
 T0 form, one pass per part, and the reciprocal factor of each graded
-cell, `_recip_cell`, one call per cell cut to the room its weight
+cell, `_recip_cell`, one table per cell cut to the room its weight
 leaves.  The truncated limit sums hand each y-slice or N-layer to the
 kernel as its start table, so 1/(q^6;q^6)_y and 1/(q^3;q^3)_N are
 applied to it part by part, never built and multiplied.
@@ -84,14 +86,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import add, sub
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 # weight_a (re-exported) and _cells live with the motion bijection
 from .bijection import _cells, certify_range, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (_gauss_coeffs, _parts_series, _trinomial_terms,
                      gauss_binomial, t_trinomial)
-from .qpoly import QPoly, XSeries, _add_shifted, _dense, _packed_sum
+from .qpoly import QPoly, XSeries, _dense, _packed_sum
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -150,12 +152,24 @@ def _table(p: QPoly) -> tuple[int, list[int]]:
     return lo, dense
 
 
-def _product_term(shift: int, a: QPoly, b: QPoly
-                  ) -> tuple[int, list[int], list[int]]:
-    # q^(shift/2) a b as a `_packed_sum` term on whole q-steps: each
-    # factor's table starts at its least exponent, folded into the shift
-    (lo_a, table_a), (lo_b, table_b) = _table(a), _table(b)
-    return shift + lo_a + lo_b, table_a, table_b
+_ONE, _ONE_Q_Q2 = (1,), (1, 1, 1)  # 1 and 1 + q + q^2 as dense tables
+
+
+@lru_cache(maxsize=None)
+def _spread(k: int, *binomials: tuple[int, int]) -> tuple[int, ...]:
+    """The product of [top, bottom]_{q^k} over the (top, bottom) pairs
+    given, at most two and each with 0 <= bottom <= top, as a dense table
+    on whole q-steps from q^0: the base-q^k table, two factors multiplied
+    by one `_packed_sum` on stride 2k half-steps, laid out with k - 1
+    zeros between its entries."""
+    tables = [_gauss_coeffs(*b) for b in binomials]
+    if len(tables) == 2:
+        c = _packed_sum([(0, *tables)], 2 * k)._c
+        tables = [_dense(c, 0, max(c), 2 * k)]
+    base = tables[0] if tables else _ONE
+    out = [0] * (k * len(base) - k + 1)
+    out[::k] = base
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -208,20 +222,21 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
 
 def _graded_sum(T: int, weight: Callable[[int, int, int], int],
                 pieces: Callable[[int, int, int, int],
-                                 Iterable[tuple[int, int, QPoly]]]) -> XSeries:
-    """sum of x^grade q^w term mod q^(T+1/2) over the (grade, w, term)
-    pieces of every cell (n1, n2, m, w) of `_cells(T, weight)`: the one
-    accumulate loop of the windowed cell series.  A piece past the window
-    is dropped and each term is cut once, to its room T - w."""
+                                 Iterable[tuple[int, int, Sequence[int], Sequence[int]]]]
+                ) -> XSeries:
+    """sum of x^grade q^w L R mod q^(T+1/2) over the (grade, w, L, R)
+    pieces of every cell (n1, n2, m, w) of `_cells(T, weight)`, with L and
+    R dense tables on whole q-steps from q^0: the one accumulate loop of
+    the windowed cell series.  Each grade is one `_packed_sum` cut at the
+    window, which drops a piece past it and trims each table to its room
+    T - w."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    strata: dict[int, dict[int, int]] = {}
+    grades: dict[int, list] = {}
     for cell in _cells(T, weight):
-        for grade, w, term in pieces(*cell):
-            if w <= T:
-                _add_shifted(strata.setdefault(grade, {}),
-                             term.truncate(T - w), 2 * w)
-    return XSeries(T, {x: QPoly._raw(row) for x, row in strata.items()})
+        for grade, w, left, right in pieces(*cell):
+            grades.setdefault(grade, []).append((2 * w, left, right))
+    return XSeries(T, {x: _packed_sum(terms, 2, 2 * T) for x, terms in grades.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +283,8 @@ def _summand_table(v: int, m: int, a: int, b: int) -> tuple[int, ...]:
     """[3v,m]_q [v+a,a]_{q^6} [v+b,b]_{q^6} as a dense coefficient table
     in whole q-steps from q^0: a summand of lhs_schur with V = v,
     floor(n1/2) = a and floor(n2/2) = b, before its weight."""
-    return tuple(_table(gauss_binomial(3 * v, m) * gauss_binomial(v + a, a, 6)
-                        * gauss_binomial(v + b, b, 6))[1])
+    pair = _spread(6, (v + a, a), (v + b, b))
+    return tuple(_table(_packed_sum([(0, _gauss_coeffs(3 * v, m), pair)], 2))[1])
 
 
 def _summand_term(N: int, m: int, n1: int, n2: int) -> tuple[int, tuple[int, ...]]:
@@ -280,8 +295,6 @@ def _summand_term(N: int, m: int, n1: int, n2: int) -> tuple[int, tuple[int, ...
         return 0, ()
     return 2 * weight_a(n1, n2, m), _summand_table(v, m, n1 // 2, n2 // 2)
 
-
-_ONE, _ONE_Q_Q2 = (1,), (1, 1, 1)  # 1 and 1 + q + q^2 as dense tables
 
 # Each recurrence, left minus right, as its terms (sign, (c, d), factor,
 # steps): sign * q^(cN+d) * factor times the recurrence's side at the
@@ -407,7 +420,7 @@ def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
     for part in range(2, 3 * N, 3):
         poch.append(_parts_series(len(poch[-1]) - 1 + part, once=[part],
                                   start=poch[-1]))
-    rhs = _packed_sum([(2 * k, _table(gauss_binomial(N, k, 3))[1], poch[N - k])
+    rhs = _packed_sum([(2 * k, _spread(3, (N, k)), poch[N - k])
                        for k in range(N + 1)], 2)
     return t0_half_sum(N), rhs
 
@@ -426,13 +439,6 @@ def t0_limit_product(T: int) -> QPoly:
         p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))))
 
 
-def _cut_binomial(top: int, bottom: int, modulus: int, room: int) -> QPoly:
-    # gauss_binomial(top, bottom, modulus).truncate(room) for
-    # 0 <= bottom <= top, built from only the table entries it keeps
-    kept = _gauss_coeffs(top, bottom)[:room // modulus + 1]
-    return QPoly._raw({2 * modulus * i: v for i, v in enumerate(kept)})
-
-
 def qt_limit_sum(t: int, T: int) -> QPoly:
     """Parity-split limit sum mod q^(T+1/2):
     sum q^weight_q(t,m,n1,y) / (q^6;q^6)_y * [3y,m]_q
@@ -445,13 +451,11 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
         return m * (m - 1) // 2 + y * (3 * y + 1) // 2 + n1
 
     def pieces(y: int, m: int, n1: int, _: int):
-        # graded by y; a piece past the window is never built, and both
-        # binomials are built already cut to the room before they meet
-        w = weight_q(t, m, n1, y)
-        if w <= T and m <= 3 * y:
-            room = T - w
-            yield y, w, (_cut_binomial(3 * y, m, 1, room)
-                         * _cut_binomial(y + n1 // 2, y, 6, room))
+        # graded by y; the cells of one y and floor(n1/2) share their
+        # q^6 table, so the kernel multiplies it once
+        if m <= 3 * y:
+            yield (y, weight_q(t, m, n1, y), _gauss_coeffs(3 * y, m),
+                   _spread(6, (y + n1 // 2, y)))
 
     slices = _graded_sum(T, floor, pieces)
     acc = [0] * (T + 1)
@@ -470,9 +474,11 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
     if M < 0:
         raise ValueError("summation sides need M >= 0")
     # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
-    lhs = _packed_sum([_product_term(N * (3 * N - 1), gauss_binomial(M, N, 3),
-                                     _dual_sum(N))
-                       for N in range(M + 1)], 2)
+    terms = []
+    for N in range(M + 1):
+        lo, dual = _table(_dual_sum(N))
+        terms.append((N * (3 * N - 1) + lo, _spread(3, (M, N)), dual))
+    lhs = _packed_sum(terms, 2)
     # distinct parts below 3M, none divisible by 3; they sum to 3M^2
     rhs = QPoly.from_q_coeffs(dict(enumerate(_parts_series(3 * M * M, once=[
         p for p in range(1, 3 * M) if p % 3]))))
@@ -550,11 +556,11 @@ def schur_product_truncated(T: int) -> QPoly:
         p for p in range(1, T + 1) if p % 3]))))
 
 
-def _recip_cell(h1: int, h2: int, m: int, room: int) -> QPoly:
-    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m) mod q^(room+1/2): the parts
-    # 6..6h1, 6..6h2 and 1..m, each used freely
+def _recip_cell(h1: int, h2: int, m: int, room: int) -> list[int]:
+    # 1 / ((q^6;q^6)_h1 (q^6;q^6)_h2 (q;q)_m) mod q^(room+1/2) as a dense
+    # table: the parts 6..6h1, 6..6h2 and 1..m, each used freely
     parts = [*range(6, 6 * h1 + 1, 6), *range(6, 6 * h2 + 1, 6), *range(1, m + 1)]
-    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(room, free=parts))))
+    return _parts_series(room, free=parts)
 
 
 def ali_gf_truncated(T: int) -> XSeries:
@@ -562,7 +568,7 @@ def ali_gf_truncated(T: int) -> XSeries:
     x^(n1+n2+m) q^weight_a / ((q^6;q^6)_{floor(n1/2)} (q^6;q^6)_{floor(n2/2)} (q)_m)
     mod q^(T+1/2).  x marks the number of parts."""
     return _graded_sum(T, weight_a, lambda n1, n2, m, a: [
-        (n1 + n2 + m, a, _recip_cell(n1 // 2, n2 // 2, m, T - a))])
+        (n1 + n2 + m, a, _recip_cell(n1 // 2, n2 // 2, m, T - a), _ONE)])
 
 
 def kursungoz_gf_truncated(T: int) -> XSeries:
@@ -570,7 +576,7 @@ def kursungoz_gf_truncated(T: int) -> XSeries:
     x^(2n1+2n2+m) q^weight_k / ((q^6;q^6)_{n1} (q^6;q^6)_{n2} (q)_m)
     mod q^(T+1/2).  Same bivariate series as ali_gf_truncated."""
     return _graded_sum(T, weight_k, lambda n1, n2, m, k: [
-        (2 * n1 + 2 * n2 + m, k, _recip_cell(n1, n2, m, T - k))])
+        (2 * n1 + 2 * n2 + m, k, _recip_cell(n1, n2, m, T - k), _ONE)])
 
 
 def even_odd_split_lhs(T: int) -> XSeries:
@@ -586,32 +592,30 @@ def even_odd_split_lhs(T: int) -> XSeries:
         denom = _recip_cell(n1, n2, m, T - base)
         x0 = 2 * n1 + 2 * n2 + m
         s6 = 6 * n1 + 6 * n2 + 3 * m
-        return [(x0, base, denom), (x0 + 1, base + s6 + 1, denom),
-                (x0 + 1, base + s6 + 2, denom),
-                (x0 + 2, base + 2 * s6 + 6, denom)]
+        return [(x0, base, denom, _ONE), (x0 + 1, base + s6 + 1, denom, _ONE),
+                (x0 + 1, base + s6 + 2, denom, _ONE),
+                (x0 + 2, base + 2 * s6 + 6, denom, _ONE)]
 
     return _graded_sum(T, weight, pieces)
 
 
-def _bounded_cell(N: int, n1: int, n2: int, m: int) -> QPoly:
-    # One summand of the bounded series.  A component with zero movers
-    # contributes the empty motion set, factor 1, regardless of what the
-    # printed binomial's top argument would degenerate to; the printed
-    # form and this one differ only at cells the other factors kill.
-    term = QPoly.one()
-    if m:
-        term = gauss_binomial(N - 3 * (n1 + n2 + m) + 1, m)
-        if not term:
-            return term
+def _bounded_cell(N: int, n1: int, n2: int, m: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    # One summand of the bounded series, before its weight, as its two
+    # tables: [top, m]_q and the product of its q^6 binomials, or None
+    # where a factor vanishes.  A component with zero movers contributes
+    # the empty motion set, factor 1, regardless of what the printed
+    # binomial's top argument would degenerate to; the printed form and
+    # this one differ only at cells the other factors kill.
+    top = N - 3 * (n1 + n2 + m) + 1
+    pair = []
     if n1:
-        top = (N - (3 * (n1 - 1) + 1)) // 3 - m - n2 + n1 // 2
-        term = term * gauss_binomial(top, n1 // 2, 6)
-        if not term:
-            return term
+        pair.append(((N - (3 * (n1 - 1) + 1)) // 3 - m - n2 + n1 // 2, n1 // 2))
     if n2:
-        top = (N - (3 * (n1 + n2 - 1) + 2)) // 3 - m + n2 // 2
-        term = term * gauss_binomial(top, n2 // 2, 6)
-    return term
+        pair.append(((N - (3 * (n1 + n2 - 1) + 2)) // 3 - m + n2 // 2, n2 // 2))
+    if (m and top < m) or any(t < b for t, b in pair):
+        return None
+    return (_gauss_coeffs(top, m) if m else _ONE), _spread(6, *pair)
 
 
 def bounded_gf(N: int, T: int) -> XSeries:
@@ -620,8 +624,11 @@ def bounded_gf(N: int, T: int) -> XSeries:
     each reciprocal Pochhammer factor into a binomial."""
     if N < 0:
         raise ValueError("largest-part bound must be >= 0")
-    return _graded_sum(T, weight_a, lambda n1, n2, m, a: [
-        (n1 + n2 + m, a, _bounded_cell(N, n1, n2, m))])
+    def pieces(n1: int, n2: int, m: int, a: int):
+        tables = _bounded_cell(N, n1, n2, m)
+        return [(n1 + n2 + m, a, *tables)] if tables else []
+
+    return _graded_sum(T, weight_a, pieces)
 
 
 def cor1_bounded_sum(N: int) -> tuple[QPoly, QPoly]:

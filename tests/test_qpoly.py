@@ -1,5 +1,6 @@
 """Ring and truncation behaviour of the exact polynomial core."""
 
+import math
 import operator
 
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur import qpoly
-from qschur.qpoly import (QPoly, XSeries, _SLOT_CODES, _add_shifted,
-                          _packed_sum, _slot)
+from qschur.qpoly import QPoly, XSeries, _SLOT_CODES, _packed_sum, _slot
 
 
 def poly_strategy(max_terms=6, max_half=40, max_coeff=10 ** 6, min_half=None):
@@ -112,7 +112,7 @@ def test_truncate_bound(a, t):
 def factor_terms(draw):
     """Raw term dicts on one exponent stride (odd and negative exponents
     included), all positive, all negative or mixed in sign, with
-    coefficients sized to reach every slot width of the packed route."""
+    coefficients sized to reach every slot width of `_packed_sum`."""
     stride = draw(st.sampled_from((1, 2, 3, 6)))
     offset = draw(st.integers(-40, 40))
     coeff = st.integers(1, 1 << draw(st.sampled_from((1, 5, 12, 28, 60, 100))))
@@ -125,13 +125,30 @@ def factor_terms(draw):
     return draw(st.dictionaries(exponent, coeff, max_size=8))
 
 
-# (a, b, the slot width in bytes `_packed_sum` takes for a * b): widths
-# past 8 bytes go through `bytes`.  `_mul_packed` passes the bound
-# min(len) max|a| max|b|: twenty ones times twenty ones bound 20, one
-# byte, where the tables' sums would bound 400
+def signed_packed_product(a, b):
+    # a * b for nonempty term dicts as one signed `_packed_sum`: each
+    # factor laid out from its least exponent along the common stride g,
+    # split into its positive part and the absolute value of its negative
+    # part, A+B+ and A-B- less A+B- and A-B+
+    lo_a, lo_b = min(a), min(b)
+    g = math.gcd(*[e - lo_a for e in a], *[e - lo_b for e in b]) or 1
+
+    def parts(c, lo):
+        dense = [c.get(e, 0) for e in range(lo, max(c) + 1, g)]
+        return [max(v, 0) for v in dense], [max(-v, 0) for v in dense]
+
+    (ap, an), (bp, bn) = parts(a, lo_a), parts(b, lo_b)
+    return _packed_sum([(0, ap, bp), (0, an, bn)], g,
+                       minus=[(0, ap, bn), (0, an, bp)]).shift(lo_a + lo_b)
+
+
+# (a, b, the slot width in bytes `_packed_sum` takes for a * b): the
+# larger of the two sides' sums of sum(A) sum(B) over their sign parts,
+# so twenty ones times twenty ones take 400, two bytes; widths past 8
+# bytes go through `bytes`
 SLOT_EXAMPLES = [
     ({0: 1, 2: 1}, {0: 1, 2: 1}, 1),
-    ({2 * i: 1 for i in range(20)}, {2 * i: 1 for i in range(20)}, 1),
+    ({2 * i: 1 for i in range(20)}, {2 * i: 1 for i in range(20)}, 2),
     ({0: 100, 2: 3}, {0: 100, 4: -1}, 2),
     ({1: 30000, 3: 1}, {-3: 30000, 5: 7}, 4),
     ({0: 1 << 30, 6: 5}, {0: -(1 << 30), 12: -3}, 8),
@@ -143,11 +160,9 @@ SLOT_EXAMPLES = [
 @example({7: -3}, {0: 1, 4: 2})                           # single term
 @given(factor_terms(), factor_terms())
 def test_kronecker_product_against_schoolbook(a, b):
-    expected = QPoly._mul_dict(a, b)
-    # empty and single-term products take their own branch of __mul__
-    assert QPoly._raw(a) * QPoly._raw(b) == expected
+    expected = QPoly._raw(a) * QPoly._raw(b)
+    assert expected == QPoly._raw(b) * QPoly._raw(a)
     if a and b:
-        # called directly, so the pair-count threshold does not pick it
         widths = []
 
         def recording(bound):
@@ -156,7 +171,7 @@ def test_kronecker_product_against_schoolbook(a, b):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qpoly, "_slot", recording)
-            assert QPoly._mul_packed(a, b) == expected
+            assert signed_packed_product(a, b) == expected
         for ea, eb, width in SLOT_EXAMPLES:
             if (a, b) == (ea, eb):
                 assert [w for w, _ in widths] == [width]
@@ -167,32 +182,14 @@ for _a, _b, _ in SLOT_EXAMPLES:
         test_kronecker_product_against_schoolbook)
 
 
-@pytest.mark.parametrize("span, scale", [
-    (1 << 40, 1),           # 2^40 slots of 1 byte
-    (1 << 20, 10 ** 300),   # 2^21 slots of 126 bytes: 268 MB laid out
-], ids=["narrow-slots", "wide-slots"])
-def test_packed_product_of_a_wide_span_takes_the_dict_route(
-        monkeypatch, span, scale):
-    # 12-term factors of mixed signs, exponents `span` apart on stride 1:
-    # the guard weighs the span by the slot width, so nothing is laid out
-    a = {e: (-1) ** e * (e + 1) * scale for e in range(6)}
-    a.update({span + e: 7 - e for e in range(6)})
-    b = {e: e + 2 for e in range(-3, 3)}
-    b.update({span - e: -3 * e - 1 for e in range(6)})
-    expected = QPoly._mul_dict(a, b)
-    monkeypatch.setattr(qpoly, "_dense", None)
-    monkeypatch.setattr(qpoly, "_packed_sum", None)
-    assert QPoly._mul_packed(a, b) == expected
-
-
 def naive_packed_sum(terms, g, cut=None):
-    # Reference: every term through QPoly.__mul__ and the dict accumulator
-    row = {}
+    # Reference: every term a schoolbook QPoly product, added up
+    total = QPoly.zero()
     for shift, left, right in terms:
         a = QPoly._raw({g * i: v for i, v in enumerate(left) if v})
         b = QPoly._raw({g * i: v for i, v in enumerate(right) if v})
-        _add_shifted(row, a * b, shift)
-    return QPoly._raw({e: v for e, v in row.items() if cut is None or e <= cut})
+        total = total + (a * b).shift(shift)
+    return QPoly._raw({e: v for e, v in total.items() if cut is None or e <= cut})
 
 
 @st.composite
@@ -234,6 +231,33 @@ def test_packed_sum_at_slot_bounds(w, wider):
             total = _packed_sum(terms, 2)
             assert total == naive_packed_sum(terms, 2)
             assert total.coefficient(4) == bound
+
+
+def test_shared_right_table_is_cut_once_to_its_earliest_room(monkeypatch):
+    # three terms at q^(1/2) share the right table of a term at q^0; the
+    # group packs it once, cut to the first term's room of two slots, so
+    # each later term's product runs one slot past the cut.  Every
+    # coefficient the cut keeps fits the 1-byte slots (bound 101 + 3 * 50),
+    # but the q^1 slot past it gets 3 * 50 * 100 and carries upwards
+    shared = (1, 100)
+    terms = [(0, [1], shared)] + [(1, [50], shared)] * 3
+    packed, widths = [], []
+    pack, slot = qpoly._pack, qpoly._slot
+
+    def recording_pack(table, *args):
+        packed.append(len(table))
+        return pack(table, *args)
+
+    def recording_slot(bound):
+        widths.append(slot(bound)[0])
+        return slot(bound)
+
+    monkeypatch.setattr(qpoly, "_pack", recording_pack)
+    monkeypatch.setattr(qpoly, "_slot", recording_slot)
+    assert _packed_sum(terms, 1, cut=1) == QPoly._raw({0: 1, 1: 250})
+    assert widths == [1]
+    assert sorted(packed) == [1, 1, 1, 1, 2]
+    assert naive_packed_sum(terms, 1, cut=1) == QPoly._raw({0: 1, 1: 250})
 
 
 def test_packed_sum_refuses_negative_entries_and_shifts():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
 from qschur.qcoeff import gauss_binomial, t_trinomial
-from qschur.qpoly import QPoly
+from qschur.qpoly import QPoly, XSeries
 from test_qcoeff import naive_parts_series
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -69,13 +69,16 @@ def test_triple_sum_kernel_matches_naive_walk(N):
 
 
 def naive_trinomial_walk(N, lead_half):
-    # Reference for the trinomial sides: one product of two q^3-binomials
-    # per (j, k), shifted by lead_half(j, k) half-steps
+    # Reference for the trinomial sides: the sum over (j, k) of
+    # [N,k]_{q^3} [N-k,k+j]_{q^3} shifted by lead_half(j, k) half-steps,
+    # grouped by k: each k's shifted [N-k,k+j]_{q^3} summed over j, then
+    # one schoolbook product with [N,k]_{q^3}
     total = QPoly.zero()
-    for j in range(-N, N + 1):
-        for k in range(N + 1):
-            term = gauss_binomial(N, k, 3) * gauss_binomial(N - k, k + j, 3)
-            total = total + term.shift(lead_half(j, k))
+    for k in range(N + 1):
+        inner = QPoly.zero()
+        for j in range(-N, N + 1):
+            inner = inner + gauss_binomial(N - k, k + j, 3).shift(lead_half(j, k))
+        total = total + gauss_binomial(N, k, 3) * inner
     return total
 
 
@@ -406,13 +409,21 @@ def naive_qt_limit_sum(t, T):
     return total
 
 
-@given(st.integers(0, 14), st.integers(0, 14), st.sampled_from([1, 6]),
-       st.integers(0, 60))
+binomial_pairs = st.tuples(st.integers(0, 14), st.integers(0, 14)).map(
+    lambda tb: (max(tb), min(tb)))
+
+
+@example(6, [])                                      # the empty product
+@example(3, [(5, 2)])                                # t0-binom's [N,k]_{q^3}
+@given(st.sampled_from([1, 3, 6]), st.lists(binomial_pairs, max_size=2))
 @settings(max_examples=200, deadline=None)
-def test_cut_binomial_is_the_truncated_binomial(top, bottom, modulus, room):
-    bottom = min(bottom, top)
-    assert (ss._cut_binomial(top, bottom, modulus, room)
-            == gauss_binomial(top, bottom, modulus).truncate(room))
+def test_spread_is_the_binomial_product_on_whole_steps(k, binomials):
+    want = QPoly.one()
+    for top, bottom in binomials:
+        want = want * gauss_binomial(top, bottom, k)
+    table = ss._spread(k, *binomials)
+    assert table[0] == 1 and table[-1] != 0
+    assert QPoly.from_q_coeffs(dict(enumerate(table))) == want
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -526,6 +537,40 @@ def test_bounded_series_vs_bounded_oracle(N):
     assert ss.bounded_gf(N, T) == schur_gf_oracle(T, largest_part=N)
 
 
+def reference_bounded_cell(N, n1, n2, m):
+    # One summand of the bounded series as a schoolbook QPoly product, one
+    # factor at a time.  A component with zero movers contributes factor
+    # 1, whatever its printed binomial's top argument would be
+    term = QPoly.one()
+    if m:
+        term = gauss_binomial(N - 3 * (n1 + n2 + m) + 1, m)
+    if n1:
+        top = (N - (3 * (n1 - 1) + 1)) // 3 - m - n2 + n1 // 2
+        term = term * gauss_binomial(top, n1 // 2, 6)
+    if n2:
+        top = (N - (3 * (n1 + n2 - 1) + 2)) // 3 - m + n2 // 2
+        term = term * gauss_binomial(top, n2 // 2, 6)
+    return term
+
+
+def reference_bounded_gf(N, T):
+    # the bounded series cell by cell: each summand cut to its room T - w
+    # and added into its grade n1 + n2 + m
+    strata = {}
+    for n1, n2, m, w in ss._cells(T, ss.weight_a):
+        term = reference_bounded_cell(N, n1, n2, m).truncate(T - w).shift(2 * w)
+        strata[n1 + n2 + m] = strata.get(n1 + n2 + m, QPoly.zero()) + term
+    return XSeries(T, strata)
+
+
+@example(0, 0)
+@example(29, 145)                            # cor1-bounded-sum at N = 10
+@given(st.integers(0, 40), st.integers(0, 90))
+@settings(max_examples=60, deadline=None)
+def test_bounded_series_matches_the_per_cell_schoolbook_reference(N, T):
+    assert ss.bounded_gf(N, T) == reference_bounded_gf(N, T)
+
+
 @pytest.mark.parametrize("N", range(1, 7))
 def test_bounded_sum_collapses_to_central_lhs(N):
     lhs, rhs = ss.cor1_bounded_sum(N)
@@ -540,6 +585,27 @@ def test_analytic_product_identity_small():
     direct = naive_parts_series(T, once=[3 * i + r for i in range(T)
                                          for r in (1, 2)])
     assert prod == direct
+
+
+def test_report_rows_of_cell_products_make_no_polynomial_products(monkeypatch):
+    # every cell product of these report rows is a `_packed_sum` term.
+    # The caches are cleared first, so a table that a product once built
+    # and a cache kept would show as well
+    kinds = {"gf-ali-eq-kursungoz", "gf-even-odd-split", "analytic-schur",
+             "gf-bounded", "cor1-bounded-sum", "qt-limit", "rec-summand"}
+    for f in vars(ss).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+    def product(self, other):
+        raise AssertionError("QPoly product")
+
+    monkeypatch.setattr(QPoly, "__mul__", product)
+    monkeypatch.setattr(QPoly, "__rmul__", product)
+    rows = [r for r in ss.acceptance_matrix() if r["check"] in kinds]
+    assert {r["check"] for r in rows} == kinds
+    for row in rows:
+        assert ss.verify(row["check"], row["params"]).verified, row
 
 
 def test_verify_wrapper_smoke():
