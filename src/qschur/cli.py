@@ -11,8 +11,8 @@ included, and `series` the series declared beside it.  Each parameter's
 rules, its hard cap included, are declared there and checked by one
 validator, with the caps bound, before any work.  `enumerate` and
 `bijection --max-n` take the rules of the rows they mirror, and
-`--largest-part` those of the oracle series; only `--jobs` and `--motions`
-data have caps of their own, below.
+`--largest-part` those of the oracle series; only `--jobs`, `--motions`
+data and the size of a `--partition` have caps of their own, below.
 
 Exit codes: 0 when everything requested verified, 1 when any check found
 a discrepancy, 2 for usage errors and for a run that could not complete
@@ -52,7 +52,7 @@ from .qpoly import XSeries
 from .schur_sums import (_SERIES, IdentityId, UsageError, _resolve,
                          acceptance_matrix, check_params, swept_values, verify)
 
-MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions data encodes
+MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions and --partition take
 MAX_JOBS = 32     # hard cap on worker processes
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
@@ -187,8 +187,12 @@ def _emit(doc: dict[str, Any], args: argparse.Namespace,
           text_lines: list[str]) -> None:
     rendered = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:  # before any output, so stdout stays empty
+            raise UsageError("cannot write --out %s: %s" % (
+                args.out, exc.strerror or exc)) from None
     if args.format == "json":
         sys.stdout.write(rendered)
     else:
@@ -334,6 +338,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             parts = parse_partition(args.partition)
         except ValueError as exc:
             raise UsageError(str(exc))
+        # a pre-image has its partition's size, and decoding time grows with it
+        if sum(parts) > MAX_MOTION_SIZE:
+            raise UsageError("partition_size=%d exceeds the hard cap %d"
+                             % (sum(parts), MAX_MOTION_SIZE))
         try:
             data = decode(parts)
         except DecodeError as exc:

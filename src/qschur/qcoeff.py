@@ -14,11 +14,11 @@ The public functions return exact `QPoly` values.  Bases other than q
 itself are handled by an integer `modulus` argument: modulus 3 reads the
 whole expression in q^3, modulus 6 in q^6, and so on.
 
-Both trinomial families rest on one k-walk, `_trinomial_terms`: the T_n
-family is the round one at q -> 1/q.  Its terms are pairs of dense
-binomial tables, summed by `qpoly._packed_sum`; the round-trinomial side
-and the T0 half sums of `schur_sums` feed every j's walk to one such sum,
-each under the leading exponent of its own k-terms.
+Both trinomial families, and the round-trinomial side and T0 half sums
+of `schur_sums`, are one k-walk, `_trinomial_sum`: the k-terms of a list
+of j, each two dense binomial tables under its exponent, summed by one
+`qpoly._packed_sum`.  Each exponent is stated once, `_round_exponents`
+and `_t_exponents`; the T_n family is the round one at q -> 1/q.
 
 Caching: the coefficient tables of base-q binomials are memoized (they
 are requested thousands of times by the sum builders).
@@ -91,40 +91,48 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
                        for i, v in enumerate(_gauss_coeffs(top, bottom))})
 
 
-def _trinomial_terms(m: int, a: int, lead: Callable[[int], int],
-                     cut: int | None = None):
-    """(lead(k), [m-k,k+a], [m,k]) for every k where both binomials are
-    nonzero, the binomials as `_gauss_coeffs` tables.  [m,k] is the right
-    table: the walks for every a of one m share it, so a `_packed_sum`
-    over them multiplies it once per k.  With cut given, k-terms whose
-    lead passes it are never built."""
-    for k in range(max(0, -a), min(m, (m - a) // 2) + 1):
-        shift = lead(k)
-        if cut is None or shift <= cut:
-            yield shift, _gauss_coeffs(m - k, k + a), _gauss_coeffs(m, k)
+def _round_exponents(b: int, ks: range, modulus: int) -> list[int]:
+    # the round family's k-term exponents, in half-steps
+    return [2 * modulus * k * (k + b) for k in ks]
+
+
+def _t_exponents(n_sub: int, m: int, a: int, ks: range, modulus: int) -> list[int]:
+    # the T_n family's k-term exponents, in half-steps
+    return [modulus * (m - a - 2 * k) * (m - a - 2 * k - n_sub) for k in ks]
+
+
+def _trinomial_sum(m: int, js: Iterable[int], modulus: int,
+                   leads: Callable[[int, range], list[int]],
+                   cut: int | None = None) -> QPoly:
+    """sum of q^(e/2) [m,k] [m-k,k+j] over j in js and every k where both
+    binomials, in base q^modulus, are nonzero (none when m < 0), with
+    leads(j, ks) the half-steps e of j's k-terms ks; mod q^(cut/2 + 1/2)
+    when cut is given, a k-term past the cut never built.  One
+    `_packed_sum` from the least e, so e may be negative; [m,k] is the
+    right table, multiplied once per k."""
+    terms = []
+    for j in js:
+        ks = range(max(0, -j), min(m, (m - j) // 2) + 1)
+        for k, shift in zip(ks, leads(j, ks)):
+            if cut is None or shift <= cut:
+                terms.append((shift, _gauss_coeffs(m - k, k + j),
+                              _gauss_coeffs(m, k)))
+    base = min([0] + [shift for shift, _, _ in terms])
+    return _packed_sum([(shift - base, left, right) for shift, left, right in terms],
+                       2 * modulus, None if cut is None else cut - base).shift(base)
 
 
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
-    """Round q-trinomial: sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a], base q^modulus.
-
-    k runs over every index where both binomials are nonzero; negative a
-    shifts the start of that range, negative b only tilts the q-weight.
-    An empty range (in particular any m < 0) gives 0.
-    """
-    terms = list(_trinomial_terms(m, a, lambda k: 2 * modulus * k * (k + b)))
-    # with b < a the sum can lead below q^0: sum from its least lead, then
-    # move the sum back down
-    base = min([0] + [shift for shift, _, _ in terms])
-    return _packed_sum([(shift - base, left, right)
-                        for shift, left, right in terms],
-                       2 * modulus).shift(base)
+    """Round q-trinomial: sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a], base
+    q^modulus, over every k where both binomials are nonzero; 0 for m < 0."""
+    return _trinomial_sum(m, [a], modulus,
+                          lambda j, ks: _round_exponents(b, ks, modulus))
 
 
 def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
-    """T_n family: q^(modulus*(m(m-n)-a(a-n))/2) times the b = a-n round
-    trinomial taken at q -> 1/q.  Carries half-step exponents whenever
-    m(m-n)-a(a-n) is odd."""
-    pre_half = modulus * (m * (m - n_sub) - a * (a - n_sub))
-    inner = round_trinomial(m, a - n_sub, a, modulus).substitute_q_power(-1)
-    return inner.shift(pre_half)
-
+    """T_n family: sum_k q^(modulus*(m-a-2k)(m-a-2k-n)/2) [m,k] [m-k,k+a],
+    base q^modulus, over the k of the round family: the b = a-n round one
+    at q -> 1/q times q^(modulus*(m(m-n)-a(a-n))/2).  Carries half-step
+    exponents whenever modulus*(m-a)(m-a-n) is odd."""
+    return _trinomial_sum(m, [a], modulus,
+                          lambda j, ks: _t_exponents(n_sub, m, j, ks, modulus))

@@ -22,9 +22,9 @@ stratum at construction time.
 nonnegative coefficient tables, less an optional second such sum, as
 one big integer per side and residue class of the shifts.  Every sum of
 products the package builds goes through it: the triple and trinomial
-sums, the windowed cell series, the recurrence residuals and the cached
-summand tables.  `QPoly.__mul__` is the plain schoolbook convolution,
-kept for the uncached reference forms and the tests.
+sums, the windowed cell series and the recurrence residuals.
+`QPoly.__mul__` is the plain schoolbook convolution, kept for the
+uncached reference forms and the tests.
 """
 
 from __future__ import annotations

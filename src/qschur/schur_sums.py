@@ -37,25 +37,23 @@ window.  The chain-indexed, pair-indexed, even/odd and
 largest-part-bounded series differ only in the weight and the pieces
 they pass it, and `qt_limit_sum` grades (y, m, n1) by y on the floor of
 weight_q, keeps each cell on its exact weight, and meets 1/(q^6;q^6)_y
-once per y-slice.  The trinomial sides
-sum over j of the one k-walk in `qcoeff`; both T0 half sums, exact and
-windowed, share the j-walk `_t0_half_walk`.
+once per y-slice.  The round-trinomial side and both T0 half sums are
+each one call of the k-walk `qcoeff._trinomial_sum` over every j.
 
 Every product of binomial tables is a term of `qpoly._packed_sum`, the
 one Kronecker kernel, which takes products of dense nonnegative
 coefficient tables on whole q-steps and keeps the sum as big integers:
 the triple sum, its pair family, the round-trinomial side (all j and k
 in one sum), both T0 half sums, the single-binomial T0 form, the
-summation and Warnaar left sides, each grade of the windowed cell
-series and the cached summand tables.  A binomial in q^3 or q^6, or a
-product of two in q^6, is laid on whole q-steps by the cached
-`_spread`.  With its subtracted terms the kernel also takes every
-recurrence residual, declared term by term in `_RECURRENCES`: the sides
-are read as dense tables, lhs_schur and rhs_schur through `_table` and
-each summand from the cached `_summand_table`, and a residual that
-vanishes is settled by comparing two integers per class, without
-unpacking.  `schur_summand` stays the uncached QPoly form of one
-summand, built by schoolbook products.
+summation and Warnaar left sides and each grade of the windowed cell
+series.  A binomial in q^3 or q^6, or a product of two in q^6, is laid
+on whole q-steps by the cached `_spread`.  With its subtracted terms the
+kernel also takes every recurrence residual, declared as data in
+`_RECURRENCES`, where rec-l and rec-summand read the one L4 table: a
+side enters through `_table`, a summand as its two binomial tables,
+never cached assembled, and a residual that vanishes is settled by
+comparing two integers per class, without unpacking.  `schur_summand`
+is the uncached QPoly form of one summand, by schoolbook products.
 
 Every q-product is a count of partitions into a fixed multiset of parts,
 built by the one kernel `qcoeff._parts_series` on a dense table: the
@@ -91,8 +89,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 # weight_a (re-exported) and _cells live with the motion bijection
 from .bijection import _cells, certify_range, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
-from .qcoeff import (_gauss_coeffs, _parts_series, _trinomial_terms,
-                     gauss_binomial, t_trinomial)
+from .qcoeff import (_gauss_coeffs, _parts_series, _round_exponents,
+                     _t_exponents, _trinomial_sum, gauss_binomial, t_trinomial)
 from .qpoly import QPoly, XSeries, _dense, _packed_sum
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,7 @@ def _table(p: QPoly) -> tuple[int, list[int]]:
     return lo, dense
 
 
-_ONE, _ONE_Q_Q2 = (1,), (1, 1, 1)  # 1 and 1 + q + q^2 as dense tables
+_ONE = (1,)  # 1 as a dense table
 
 
 @lru_cache(maxsize=None)
@@ -256,12 +254,9 @@ def lhs_schur(N: int) -> QPoly:
 def rhs_schur(N: int) -> QPoly:
     """Round-trinomial side: sum over |j| <= N of q^(j(3j-1)/2) times the
     (N; j; q^3 choose j) round trinomial.  Zero for negative N."""
-    terms = []
-    for j in range(-N, N + 1):
-        # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
-        terms.extend(_trinomial_terms(
-            N, j, lambda k: j * (3 * j - 1) + 6 * k * (k + j)))
-    return _packed_sum(terms, 6)
+    # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
+    return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
+        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)])
 
 
 def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
@@ -278,60 +273,44 @@ def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
     return term.shift(2 * weight_a(n1, n2, m))
 
 
-@lru_cache(maxsize=None)
-def _summand_table(v: int, m: int, a: int, b: int) -> tuple[int, ...]:
-    """[3v,m]_q [v+a,a]_{q^6} [v+b,b]_{q^6} as a dense coefficient table
-    in whole q-steps from q^0: a summand of lhs_schur with V = v,
-    floor(n1/2) = a and floor(n2/2) = b, before its weight."""
-    pair = _spread(6, (v + a, a), (v + b, b))
-    return tuple(_table(_packed_sum([(0, _gauss_coeffs(3 * v, m), pair)], 2))[1])
-
-
-def _summand_term(N: int, m: int, n1: int, n2: int) -> tuple[int, tuple[int, ...]]:
-    # schur_summand(N, m, n1, n2) as (least half-step, dense whole-step
-    # table), the table empty where the summand is zero
+def _summand_factors(N: int, m: int, n1: int, n2: int
+                    ) -> tuple[int, Sequence[int], Sequence[int]]:
+    # schur_summand(N, m, n1, n2) as (least half-step, [3V,m]_q, its q^6
+    # pair on whole q-steps), both tables empty where the summand is zero
     v = N - m - n1 - n2
     if m < 0 or n1 < 0 or n2 < 0 or v < 0 or m > 3 * v:
-        return 0, ()
-    return 2 * weight_a(n1, n2, m), _summand_table(v, m, n1 // 2, n2 // 2)
+        return 0, (), ()
+    return (2 * weight_a(n1, n2, m), _gauss_coeffs(3 * v, m),
+            _spread(6, (v + n1 // 2, n1 // 2), (v + n2 // 2, n2 // 2)))
 
 
-# Each recurrence, left minus right, as its terms (sign, (c, d), factor,
-# steps): sign * q^(cN+d) * factor times the recurrence's side at the
-# indices (N, m, n1, n2) less the steps.  rec-andrews and rec-l step N
-# only, through rhs_schur and lhs_schur; rec-summand steps every index of
-# schur_summand, n1 and n2 by 2: they enter the summand only through
-# their floored halves, and a step of 1 would act on the modulus-6
-# binomials only at odd values.
+# Each recurrence, left minus right, as terms (sign, (c, d), powers,
+# steps): sign * q^(cN+d) * (the sum of q^p over p in powers) times the
+# side at the indices (N, m, n1, n2) less the steps.  rec-andrews steps N
+# through rhs_schur.  rec-l and rec-summand read one table, L4: rec-l
+# takes its N-step alone, through lhs_schur; rec-summand steps every
+# index of schur_summand, n1 and n2 by 2, as the summand reads them only
+# through their floored halves.
+_L4 = (
+    (1, (0, 0), (0,), (0, 0, 0, 0)),
+    (-1, (0, 0), (0,), (1, 0, 0, 0)),
+    (-1, (6, -5), (0,), (2, 0, 0, 2)),
+    (-1, (6, -7), (0,), (2, 0, 2, 0)),
+    (-1, (3, -3), (0, 1, 2), (2, 1, 0, 0)),
+    (-1, (6, -8), (0, 1, 2), (3, 2, 0, 0)),
+    (1, (12, -24), (0,), (4, 0, 2, 2)),
+    (-1, (9, -15), (0,), (4, 3, 0, 0)),
+)
 _RECURRENCES: dict[str, tuple[tuple, ...]] = {
     "rec-andrews": (
-        (1, (0, 0), _ONE, (0,)),
-        (-1, (0, 0), _ONE, (1,)),
-        (-1, (3, -2), _ONE, (1,)),
-        (-1, (3, -1), _ONE, (1,)),
-        (-1, (3, -3), _ONE, (2,)),
-        (1, (6, -6), _ONE, (2,)),
+        (1, (0, 0), (0,), (0,)),
+        (-1, (0, 0), (0,), (1,)),
+        (-1, (3, -2), (0, 1), (1,)),
+        (-1, (3, -3), (0,), (2,)),
+        (1, (6, -6), (0,), (2,)),
     ),
-    "rec-l": (
-        (1, (0, 0), _ONE, (0,)),
-        (-1, (0, 0), _ONE, (1,)),
-        (-1, (3, -3), _ONE_Q_Q2, (2,)),
-        (-1, (6, -7), _ONE, (2,)),
-        (-1, (6, -5), _ONE, (2,)),
-        (-1, (6, -8), _ONE_Q_Q2, (3,)),
-        (-1, (9, -15), _ONE, (4,)),
-        (1, (12, -24), _ONE, (4,)),
-    ),
-    "rec-summand": (
-        (1, (0, 0), _ONE, (0, 0, 0, 0)),
-        (-1, (0, 0), _ONE, (1, 0, 0, 0)),
-        (-1, (6, -5), _ONE, (2, 0, 0, 2)),
-        (-1, (6, -7), _ONE, (2, 0, 2, 0)),
-        (-1, (3, -3), _ONE_Q_Q2, (2, 1, 0, 0)),
-        (-1, (6, -8), _ONE_Q_Q2, (3, 2, 0, 0)),
-        (1, (12, -24), _ONE, (4, 0, 2, 2)),
-        (-1, (9, -15), _ONE, (4, 3, 0, 0)),
-    ),
+    "rec-l": _L4,
+    "rec-summand": _L4,
 }
 
 
@@ -344,28 +323,33 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
     meaningful (2 for the two-term form, 4 for the four-term forms).
 
     The residual is one signed `_packed_sum` over the `_RECURRENCES`
-    terms of its kind; one that vanishes is never unpacked."""
+    terms of its kind, one per power; one that vanishes is never unpacked."""
     kind = IdentityId(kind)
     if kind is IdentityId.REC_SUMMAND:
         if m is None or n1 is None or n2 is None:
             raise ValueError("summand recurrence needs m, n1, n2")
         at: tuple[int, ...] = (N, m, n1, n2)
-        side = _summand_term
-    elif kind is IdentityId.REC_L:
-        at, side = (N,), lambda n: _table(lhs_schur(n))
-    elif kind is IdentityId.REC_ANDREWS:
-        at, side = (N,), lambda n: _table(rhs_schur(n))
+        side = _summand_factors
+    elif kind in (IdentityId.REC_L, IdentityId.REC_ANDREWS):
+        whole = lhs_schur if kind is IdentityId.REC_L else rhs_schur
+
+        def side(n: int) -> tuple[int, Sequence[int], Sequence[int]]:
+            lo, table = _table(whole(n))
+            return lo, _ONE, table
+        at = (N,)
     else:
         raise ValueError("not a recurrence id: %s" % kind)
     terms: tuple[list, list] = ([], [])
-    tables: dict[tuple[int, ...], Any] = {}  # terms at one index share a table
-    for sign, (c, d), factor, steps in _RECURRENCES[kind]:
+    tables: dict[tuple[int, ...], Any] = {}  # terms at one index share them
+    for sign, (c, d), powers, steps in _RECURRENCES[kind]:
+        # map stops at the end of at, so rec-l reads the N-step alone
         index = tuple(map(sub, at, steps))
         if index not in tables:
             tables[index] = side(*index)
-        lo, table = tables[index]
-        if table:
-            terms[sign < 0].append((2 * (c * N + d) + lo, factor, table))
+        lo, left, right = tables[index]
+        if left and right:
+            terms[sign < 0].extend((2 * (c * N + d + p) + lo, left, right)
+                                   for p in powers)
     return _packed_sum(terms[0], 2, minus=terms[1])
 
 
@@ -374,15 +358,9 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 
 def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
     # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
-    # q^(T+1/2) when T is given: T0 rewritten with all exponents >= 0,
-    # sum_k q^(3(N-j-2k)^2/2) [N,k]_{q^3} [N-k,k+j]_{q^3}, every j's
-    # k-terms in one sum, cut at 2T half-steps
-    cut = None if T is None else 2 * T
-    terms = []
-    for j in range(-N, N + 1):
-        terms.extend(_trinomial_terms(
-            N, j, lambda k: N + j + 3 * (N - j - 2 * k) ** 2, cut))
-    return _packed_sum(terms, 6, cut)
+    # q^(T+1/2) when T is given; every exponent is >= 0
+    return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
+        N + j + e for e in _t_exponents(0, N, j, ks, 3)], None if T is None else 2 * T)
 
 
 @lru_cache(maxsize=None)
@@ -854,13 +832,14 @@ def _run_bijection_sweep(p: dict) -> _Pairs:
 # in report order, and each declares the rows it adds to the report (see
 # acceptance_matrix).
 _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] = {
-    # schur-poly's, rec-l's, cor1-bounded-sum's, dual's and t0-binom's N,
-    # summation-m's, q1-triple's and q1-quad's M and warnaar's L take caps
-    # of their own: time climbs steeply with them, and each cap is a round
-    # value that verifies in under 10 s, whole process, on a 2-vCPU Xeon VM
+    # schur-poly's, rec-andrews', rec-l's, cor1-bounded-sum's, dual's and
+    # t0-binom's N, summation-m's, q1-triple's and q1-quad's M and warnaar's
+    # L take caps of their own: time climbs steeply with them, and each cap
+    # is a round value that verifies in under 10 s, whole process, on a
+    # 2-vCPU Xeon VM
     IdentityId.SCHUR_POLY: ({"N": _Param(0, last=25, cap=60)}, lambda p: [
         (lhs_schur(p["N"]), rhs_schur(p["N"]))]),
-    IdentityId.REC_ANDREWS: ({"N": _Param(2, last=25)}, lambda p: [(
+    IdentityId.REC_ANDREWS: ({"N": _Param(2, last=25, cap=80)}, lambda p: [(
         recurrence_residual(IdentityId.REC_ANDREWS, p["N"]), QPoly.zero())]),
     IdentityId.REC_L: ({"N": _Param(4, last=25, cap=50)}, lambda p: [(
         recurrence_residual(IdentityId.REC_L, p["N"]), QPoly.zero())]),
@@ -907,10 +886,10 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
 }
 
 # Each series `qschur series` prints: its builder and its declared
-# parameters, in argument order.
+# parameters, in argument order.  lhs and rhs read schur-poly's N.
 _SERIES: dict[str, tuple[Callable[..., Any], dict[str, _Param]]] = {
-    "lhs": (lhs_schur, {"N": _Param(0)}),
-    "rhs": (rhs_schur, {"N": _Param(0)}),
+    "lhs": (lhs_schur, _REGISTRY[IdentityId.SCHUR_POLY][0]),
+    "rhs": (rhs_schur, _REGISTRY[IdentityId.SCHUR_POLY][0]),
     "ali": (ali_gf_truncated, {"T": _Param(0, cap=MAX_WINDOW)}),
     "kursungoz": (kursungoz_gf_truncated, {"T": _Param(0, cap=MAX_WINDOW)}),
     "even-odd": (even_odd_split_lhs, {"T": _Param(0, cap=MAX_WINDOW)}),

@@ -222,7 +222,8 @@ def test_one_past_a_cap_exits_2_before_any_work(capsys, no_work, argv):
 
 
 @pytest.mark.parametrize("identity, option, cap", [
-    ("schur-poly", "--N", 60), ("cor1-bounded-sum", "--N", 40),
+    ("schur-poly", "--N", 60), ("rec-andrews", "--N", 80),
+    ("cor1-bounded-sum", "--N", 40),
     ("warnaar", "--L", 50), ("rec-l", "--N", 50), ("dual", "--N", 60),
     ("t0-binom", "--N", 80), ("summation-m", "--M", 50),
     ("q1-triple", "--M", 60), ("q1-quad", "--M", 50)])
@@ -591,6 +592,36 @@ def test_out_writes_json_even_in_text_mode(capsys, tmp_path):
     assert "verified" in out          # text went to stdout
     doc = json.loads(target.read_text())
     assert doc["summary"] == {"verified": 1, "failed": 0}
+
+
+def test_partition_size_takes_the_motion_cap(capsys, no_work):
+    # a pre-image has its partition's size, and decoding a pair takes time
+    # linear in its distance from its dock: size 10,000 reaches decode
+    with pytest.raises(Worked):
+        main(["bijection", "--partition", "4997,5003"])
+    code, out, err = run(capsys, "bijection", "--partition",
+                         "1000000000,1000000003")
+    assert (code, out) == (2, "")
+    assert err == ("error: partition_size=2000000003 exceeds the hard cap %d\n"
+                   % cli.MAX_MOTION_SIZE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "q1-quad", "--M", "2"],
+    ["report", "--identity", "q1-quad"],
+    ["enumerate", "--max-n", "3"],
+    ["bijection", "--partition", "5,8"],
+    ["series", "lhs", "--N", "2"],
+], ids=["verify", "report", "enumerate", "bijection", "series"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
+    # a missing directory and a directory: exit 2, nothing on stdout, one
+    # error line and no traceback
+    for target, reason in ((tmp_path / "missing" / "doc.json",
+                            "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, ""), target
+        assert err == "error: cannot write --out %s: %s\n" % (target, reason)
 
 
 def test_version_flag(capsys):

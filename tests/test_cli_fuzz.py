@@ -62,9 +62,13 @@ partitions = st.lists(st.integers(-1, 14), max_size=4).map(
 GAP = [["bijection", '--motions={"n1":2,"n2":2,"m":1,"r":[1],"rho2":[1],'
                      '"rho1":[2]}'],
        ["bijection", "--partition=4,8,11,16,19"]]
+# an --out that cannot be written, a missing directory or a directory:
+# exit 2 before anything reaches stdout
+UNWRITABLE = [["series", "lhs", "--N=2", "--out=/nonexistent/dir/x.json"],
+              ["enumerate", "--max-n=3", "--out=."]]
 
 ARGV = st.one_of(
-    *map(st.just, GAP),
+    *map(st.just, GAP + UNWRITABLE),
     command("verify", identity=st.sampled_from(
         [i.value for i in IdentityId] + ["no-such-thing"]),
         N=RANGE, M=RANGE, L=RANGE, a=RANGE, T=WINDOW,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur.qcoeff import (_parts_series, _trinomial_terms, gauss_binomial,
-                           round_trinomial, t_trinomial)
-from qschur.qpoly import QPoly, _packed_sum
+from qschur.qcoeff import (_parts_series, gauss_binomial, round_trinomial,
+                           t_trinomial)
+from qschur.qpoly import QPoly
 
 
 def naive_parts_series(T, once=(), free=(), start=None):
@@ -137,29 +137,31 @@ def test_round_trinomial_symmetric_in_a(m, a):
     assert round_trinomial(m, a, a) == round_trinomial(m, -a, -a)
 
 
-@given(st.integers(0, 6), st.integers(0, 8), st.integers(-4, 4))
-def test_t_trinomial_definition(n_sub, m, a):
-    pre = m * (m - n_sub) - a * (a - n_sub)
-    expect = round_trinomial(m, a - n_sub, a).substitute_q_power(-1).shift(pre)
-    assert t_trinomial(n_sub, m, a) == expect
+def t_by_reversal(n_sub, m, a, mod=1):
+    # Reference: the T_n family as defined, the b = a-n round trinomial at
+    # q -> 1/q times q^(mod(m(m-n)-a(a-n))/2)
+    pre = mod * (m * (m - n_sub) - a * (a - n_sub))
+    return round_trinomial(m, a - n_sub, a, mod).substitute_q_power(-1).shift(pre)
 
 
-def t0_trinomial_nonneg(m, a, mod=1):
-    # T0(m; q^mod choose a) rewritten with all exponents >= 0,
-    # sum_k q^(mod(m-a-2k)^2/2) [m,k] [m-k,k+a], through the k-walk and
-    # packed sum the T0 half sums of schur_sums are built on
-    return _packed_sum(list(_trinomial_terms(
-        m, a, lambda k: mod * (m - a - 2 * k) ** 2)), 2 * mod)
+@given(st.integers(-6, 6), st.integers(-1, 8), st.integers(-4, 4),
+       st.integers(1, 3))
+def test_t_trinomial_definition(n_sub, m, a, mod):
+    assert t_trinomial(n_sub, m, a, mod) == t_by_reversal(n_sub, m, a, mod)
 
 
 @given(st.integers(0, 9), st.integers(-4, 4), st.integers(1, 3))
 def test_t0_nonneg_matches_defining_form(m, a, mod):
-    assert t0_trinomial_nonneg(m, a, mod) == t_trinomial(0, m, a, mod)
+    # T0(m; q^mod choose a) rewritten with all exponents >= 0,
+    # sum_k q^(mod(m-a-2k)^2/2) [m,k] [m-k,k+a], the form the T0 half sums
+    # of schur_sums are built on, as schoolbook products
+    nonneg = naive_trinomial(m, a, mod, lambda k: mod * (m - a - 2 * k) ** 2)
+    assert nonneg == t_by_reversal(0, m, a, mod) == t_trinomial(0, m, a, mod)
 
 
 @given(st.integers(0, 9), st.integers(-4, 4))
 def test_t0_nonneg_has_no_negative_exponents(m, a):
-    p = t0_trinomial_nonneg(m, a)
+    p = t_trinomial(0, m, a)
     lo = p.min_half_exponent()
     assert lo is None or lo >= 0
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
-from qschur.qcoeff import gauss_binomial, t_trinomial
+from qschur.qcoeff import gauss_binomial
 from qschur.qpoly import QPoly, XSeries
-from test_qcoeff import naive_parts_series
+from test_qcoeff import naive_parts_series, t_by_reversal
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
 GOLDEN_LOW = {
@@ -103,7 +103,7 @@ def test_t0_half_walk_matches_the_defining_trinomials():
     for N in range(10):
         want = QPoly.zero()
         for j in range(-N, N + 1):
-            want = want + t_trinomial(0, N, j, 3).shift(N + j)
+            want = want + t_by_reversal(0, N, j, 3).shift(N + j)
         assert ss.t0_half_sum(N) == want, N
         assert want.min_half_exponent() >= 0, N
 
@@ -266,9 +266,14 @@ def test_side_residuals_match_reference_chains(kind):
 @given(summand_cells())
 @settings(max_examples=200, deadline=None)
 def test_summand_table_is_the_summand_shifted_back(cell):
-    lo, table = ss._summand_term(*cell)
-    assert (QPoly._raw({lo + 2 * i: v for i, v in enumerate(table) if v})
-            == ss.schur_summand(*cell))
+    # the residual term's two tables, multiplied as QPolys and moved up to
+    # their least half-step, are the uncached summand
+    lo, left, right = ss._summand_factors(*cell)
+
+    def poly(table):
+        return QPoly._raw({2 * i: v for i, v in enumerate(table) if v})
+
+    assert (poly(left) * poly(right)).shift(lo) == ss.schur_summand(*cell)
 
 
 def index_triples(N):
@@ -319,14 +324,16 @@ def test_mutated_recurrence_fails_at_the_reference_residual(
     # a term moved from q^(6N-5) to q^(6N-4), or the q^(12N-24) term
     # dropped, must fail the row at the least term of the first nonzero
     # reference residual
+    # both kinds read one L4 table; the mutant replaces it for one kind
+    assert ss._RECURRENCES["rec-l"] is ss._RECURRENCES["rec-summand"]
     shift_6n, with_12n = (-4, True) if mutation == "shift-6n-4" else (-5, False)
     terms = []
-    for sign, shift, factor, steps in ss._RECURRENCES[kind]:
+    for sign, shift, powers, steps in ss._RECURRENCES[kind]:
         if shift == (6, -5):
             shift = (6, shift_6n)
         if shift == (12, -24) and not with_12n:
             continue
-        terms.append((sign, shift, factor, steps))
+        terms.append((sign, shift, powers, steps))
     assert len(terms) + (not with_12n) == len(ss._RECURRENCES[kind])
     monkeypatch.setitem(ss._RECURRENCES, kind, tuple(terms))
     N = 6
