@@ -8,8 +8,8 @@ floor(n2/2) pairs split off the top of the 2 mod 3 chain, then the
 floor(n1/2) pairs off the 1 mod 3 chain.  Each pair step adds exactly 6
 to the size and advances the pair bottom by 3(1 + number of crossed
 parts).  `apply_motions` plays the motions forward, `decode` inverts
-them, and `certify_range` sweeps every budget up to a size bound and
-checks the two against brute-force enumeration.
+them, and `certify_range` checks both, budget by budget, up to a size
+bound, and counts the images at each size against the oracle.
 
 `minimal_configuration` is the only code that knows the layout; every
 other dock is read off its tuple (chain 1 is dock[:n1], chain 2 is
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator
 
-from .partitions import Partition, _schur_follows, _walk, is_schur_admissible
+from .partitions import Partition, is_schur_admissible, schur_counts
 
 
 class MotionRuleError(RuntimeError):
@@ -138,9 +138,11 @@ class MotionData:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "MotionData":
-        """Read JSON-shaped motion data: n1, n2, m integers, and r, rho2,
-        rho1 (each empty if absent) lists of integers.  Nothing is
-        coerced: a float, a string or a bool raises ValueError."""
+        """Read a JSON object: n1, n2, m integers, and r, rho2, rho1 (each
+        empty if absent) lists of integers.  Nothing is coerced: another
+        JSON value, a float, a string or a bool raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("motion data must be a JSON object")
         def whole(v: Any) -> int:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError("motion data must be integers, got %r" % (v,))
@@ -501,55 +503,45 @@ def enumerate_motion_data(max_size: int,
 
 
 def certify_range(max_size: int) -> dict[str, Any]:
-    """Encode every motion budget with size <= max_size, then check the
-    round trip: results are admissible and pairwise distinct, they cover
-    exactly the brute-force admissible set, and decode returns the exact
-    budgets.  Returns a summary; the first failure is described instead
-    of raised so sweeps can be reported."""
+    """Check every motion budget with size <= max_size in one pass: its
+    image is admissible and decodes back to it, so no two budgets share
+    an image (decode is a function), and the images of each size are as
+    many as the oracle counts, so they are exactly the admissible
+    partitions.  Returns a summary; the first failure, in enumeration
+    order, is described instead of raised so sweeps can be reported."""
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    image: dict[Partition, MotionData] = {}
+    images = [0] * (max_size + 1)
     for data in enumerate_motion_data(max_size):
-        try:
-            result = apply_motions(data)
-        except MotionRuleError as exc:
-            return {"max_size": max_size, "status": "failed",
-                    "failure": {"kind": "no-rule", "data": data.as_dict(),
-                                "detail": str(exc)}}
-        if not is_schur_admissible(result):
-            return {"max_size": max_size, "status": "failed",
-                    "failure": {"kind": "inadmissible-image",
-                                "data": data.as_dict(),
-                                "partition": list(result)}}
-        if result in image:
-            return {"max_size": max_size, "status": "failed",
-                    "failure": {"kind": "collision", "data": data.as_dict(),
-                                "other": image[result].as_dict(),
-                                "partition": list(result)}}
-        image[result] = data
+        failure = _certify_datum(data)
+        if failure is not None:
+            return {"max_size": max_size, "status": "failed", "failure": failure}
+        images[data.size] += 1
 
-    expected = {p for _, p in _walk(max_size, None, _schur_follows)}
-    missing = expected - set(image)
-    extra = set(image) - expected
-    if missing or extra:
-        return {"max_size": max_size, "status": "failed",
-                "failure": {"kind": "coverage",
-                            "missing": sorted(missing)[:5],
-                            "extra": sorted(extra)[:5]}}
-
-    for result, data in image.items():
-        try:
-            back = decode(result)
-        except DecodeError as exc:
+    for size, (got, want) in enumerate(zip(images, schur_counts(max_size))):
+        if got != want:
             return {"max_size": max_size, "status": "failed",
-                    "failure": {"kind": "decode", "partition": list(result),
-                                "detail": str(exc)}}
-        if back != data:
-            return {"max_size": max_size, "status": "failed",
-                    "failure": {"kind": "round-trip",
-                                "partition": list(result),
-                                "encoded": data.as_dict(),
-                                "decoded": back.as_dict()}}
-
+                    "failure": {"kind": "coverage", "size": size,
+                                "images": got, "oracle": want}}
     return {"max_size": max_size, "status": "verified",
-            "partitions": len(image), "failure": None}
+            "partitions": sum(images), "failure": None}
+
+
+def _certify_datum(data: MotionData) -> dict[str, Any] | None:
+    # the first of certify_range's checks that one budget fails, or None
+    try:
+        result = apply_motions(data)
+    except MotionRuleError as exc:
+        return {"kind": "no-rule", "data": data.as_dict(), "detail": str(exc)}
+    if not is_schur_admissible(result):
+        return {"kind": "inadmissible-image", "data": data.as_dict(),
+                "partition": list(result)}
+    try:
+        back = decode(result)
+    except DecodeError as exc:
+        return {"kind": "decode", "data": data.as_dict(),
+                "partition": list(result), "detail": str(exc)}
+    if back != data:
+        return {"kind": "round-trip", "partition": list(result),
+                "encoded": data.as_dict(), "decoded": back.as_dict()}
+    return None

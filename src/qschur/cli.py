@@ -313,7 +313,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.motions is not None:
         try:
             data = MotionData.from_dict(json.loads(args.motions))
-        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise UsageError("bad motion data: %s" % exc)
         # every budget is at most the size, so this caps them all
         if data.size > MAX_MOTION_SIZE:

@@ -110,6 +110,8 @@ def _trinomial_sum(m: int, js: Iterable[int], modulus: int,
     when cut is given, a k-term past the cut never built.  One
     `_packed_sum` from the least e, so e may be negative; [m,k] is the
     right table, multiplied once per k."""
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     terms = []
     for j in js:
         ks = range(max(0, -j), min(m, (m - j) // 2) + 1)

@@ -338,7 +338,7 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
             return lo, _ONE, table
         at = (N,)
     else:
-        raise ValueError("not a recurrence id: %s" % kind)
+        raise ValueError("not a recurrence id: %s" % kind.value)
     terms: tuple[list, list] = ([], [])
     tables: dict[tuple[int, ...], Any] = {}  # terms at one index share them
     for sign, (c, d), powers, steps in _RECURRENCES[kind]:
@@ -407,6 +407,8 @@ def t0_half_sum_truncated(N: int, T: int) -> QPoly:
     """t0_half_sum(N) mod q^(T+1/2) without building the full polynomial:
     for large N only a few k survive per j, so the truncated window is
     cheap even at N well beyond exact-computation comfort."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
     return _t0_half_walk(N, T)
 
 

@@ -83,6 +83,13 @@ def test_motion_data_dict_roundtrip():
     assert MotionData.from_dict(d.as_dict()) == d
 
 
+@pytest.mark.parametrize("d", [[], 5, None, "n1", [["n1", 0]]],
+                         ids=["list", "int", "null", "string", "pairs"])
+def test_motion_data_from_non_object_is_a_value_error(d):
+    with pytest.raises(ValueError, match="motion data must be a JSON object"):
+        MotionData.from_dict(d)
+
+
 motion_data = st.builds(
     lambda n1, n2, m, rs, p2, p1: MotionData(
         n1, n2, m,
@@ -379,6 +386,51 @@ def test_certification_sweep():
     assert report["status"] == "verified"
     assert report["failure"] is None
     assert report["partitions"] == sum(schur_counts(30))
+
+
+# (3, 9) and (4, 8), both of size 12, from the two singletons' budgets
+TWIN, TWIN_IMAGE_OF = MotionData(0, 0, 2, r=(0, 2)), MotionData(0, 0, 2, r=(1, 1))
+
+
+def test_certify_catches_two_data_with_one_image():
+    # no image is stored: the datum whose image another owns decodes to
+    # the other, so the shared image shows up as a failed round trip
+    real = bijection.apply_motions
+    image = real(TWIN_IMAGE_OF)
+
+    def twinned(data):
+        return image if data == TWIN else real(data)
+    with mock.patch.object(bijection, "apply_motions", twinned):
+        report = certify_range(20)
+    assert report["status"] == "failed"
+    assert report["failure"] == {"kind": "round-trip", "partition": list(image),
+                                 "encoded": TWIN.as_dict(),
+                                 "decoded": TWIN_IMAGE_OF.as_dict()}
+
+
+def test_certify_counts_coverage_against_the_oracle():
+    # a datum the enumeration leaves out leaves its size one image short
+    real = bijection.enumerate_motion_data
+
+    def without_twin(max_size):
+        return (d for d in real(max_size) if d != TWIN)
+    with mock.patch.object(bijection, "enumerate_motion_data", without_twin):
+        report = certify_range(20)
+    assert report["status"] == "failed"
+    assert report["failure"] == {"kind": "coverage", "size": 12,
+                                 "images": 5, "oracle": 6}
+
+
+def test_certify_rejects_an_inadmissible_image():
+    real = bijection.apply_motions
+
+    def crowded(data):
+        return (1, 3) if data == TWIN else real(data)
+    with mock.patch.object(bijection, "apply_motions", crowded):
+        report = certify_range(20)
+    assert report["status"] == "failed"
+    assert report["failure"] == {"kind": "inadmissible-image",
+                                 "data": TWIN.as_dict(), "partition": [1, 3]}
 
 
 def test_certify_and_decode_leave_no_reference_cycles():

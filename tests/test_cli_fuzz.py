@@ -66,9 +66,11 @@ GAP = [["bijection", '--motions={"n1":2,"n2":2,"m":1,"r":[1],"rho2":[1],'
 # exit 2 before anything reaches stdout
 UNWRITABLE = [["series", "lhs", "--N=2", "--out=/nonexistent/dir/x.json"],
               ["enumerate", "--max-n=3", "--out=."]]
+# motion data that is JSON but not an object: exit 2
+NOT_OBJECTS = [["bijection", "--motions=" + text] for text in ("[]", "5", "null")]
 
 ARGV = st.one_of(
-    *map(st.just, GAP + UNWRITABLE),
+    *map(st.just, GAP + UNWRITABLE + NOT_OBJECTS),
     command("verify", identity=st.sampled_from(
         [i.value for i in IdentityId] + ["no-such-thing"]),
         N=RANGE, M=RANGE, L=RANGE, a=RANGE, T=WINDOW,

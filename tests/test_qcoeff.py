@@ -131,6 +131,14 @@ def test_round_trinomial_negative_m_is_zero():
     assert round_trinomial(-3, 2, 1).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: round_trinomial(3, 0, 0, -1), lambda: t_trinomial(0, 3, 1, 0),
+    lambda: gauss_binomial(3, 1, 0)], ids=["round", "t", "gauss"])
+def test_binomials_and_trinomials_reject_a_modulus_below_one(build):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        build()
+
+
 @given(st.integers(0, 8), st.integers(-4, 4))
 def test_round_trinomial_symmetric_in_a(m, a):
     # with b = a the weight q^(k(k+a)) pairs with the reversed sum at -a

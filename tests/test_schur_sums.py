@@ -204,6 +204,11 @@ def test_termwise_recurrence_needs_all_indices():
         ss.recurrence_residual(ss.IdentityId.REC_SUMMAND, 5, m=1)
 
 
+def test_recurrence_residual_names_a_non_recurrence_by_its_id():
+    with pytest.raises(ValueError, match="not a recurrence id: schur-poly$"):
+        ss.recurrence_residual("schur-poly", 5)
+
+
 def reference_residual(kind, N, m=None, n1=None, n2=None, shift_6n=-5,
                        with_12n=True):
     # Reference for recurrence_residual: each recurrence as a chain of
@@ -525,9 +530,10 @@ def test_pair_series_agree_with_each_other_and_the_oracle(T):
 @pytest.mark.parametrize("build", [
     ss.ali_gf_truncated, ss.kursungoz_gf_truncated, ss.even_odd_split_lhs,
     lambda T: ss.bounded_gf(3, T), lambda T: ss.qt_limit_sum(1, T),
-    ss.schur_product_truncated, ss.t0_limit_product],
+    ss.schur_product_truncated, ss.t0_limit_product,
+    lambda T: ss.t0_half_sum_truncated(3, T), ss.summation_limit_sum],
     ids=["ali", "kursungoz", "even-odd", "bounded", "qt-limit", "product",
-         "t0-limit"])
+         "t0-limit", "t0-half", "summation-limit"])
 def test_windowed_series_reject_negative_window(build):
     with pytest.raises(ValueError, match="T must be >= 0"):
         build(-1)
