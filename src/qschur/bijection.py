@@ -36,7 +36,7 @@ replay alone accepts it."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Any, Callable, Iterator
 
@@ -139,10 +139,13 @@ class MotionData:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "MotionData":
         """Read a JSON object: n1, n2, m integers, and r, rho2, rho1 (each
-        empty if absent) lists of integers.  Nothing is coerced: another
-        JSON value, a float, a string or a bool raises ValueError."""
+        empty if absent) lists of integers.  Any other key, JSON value,
+        float, string or bool raises ValueError; nothing is coerced."""
         if not isinstance(d, dict):
             raise ValueError("motion data must be a JSON object")
+        unknown = sorted(map(repr, set(d) - {f.name for f in fields(cls)}))
+        if unknown:
+            raise ValueError("motion data takes no key %s" % ", ".join(unknown))
         def whole(v: Any) -> int:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError("motion data must be integers, got %r" % (v,))

@@ -23,6 +23,7 @@ unique partition of 0.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterable, Iterator
 
 from .qpoly import QPoly, XSeries
@@ -111,11 +112,10 @@ def distinct_pm1_counts(n_max: int) -> list[int]:
 def schur_gf_oracle(T: int, largest_part: int | None = None) -> XSeries:
     """Sum of x^(number of parts) q^size over gap-admissible partitions
     of size <= T, counted straight off the walk."""
-    strata: dict[int, dict[int, int]] = {}
+    strata: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (T + 1))
     for n, parts in _walk(T, largest_part, _schur_follows):
-        row = strata.setdefault(len(parts), {})
-        row[n] = row.get(n, 0) + 1
-    return XSeries(T, {x: QPoly.from_q_coeffs(row) for x, row in strata.items()})
+        strata[len(parts)][n] += 1
+    return XSeries(T, {x: QPoly.from_table(row) for x, row in strata.items()})
 
 
 def format_partition(parts: Iterable[int]) -> str:

@@ -84,11 +84,7 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
         raise ValueError("modulus must be >= 1")
     if bottom < 0 or top < bottom:
         return QPoly.zero()
-    # every coefficient of a Gaussian binomial is positive, so the dict
-    # is already canonical
-    step = 2 * modulus
-    return QPoly._raw({step * i: v
-                       for i, v in enumerate(_gauss_coeffs(top, bottom))})
+    return QPoly.from_table(_gauss_coeffs(top, bottom), 0, 2 * modulus)
 
 
 def _round_exponents(b: int, ks: range, modulus: int) -> list[int]:

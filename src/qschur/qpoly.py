@@ -25,13 +25,16 @@ products the package builds goes through it: the triple and trinomial
 sums, the windowed cell series and the recurrence residuals.
 `QPoly.__mul__` is the plain schoolbook convolution, kept for the
 uncached reference forms and the tests.
+
+Dense tables cross module lines only through `QPoly.from_table` and
+`QPoly.table`: no other module reads or builds a `QPoly`'s dict.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import repeat
+from itertools import count, repeat
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -41,10 +44,13 @@ _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _dense(c: dict[int, int], lo: int, hi: int, g: int) -> list[int]:
-    """c's coefficients at exponents lo, lo + g, ..., hi, zero where c has
-    none."""
-    return list(map(c.get, range(lo, hi + 1, g), repeat(0)))
+def _put(c: dict[int, int], table: Iterable[int], lo: int, g: int) -> dict[int, int]:
+    # c, with each nonzero entry of a dense table on stride g half-steps
+    # from lo written in place
+    for e, v in zip(count(lo, g), table):
+        if v:
+            c[e] = v
+    return c
 
 
 def _slot(bound: int) -> tuple[int, str | None]:
@@ -87,12 +93,7 @@ class QPoly:
     __slots__ = ("_c",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if terms:
-            for e, v in terms.items():
-                if v:
-                    c[int(e)] = int(v)
-        self._c = c
+        self._c = {int(e): int(v) for e, v in (terms or {}).items() if v}
 
     @classmethod
     def _raw(cls, c: dict[int, int]) -> "QPoly":
@@ -125,6 +126,23 @@ class QPoly:
     def from_q_coeffs(cls, coeffs: Mapping[int, int]) -> "QPoly":
         """Build from a map of integer q-exponents to coefficients."""
         return cls._raw({2 * e: int(v) for e, v in coeffs.items() if v})
+
+    @classmethod
+    def from_table(cls, table: Iterable[int], lo: int = 0, g: int = 2) -> "QPoly":
+        """sum of table[i] q^((lo + g*i)/2): a dense table of int
+        coefficients on stride g half-steps from lo; zeros are dropped."""
+        return cls._raw(_put({}, table, lo, g))
+
+    def table(self, lo: int, hi: int, g: int = 2) -> list[int]:
+        """The coefficients at half-steps lo, lo + g, ..., hi, zero where
+        there is no term.  A term inside [lo, hi] between those steps
+        would be lost, so it raises ValueError."""
+        c = self._c
+        out = list(map(c.get, range(lo, hi + 1, g), repeat(0)))
+        if (len(out) - out.count(0) != len(c)
+                and any((e - lo) % g for e in c if lo <= e <= hi)):
+            raise ValueError("a term lies between the table's steps")
+        return out
 
     def is_zero(self) -> bool:
         return not self._c
@@ -237,8 +255,6 @@ class QPoly:
         are dropped as well (reduction mod q^(bound + 1/2)).
         """
         cut = 2 * max_q_degree
-        if not self._c:
-            return self
         c = {e: v for e, v in self._c.items() if e <= cut}
         return QPoly._raw(c) if len(c) != len(self._c) else self
 
@@ -365,9 +381,7 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
         vals = _unpack(pos, n, w, code)
         if neg:
             vals = list(map(sub, vals, _unpack(neg, n, w, code)))
-        for e, v in zip(range(r, r + g * n, g), vals):
-            if v:
-                out[e] = v
+        _put(out, vals, r, g)
     return QPoly._raw(out)
 
 

@@ -22,13 +22,8 @@ One private walk carries each sum family.  `_triple_sum(N, weight)` is
 the triple q-binomial sum over (n1, n2, m); the central left side, the
 q -> 1/q dual and both summation formulas differ only in the weight they
 pass it, and the q = 1 value is the central left side at q = 1.  Its
-(n1, n2) pair slices come from one cached family shared across N and
-both weights, `_pair_sum(v, k)` = E_v(k), the sum of
-q^(2b) [v+a, a]_{q^6} [v+b, b]_{q^6} over a + b = k: with
-a = floor(n1/2), b = floor(n2/2) and s = n1 + n2, the (even, even)
-cells of s = 2k are E_v(k) and the (odd, odd) ones E_v(k-1), while the
-(even, odd) and (odd, even) cells of s = 2k+1 are E_v(k) twice, one q
-apart, each class shifted by its least weight.
+(n1, n2) pair slices, one per parity class, come from one cached family
+shared across N and both weights, `_pair_sum`.
 `_graded_sum(T, weight, pieces)` is the one place the windowed cell
 series accumulate: it walks `bijection._cells(T, weight)`, shared with
 the motion sweep, collects each cell's x-graded pieces, each a product
@@ -41,29 +36,25 @@ once per y-slice.  The round-trinomial side and both T0 half sums are
 each one call of the k-walk `qcoeff._trinomial_sum` over every j.
 
 Every product of binomial tables is a term of `qpoly._packed_sum`, the
-one Kronecker kernel, which takes products of dense nonnegative
-coefficient tables on whole q-steps and keeps the sum as big integers:
-the triple sum, its pair family, the round-trinomial side (all j and k
-in one sum), both T0 half sums, the single-binomial T0 form, the
-summation and Warnaar left sides and each grade of the windowed cell
-series.  A binomial in q^3 or q^6, or a product of two in q^6, is laid
-on whole q-steps by the cached `_spread`.  With its subtracted terms the
-kernel also takes every recurrence residual, declared as data in
-`_RECURRENCES`, where rec-l and rec-summand read the one L4 table: a
-side enters through `_table`, a summand as its two binomial tables,
-never cached assembled, and a residual that vanishes is settled by
-comparing two integers per class, without unpacking.  `schur_summand`
-is the uncached QPoly form of one summand, by schoolbook products.
+one Kronecker kernel, which sums products of dense nonnegative
+coefficient tables as big integers.  A binomial in q^3 or q^6, or a
+product of two in q^6, is laid on whole q-steps by the cached
+`_spread`; a built side or layer enters as the table `QPoly.table`
+reads off it.  With its subtracted terms the kernel also takes every
+recurrence residual, declared as data in `_RECURRENCES`, where rec-l
+and rec-summand read the one L4 table: a summand enters as its two
+binomial tables, never cached assembled, and a residual that vanishes
+is settled by comparing two integers per class, without unpacking.
+`schur_summand` is the uncached QPoly form of one summand, by
+schoolbook products.
 
 Every q-product is a count of partitions into a fixed multiset of parts,
-built by the one kernel `qcoeff._parts_series` on a dense table: the
-Schur product, the T0 limit product, the finite product of the summation
-formula at full degree, the prefixes (-q^2;q^3)_j of the single-binomial
-T0 form, one pass per part, and the reciprocal factor of each graded
-cell, `_recip_cell`, one table per cell cut to the room its weight
-leaves.  The truncated limit sums hand each y-slice or N-layer to the
-kernel as its start table, so 1/(q^6;q^6)_y and 1/(q^3;q^3)_N are
-applied to it part by part, never built and multiplied.
+built by the one kernel `qcoeff._parts_series` on a dense table, down
+to the reciprocal factor of each graded cell, `_recip_cell`, cut to the
+room its weight leaves.  Both truncated limit sums are one loop,
+`_limit_sum`, which hands each y-slice or N-layer to the kernel as its
+start table, so 1/(q^6;q^6)_y and 1/(q^3;q^3)_N are applied to it part
+by part, never built and multiplied.
 
 Summation bounds are always structural: an outer index stops as soon as
 the weight alone exceeds the truncation window, an inner index as soon as
@@ -83,6 +74,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import count, takewhile
 from operator import add, sub
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -91,7 +83,7 @@ from .bijection import _cells, certify_range, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (_gauss_coeffs, _parts_series, _round_exponents,
                      _t_exponents, _trinomial_sum, gauss_binomial, t_trinomial)
-from .qpoly import QPoly, XSeries, _dense, _packed_sum
+from .qpoly import QPoly, XSeries, _packed_sum
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -140,14 +132,13 @@ def _dual_weight(n1: int, n2: int, m: int, N: int) -> int:
     return weight_b_half(n1, n2, m, N) - 2 * weight_a(n1, n2, m) + N
 
 
-def _table(p: QPoly) -> tuple[int, list[int]]:
-    # p as (least exponent, dense table on whole q-steps from there)
-    c = p._c
-    lo = min(c) if c else 0
-    dense = _dense(c, lo, max(c), 2) if c else []
-    if len(dense) - dense.count(0) != len(c):
-        raise ValueError("product term needs whole q-steps")
-    return lo, dense
+def _table(p: QPoly) -> tuple[int, tuple[int, ...]]:
+    # p as (least exponent, dense table on whole q-steps from there); a
+    # product term needs whole q-steps, so a half-step between raises
+    if not p:
+        return 0, ()
+    lo = p.min_half_exponent()
+    return lo, tuple(p.table(lo, p.max_half_exponent()))
 
 
 _ONE = (1,)  # 1 as a dense table
@@ -158,12 +149,11 @@ def _spread(k: int, *binomials: tuple[int, int]) -> tuple[int, ...]:
     """The product of [top, bottom]_{q^k} over the (top, bottom) pairs
     given, at most two and each with 0 <= bottom <= top, as a dense table
     on whole q-steps from q^0: the base-q^k table, two factors multiplied
-    by one `_packed_sum` on stride 2k half-steps, laid out with k - 1
-    zeros between its entries."""
+    by one `_packed_sum` as base-q tables, laid out with k - 1 zeros
+    between its entries."""
     tables = [_gauss_coeffs(*b) for b in binomials]
     if len(tables) == 2:
-        c = _packed_sum([(0, *tables)], 2 * k)._c
-        tables = [_dense(c, 0, max(c), 2 * k)]
+        tables = [_table(_packed_sum([(0, *tables)], 2))[1]]
     base = tables[0] if tables else _ONE
     out = [0] * (k * len(base) - k + 1)
     out[::k] = base
@@ -183,8 +173,7 @@ def _pair_sum(v: int, k: int) -> tuple[int, ...]:
         terms.append((4 * b, *pair))
         if a != b:
             terms.append((4 * a, *pair))
-    c = _packed_sum(terms, 12)._c
-    return tuple(_dense(c, 0, max(c), 2))
+    return _table(_packed_sum(terms, 12))[1]
 
 
 def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
@@ -415,8 +404,21 @@ def t0_half_sum_truncated(N: int, T: int) -> QPoly:
 def t0_limit_product(T: int) -> QPoly:
     """1/((q^2;q^3)_inf (q;q^6)_inf) mod q^(T+1/2): partitions into parts
     congruent to 2 mod 3 or to 1 mod 6, each used freely."""
-    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(T, free=[
-        p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))))
+    return QPoly.from_table(_parts_series(T, free=[
+        p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))
+
+
+def _limit_sum(T: int, k: int, layers: Iterable[tuple[int, int, QPoly]]) -> QPoly:
+    """sum of q^(lead/2) p / (q^k;q^k)_n mod q^(T+1/2) over the (n, lead,
+    p) layers, lead in half-steps: each layer read from q^0 to q^T is the
+    start table of `_parts_series`, the parts k..kn each used freely."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    acc = [0] * (T + 1)
+    for n, lead, p in layers:
+        acc = list(map(add, acc, _parts_series(
+            T, free=range(k, k * n + 1, k), start=p.table(-lead, 2 * T - lead))))
+    return QPoly.from_table(acc)
 
 
 def qt_limit_sum(t: int, T: int) -> QPoly:
@@ -438,13 +440,8 @@ def qt_limit_sum(t: int, T: int) -> QPoly:
                    _spread(6, (y + n1 // 2, y)))
 
     slices = _graded_sum(T, floor, pieces)
-    acc = [0] * (T + 1)
-    for y in slices.x_degrees():
-        # the y-slice over (q^6;q^6)_y: its parts 6..6y, each used freely
-        acc = list(map(add, acc, _parts_series(
-            T, free=range(6, 6 * y + 1, 6),
-            start=_dense(slices.stratum(y)._c, 0, 2 * T, 2))))
-    return QPoly.from_q_coeffs(dict(enumerate(acc)))
+    # each y-slice over (q^6;q^6)_y
+    return _limit_sum(T, 6, ((y, 0, slices.stratum(y)) for y in slices.x_degrees()))
 
 
 def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
@@ -460,37 +457,26 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
         terms.append((N * (3 * N - 1) + lo, _spread(3, (M, N)), dual))
     lhs = _packed_sum(terms, 2)
     # distinct parts below 3M, none divisible by 3; they sum to 3M^2
-    rhs = QPoly.from_q_coeffs(dict(enumerate(_parts_series(3 * M * M, once=[
-        p for p in range(1, 3 * M) if p % 3]))))
+    rhs = QPoly.from_table(_parts_series(3 * M * M, once=[
+        p for p in range(1, 3 * M) if p % 3]))
     return lhs, rhs
 
 
 def summation_limit_sum(T: int) -> QPoly:
     """The M -> infinity image of the quadruple sum: the outer binomial
-    becomes 1/(q^3;q^3)_N.  Truncated at T; the N-layer's least exponent
-    is N(3N-1)/2, which bounds the loop.  Equals
-    schur_product_truncated(T), as the analytic-schur row checks."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    acc = [0] * (T + 1)
-    N = 0
-    while N * (3 * N - 1) <= 2 * T:
-        # the N-layer, read from q^0 to q^T, over (q^3;q^3)_N: its parts
-        # 3..3N, each used freely
-        lead = N * (3 * N - 1)
-        acc = list(map(add, acc, _parts_series(
-            T, free=range(3, 3 * N + 1, 3),
-            start=_dense(_dual_sum(N)._c, -lead, 2 * T - lead, 2))))
-        N += 1
-    return QPoly.from_q_coeffs(dict(enumerate(acc)))
+    becomes 1/(q^3;q^3)_N.  Truncated at T; the N-layer is q^(N(3N-1)/2)
+    times the dual-weight triple sum, so the loop stops at the first N
+    with N(3N-1)/2 > T.  Equals schur_product_truncated(T), as the
+    analytic-schur row checks."""
+    return _limit_sum(T, 3, ((N, N * (3 * N - 1), _dual_sum(N)) for N in
+                             takewhile(lambda N: N * (3 * N - 1) <= 2 * T, count())))
 
 
 @lru_cache(maxsize=None)
 def _t0_table(m: int, a: int) -> tuple[int, tuple[int, ...]]:
     # T0(m; q choose a) as (least half-step, dense whole-step table), the
     # right factor of every Warnaar left side with L >= m
-    lead, table = _table(t_trinomial(0, m, a, 1))
-    return lead, tuple(table)
+    return _table(t_trinomial(0, m, a, 1))
 
 
 def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:
@@ -532,8 +518,7 @@ def q1_quad_value(M: int) -> int:
 def schur_product_truncated(T: int) -> QPoly:
     """(-q; q^3)_inf (-q^2; q^3)_inf mod q^(T+1/2): the distinct-parts
     side of the partition theorem, its parts the ones not divisible by 3."""
-    return QPoly.from_q_coeffs(dict(enumerate(_parts_series(T, once=[
-        p for p in range(1, T + 1) if p % 3]))))
+    return QPoly.from_table(_parts_series(T, once=[p for p in range(1, T + 1) if p % 3]))
 
 
 def _recip_cell(h1: int, h2: int, m: int, room: int) -> list[int]:
@@ -816,7 +801,7 @@ def _run_schur_counts(p: dict) -> _Pairs:
     n = p["max_n"]
     product = schur_product_truncated(n)
     for counts in (schur_counts(n), distinct_pm1_counts(n)):
-        yield QPoly.from_q_coeffs(dict(enumerate(counts))), product
+        yield QPoly.from_table(counts), product
 
 
 def _run_bijection_sweep(p: dict) -> _Pairs:

@@ -83,6 +83,14 @@ def test_motion_data_dict_roundtrip():
     assert MotionData.from_dict(d.as_dict()) == d
 
 
+@pytest.mark.parametrize("key", ["rho", "R", "n3", "extra"])
+def test_motion_data_with_another_key_is_a_value_error(key):
+    # a key the reader does not take is refused, never ignored
+    d = {**MotionData(0, 0, 1, r=(2,)).as_dict(), key: [5]}
+    with pytest.raises(ValueError, match="motion data takes no key '%s'" % key):
+        MotionData.from_dict(d)
+
+
 @pytest.mark.parametrize("d", [[], 5, None, "n1", [["n1", 0]]],
                          ids=["list", "int", "null", "string", "pairs"])
 def test_motion_data_from_non_object_is_a_value_error(d):

@@ -12,7 +12,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur.cli import main
@@ -68,9 +68,13 @@ UNWRITABLE = [["series", "lhs", "--N=2", "--out=/nonexistent/dir/x.json"],
               ["enumerate", "--max-n=3", "--out=."]]
 # motion data that is JSON but not an object: exit 2
 NOT_OBJECTS = [["bijection", "--motions=" + text] for text in ("[]", "5", "null")]
+# motion data with a key the CLI does not read: exit 2, never ignored
+UNKNOWN_KEYS = [["bijection", '--motions={"n1":0,"n2":0,"m":1,"r":[2],"rho":[5]}']]
+# the fixed draws that are usage errors: exit 2 with one error line
+USAGE = UNWRITABLE + NOT_OBJECTS + UNKNOWN_KEYS
 
 ARGV = st.one_of(
-    *map(st.just, GAP + UNWRITABLE + NOT_OBJECTS),
+    *map(st.just, GAP + USAGE),
     command("verify", identity=st.sampled_from(
         [i.value for i in IdentityId] + ["no-such-thing"]),
         N=RANGE, M=RANGE, L=RANGE, a=RANGE, T=WINDOW,
@@ -104,6 +108,7 @@ def failed(doc):
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
+@example(UNKNOWN_KEYS[0])
 @given(ARGV)
 def test_every_argv_keeps_the_exit_contract(argv):
     out, err = StringIO(), StringIO()
@@ -114,5 +119,7 @@ def test_every_argv_keeps_the_exit_contract(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if argv in USAGE:
+        assert code == 2 and err.getvalue().count("error:") == 1, argv
     if code == 1:
         assert failed(json.loads(out.getvalue())), argv

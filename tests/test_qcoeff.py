@@ -53,7 +53,7 @@ def test_parts_series_matches_the_naive_product(T, once, free):
 @settings(max_examples=100, deadline=None)
 def test_parts_series_multiplies_its_start(T, start, once, free):
     # a signed start table is multiplied as it is, cut or padded to T
-    poly = QPoly.from_q_coeffs(dict(enumerate(start)))
+    poly = QPoly.from_table(start)
     assert (_parts_series(T, once, free, start=start)
             == dense(naive_parts_series(T, once, free, poly.truncate(T)), T))
 

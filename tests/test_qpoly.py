@@ -321,6 +321,48 @@ def test_min_max_exponent_on_zero():
     assert QPoly.zero().max_half_exponent() is None
 
 
+@st.composite
+def grid_windows(draw):
+    # a polynomial on the grid lo + g*i, i from -3 past either end of the
+    # window [lo, hi]; hi may fall between steps, and the window be empty
+    g = draw(st.integers(1, 4))
+    lo = draw(st.integers(-9, 9))
+    n = draw(st.integers(-1, 10))
+    hi = lo + g * n + draw(st.integers(0, g - 1))
+    steps = draw(st.dictionaries(st.integers(-3, n + 3), st.integers(-5, 5)))
+    return QPoly({lo + g * i: v for i, v in steps.items()}), lo, hi, g
+
+
+@example((QPoly({2: 3}), -2, 6, 2))     # zero-filled on both sides
+@example((QPoly({1: 1, 7: -2}), 3, 5, 2))  # a window between the terms
+@given(grid_windows())
+def test_table_reads_back_through_from_table(case):
+    p, lo, hi, g = case
+    table = p.table(lo, hi, g)
+    assert len(table) == len(range(lo, hi + 1, g))
+    cut = QPoly({e: v for e, v in p.items() if lo <= e <= hi})
+    assert QPoly.from_table(table, lo, g) == cut
+
+
+def test_table_is_zero_filled_and_from_table_drops_zeros():
+    assert QPoly({2: 3}).table(-2, 6) == [0, 0, 3, 0, 0]
+    assert QPoly.zero().table(0, 4, 1) == [0] * 5
+    assert QPoly({0: 1}).table(2, 1) == []
+    p = QPoly.from_table([0, 5, 0, -1], 3, 4)
+    assert p == QPoly({7: 5, 15: -1}) and len(p) == 2
+    assert QPoly.from_table([1, 2]) == QPoly.from_q_coeffs({0: 1, 1: 2})
+
+
+def test_table_refuses_a_term_between_its_steps():
+    # a half-step term inside a whole-step window would be lost
+    with pytest.raises(ValueError, match="between the table's steps"):
+        QPoly({0: 1, 1: 1}).table(0, 1)
+    with pytest.raises(ValueError, match="between the table's steps"):
+        QPoly({0: 1, 3: 1, 8: 1}).table(0, 4)
+    # one outside the window is not read
+    assert QPoly({-1: 4, 0: 1, 5: 1, 8: 1}).table(0, 4) == [1, 0, 0]
+
+
 def test_xseries_strata_and_sum():
     s = XSeries.term(10, 0, QPoly.one()) + XSeries.term(10, 2, QPoly.q_power(1))
     assert s.x_degrees() == [0, 2]

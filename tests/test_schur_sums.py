@@ -275,10 +275,8 @@ def test_summand_table_is_the_summand_shifted_back(cell):
     # their least half-step, are the uncached summand
     lo, left, right = ss._summand_factors(*cell)
 
-    def poly(table):
-        return QPoly._raw({2 * i: v for i, v in enumerate(table) if v})
-
-    assert (poly(left) * poly(right)).shift(lo) == ss.schur_summand(*cell)
+    product = QPoly.from_table(left) * QPoly.from_table(right)
+    assert product.shift(lo) == ss.schur_summand(*cell)
 
 
 def index_triples(N):
@@ -435,7 +433,7 @@ def test_spread_is_the_binomial_product_on_whole_steps(k, binomials):
         want = want * gauss_binomial(top, bottom, k)
     table = ss._spread(k, *binomials)
     assert table[0] == 1 and table[-1] != 0
-    assert QPoly.from_q_coeffs(dict(enumerate(table))) == want
+    assert QPoly.from_table(table) == want
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -453,6 +451,21 @@ def test_finite_summation_formula(M):
 def test_summation_limit_reaches_the_product():
     T = 25
     assert ss.summation_limit_sum(T) == ss.schur_product_truncated(T)
+
+
+def test_summation_limit_at_each_layer_threshold():
+    # the N-layer starts at q^(N(3N-1)/2), so at T = 0, 1, 5, 12, 22 and
+    # 35 the last layer read has one term in the window: a loop that
+    # stops a layer early misses it
+    for T in range(41):
+        assert ss.summation_limit_sum(T) == ss.schur_product_truncated(T), T
+
+
+def test_a_product_term_needs_whole_q_steps():
+    assert ss._table(QPoly({3: 2, 7: 1})) == (3, (2, 0, 1))
+    assert ss._table(QPoly.zero()) == (0, ())
+    with pytest.raises(ValueError, match="between the table's steps"):
+        ss._table(QPoly({0: 1, 1: 1}))
 
 
 def test_a_changed_summation_limit_fails_the_analytic_row(monkeypatch):
