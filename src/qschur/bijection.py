@@ -11,11 +11,15 @@ parts).  `apply_motions` plays the motions forward, `decode` inverts
 them, and `certify_range` checks both, budget by budget, up to a size
 bound, and counts the images at each size against the oracle.
 
-`minimal_configuration` is the only code that knows the layout; every
+`minimal_configuration` is the only code that lays out the docks; every
 other dock is read off its tuple (chain 1 is dock[:n1], chain 2 is
-dock[n1:n1+n2], the singletons dock[n1+n2:]); its size is `weight_a`,
-and the budgets are walked on the cell walk `_cells`.  Every gap check
-reads the oracle's one rule through `is_schur_admissible`.
+dock[n1:n1+n2], the singletons dock[n1+n2:]), but for the two chain
+remainders `decode` writes per split; its size is `weight_a`, and the
+budgets are walked on the cell walk `_cells`.  `max_motions` is the one
+fit rule under a largest-part bound: a cell fits when its dock does, and
+each block's cap is read off the dock.  `enumerate_motion_data` and
+`schur_sums.bounded_gf` both read it.  Every gap check reads the oracle's
+one rule through `is_schur_admissible`.
 
 The motion rule is one table, `_crossings`: the tuples of parts a step
 may cross, in rule order (none when nothing sits within [top+3, top+5];
@@ -439,14 +443,17 @@ def _decode_split(p: Partition, n1: int, n2: int, m: int, bottoms1: list[int],
 # ---------------------------------------------------------------------------
 # bounds and sweeps
 
-def max_motions(n1: int, n2: int, m: int, N: int) -> dict[str, int | None]:
+def max_motions(n1: int, n2: int, m: int, N: int) -> dict[str, int | None] | None:
     """Largest admissible motion values under a largest-part bound N:
     caps for the top singleton displacement and for any single pair's
-    step count, or None for an absent component.  A negative cap means
-    the component cannot fit under the bound at all."""
+    step count, or None for an absent component; every cap is >= 0.
+    None when the cell does not fit at all: its minimal configuration's
+    largest part already exceeds N."""
     dock = minimal_configuration(n1, n2, m)
     if N < 0:
         raise ValueError("largest-part bound must be >= 0")
+    if dock and dock[-1] > N:
+        return None
     r_cap = N - dock[-1] if m else None
     rho2_cap = (N - dock[n1 + n2 - 1]) // 3 - m if n2 >= 2 else None
     rho1_cap = (N - dock[n1 - 1]) // 3 - m - n2 if n1 >= 2 else None
@@ -486,16 +493,15 @@ def _cells(T: int, weight: Callable[[int, int, int], int]):
 def enumerate_motion_data(max_size: int,
                           largest_part: int | None = None) -> Iterator[MotionData]:
     """All motion data whose resulting partition has size <= max_size;
-    with largest_part given, also restrict every budget to the caps of
-    max_motions, which bounds the resulting largest part."""
-    caps: dict[str, int | None] = {"r": None, "rho2": None, "rho1": None}
+    with largest_part given, also skip every cell that max_motions says
+    does not fit and restrict every budget to its caps, which bounds the
+    resulting largest part."""
+    caps: dict[str, int | None] | None = {"r": None, "rho2": None, "rho1": None}
     for n1, n2, m, a in _cells(max_size, weight_a):
         if largest_part is not None:
-            # immobile chain remainders are not covered by any cap
-            if (n1 % 2 and largest_part < 1) or \
-                    (n2 % 2 and largest_part < 3 * n1 + 2):
-                continue
             caps = max_motions(n1, n2, m, largest_part)
+            if caps is None:
+                continue
         budget = max_size - a
         for r in _weakly_increasing(m, budget, caps["r"]):
             left = budget - sum(r)

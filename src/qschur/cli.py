@@ -12,15 +12,16 @@ rules, its hard cap included, are declared there and checked by one
 validator, with the caps bound, before any work.  `enumerate` and
 `bijection --max-n` take the rules of the rows they mirror, and
 `--largest-part` those of the oracle series; only `--jobs`, `--motions`
-data and the size of a `--partition` have caps of their own, below.
+data and the size of a `--partition` have caps of their own, declared
+below in the same form.
 
 Exit codes: 0 when everything requested verified, 1 when any check found
 a discrepancy, 2 for usage errors and for a run that could not complete
 (a worker process died before returning its row).
 
 `--jobs J` fans verification rows out over min(J, rows) worker processes
-(J at most MAX_JOBS), each joined to the parent by one pipe.  The rows
-are cut into equal contiguous runs in matrix order, one per worker, so
+(J at most 32, the cap of `_JOBS`), each joined to the parent by one
+pipe.  The rows are cut into equal contiguous runs in matrix order, one per worker, so
 rows that share memoized builders stay on one worker.  The parent hands
 each worker the next row of its run, one at a time; a worker whose run is
 done takes the back half of the longest run left.  Entries are stored by
@@ -49,11 +50,11 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
 from .partitions import (distinct_pm1_counts, format_partition,
                          parse_partition, schur_counts)
 from .qpoly import XSeries
-from .schur_sums import (_SERIES, IdentityId, UsageError, _resolve,
+from .schur_sums import (_SERIES, IdentityId, UsageError, _Param, _resolve,
                          acceptance_matrix, check_params, swept_values, verify)
 
-MAX_MOTION_SIZE = 10_000  # hard cap on the size --motions and --partition take
-MAX_JOBS = 32     # hard cap on worker processes
+_MOTION_SIZE = _Param(0, cap=10_000)  # the size --motions and --partition take
+_JOBS = _Param(1, cap=32)                # worker processes
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
@@ -227,10 +228,7 @@ def _entries_doc(entries: list[dict[str, Any]]) -> dict[str, Any]:
 
 def _verify_rows(rows: list[dict[str, Any]], args: argparse.Namespace) -> int:
     # the tail verify and report share: run, emit, exit code
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.jobs > MAX_JOBS:
-        raise UsageError("jobs=%d exceeds the hard cap %d" % (args.jobs, MAX_JOBS))
+    _JOBS.check("jobs", args.jobs, capped=True)
     entries = _run_rows(rows, args.jobs)
     doc = _entries_doc(entries)
     _emit(doc, args, [_entry_line(e) for e in entries]
@@ -316,9 +314,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         except (ValueError, OverflowError, RecursionError) as exc:
             raise UsageError("bad motion data: %s" % exc)
         # every budget is at most the size, so this caps them all
-        if data.size > MAX_MOTION_SIZE:
-            raise UsageError("motion_size=%d exceeds the hard cap %d"
-                             % (data.size, MAX_MOTION_SIZE))
+        _MOTION_SIZE.check("motion_size", data.size, capped=True)
         try:
             result = apply_motions(data)
         except MotionRuleError as exc:
@@ -339,9 +335,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
         # a pre-image has its partition's size, and decoding time grows with it
-        if sum(parts) > MAX_MOTION_SIZE:
-            raise UsageError("partition_size=%d exceeds the hard cap %d"
-                             % (sum(parts), MAX_MOTION_SIZE))
+        _MOTION_SIZE.check("partition_size", sum(parts), capped=True)
         try:
             data = decode(parts)
         except DecodeError as exc:

@@ -79,7 +79,7 @@ from operator import add, sub
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 # weight_a (re-exported) and _cells live with the motion bijection
-from .bijection import _cells, certify_range, weight_a
+from .bijection import _cells, certify_range, max_motions, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (_gauss_coeffs, _parts_series, _round_exponents,
                      _t_exponents, _trinomial_sum, gauss_binomial, t_trinomial)
@@ -567,26 +567,24 @@ def even_odd_split_lhs(T: int) -> XSeries:
 def _bounded_cell(N: int, n1: int, n2: int, m: int
                   ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     # One summand of the bounded series, before its weight, as its two
-    # tables: [top, m]_q and the product of its q^6 binomials, or None
-    # where a factor vanishes.  A component with zero movers contributes
-    # the empty motion set, factor 1, regardless of what the printed
-    # binomial's top argument would degenerate to; the printed form and
-    # this one differ only at cells the other factors kill.
-    top = N - 3 * (n1 + n2 + m) + 1
-    pair = []
-    if n1:
-        pair.append(((N - (3 * (n1 - 1) + 1)) // 3 - m - n2 + n1 // 2, n1 // 2))
-    if n2:
-        pair.append(((N - (3 * (n1 + n2 - 1) + 2)) // 3 - m + n2 // 2, n2 // 2))
-    if (m and top < m) or any(t < b for t, b in pair):
+    # tables, or None where the cell does not fit under N.  Each block's
+    # motions under the caps of max_motions are counted by [cap + k, k]
+    # for its k movers: [r + m, m]_q for the singletons, and the product
+    # of the chains' pair binomials in q^6.  A block with no movers
+    # contributes the empty motion set, factor 1.
+    caps = max_motions(n1, n2, m, N)
+    if caps is None:
         return None
-    return (_gauss_coeffs(top, m) if m else _ONE), _spread(6, *pair)
+    pair = [(caps[key] + k, k)
+            for key, k in (("rho1", n1 // 2), ("rho2", n2 // 2)) if k]
+    return (_gauss_coeffs(caps["r"] + m, m) if m else _ONE), _spread(6, *pair)
 
 
 def bounded_gf(N: int, T: int) -> XSeries:
     """Largest-part-bounded chain-indexed series mod q^(T+1/2): every
-    motion count is capped by the room below the bound N, which turns
-    each reciprocal Pochhammer factor into a binomial."""
+    motion count is capped by max_motions, the room below the bound N,
+    which turns each reciprocal Pochhammer factor into a binomial
+    [cap + k, k] over the block's k movers."""
     if N < 0:
         raise ValueError("largest-part bound must be >= 0")
     def pieces(n1: int, n2: int, m: int, a: int):

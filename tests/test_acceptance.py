@@ -16,7 +16,6 @@ from qschur.partitions import (
     schur_counts,
     schur_gf_oracle,
 )
-from qschur.qpoly import QPoly
 
 # frozen serialized forms of lhs_schur(0..3); compared as bytes
 GOLDEN_PAIRS = {

@@ -4,7 +4,7 @@ import gc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qschur import bijection
@@ -23,7 +23,8 @@ from qschur.bijection import (
 )
 from qschur.partitions import (_schur_follows, _walk, is_schur_admissible,
                                schur_counts)
-from qschur.schur_sums import weight_a
+from qschur.qpoly import QPoly, XSeries
+from qschur.schur_sums import bounded_gf, weight_a
 
 
 def test_minimal_configuration_examples():
@@ -281,6 +282,21 @@ def test_decode_agrees_with_the_exhaustive_search_on_drawn_data(data):
     assert outcome(decode, p) == outcome(reference_decode, p)
 
 
+def test_decode_refuses_two_pre_images():
+    # two splits of (1, 9) reach the replay, (0, 0, 2) and (1, 0, 1); were
+    # both to replay, decode must refuse rather than pick one
+    def every_split_replays(p, n1, n2, m, *rest):
+        return MotionData(n1, n2, m, r=(0,) * m)
+
+    with mock.patch.object(bijection, "_decode_split", every_split_replays):
+        with pytest.raises(DecodeError) as info:
+            decode((1, 9))
+    message = str(info.value)
+    assert message.startswith("ambiguous motion pre-image for (1, 9): ")
+    for data in (MotionData(0, 0, 2, r=(0, 0)), MotionData(1, 0, 1, r=(0,))):
+        assert str(data.as_dict()) in message
+
+
 def test_decode_rejects_inadmissible():
     with pytest.raises(ValueError):
         decode((1, 3))
@@ -339,12 +355,19 @@ def test_max_motions_examples():
     assert caps["rho2"] == 1
     caps = max_motions(0, 0, 0, 0)
     assert caps == {"r": None, "rho2": None, "rho1": None}
+    # the lone singleton docks at 3, the lone chain-2 part at 2
+    assert max_motions(0, 0, 1, 2) is None and max_motions(0, 1, 0, 1) is None
     for n1 in range(7):
         for n2 in range(7):
             for m in range(7):
                 for N in range(41):
-                    assert max_motions(n1, n2, m, N) == \
-                        _closed_form_caps(n1, n2, m, N), (n1, n2, m, N)
+                    caps = max_motions(n1, n2, m, N)
+                    if max(minimal_configuration(n1, n2, m), default=0) > N:
+                        assert caps is None, (n1, n2, m, N)
+                        continue
+                    assert caps == _closed_form_caps(n1, n2, m, N), (n1, n2, m, N)
+                    assert all(c >= 0 for c in caps.values() if c is not None), \
+                        (n1, n2, m, N)
 
 
 def test_max_motions_caps_are_sharp():
@@ -354,11 +377,12 @@ def test_max_motions_caps_are_sharp():
             ((0, 2, 0), "rho2", lambda v: MotionData(0, 2, 0, rho2=(v,))),
             ((2, 0, 0), "rho1", lambda v: MotionData(2, 0, 0, rho1=(v,)))):
         for N in range(4, 14):
-            cap = max_motions(*config, N)[key]
-            if cap < 0:
+            caps = max_motions(*config, N)
+            if caps is None:
                 # the component cannot fit under the bound at all
                 assert max(minimal_configuration(*config)) > N
                 continue
+            cap = caps[key]
             assert max(apply_motions(budget(cap))) <= N
             assert max(apply_motions(budget(cap + 1))) > N
 
@@ -387,6 +411,19 @@ def test_enumeration_with_largest_part_bound():
         assert all(not p or p[-1] <= N for p in images)
         capped = sum(schur_counts(20, largest_part=N))
         assert len(set(images)) == len(images) == capped
+
+
+def test_bounded_series_counts_the_capped_motion_data():
+    # each cell's binomials [cap + k, k] count its motion data under the
+    # caps of max_motions; no motion is played forward, so this holds
+    # whatever the rules do
+    for T in (0, 12, 40):
+        for N in range(31):
+            strata: dict[int, list[int]] = {}
+            for d in enumerate_motion_data(T, largest_part=N):
+                strata.setdefault(d.n1 + d.n2 + d.m, [0] * (T + 1))[d.size] += 1
+            counted = XSeries(T, {x: QPoly.from_table(row) for x, row in strata.items()})
+            assert bounded_gf(N, T) == counted, (N, T)
 
 
 def test_certification_sweep():

@@ -211,7 +211,7 @@ def test_every_declared_cap_holds_on_the_cli_path(capsys, no_work):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--identity", "gf-bounded", "--N", "3", "--T", "101"],
-    ["report", "--identity", "q1-quad", "--jobs", str(cli.MAX_JOBS + 1)],
+    ["report", "--identity", "q1-quad", "--jobs", str(cli._JOBS.cap + 1)],
     ["enumerate", "--max-n", "101"],
     ["bijection", "--motions", '{"n1":0,"n2":2,"m":0,"rho2":[99999999]}'],
     ["series", "oracle", "--T", "101"],
@@ -259,15 +259,15 @@ def thread_workers(monkeypatch):
 
 def test_jobs_is_capped_and_sizes_the_pool(capsys, thread_workers):
     code, doc, _ = run_json(capsys, "report", "--identity", "q1-quad",
-                            "--jobs", str(cli.MAX_JOBS))
+                            "--jobs", str(cli._JOBS.cap))
     assert code == 0 and len(doc["entries"]) == 16
     assert len(thread_workers) == 16     # never more workers than rows
     assert multiprocessing.active_children() == []
-    code, out, err = run(capsys, "report", "--jobs", str(cli.MAX_JOBS + 1))
+    code, out, err = run(capsys, "report", "--jobs", str(cli._JOBS.cap + 1))
     assert code == 2 and out == "" and "hard cap" in err
     code, out, err = run(capsys, "verify", "--identity", "dual", "--N", "0..3",
                          "--jobs", "0")
-    assert code == 2 and out == "" and ">= 1" in err
+    assert (code, out, err) == (2, "", "error: parameter 'jobs' must be >= 1\n")
     assert len(thread_workers) == 16
 
 
@@ -392,6 +392,17 @@ def test_report_fault_injection_fails_loudly(capsys, monkeypatch):
     assert "_perturb" not in failed[0]["params"]
 
 
+def test_report_fault_injection_names_the_x_degree(capsys, monkeypatch):
+    # an x-graded row's text line says which stratum differs first
+    monkeypatch.setenv("QSCHUR_FAULT_INJECT", "1")
+    code, out, _ = run(capsys, "report", "--identity", "gf-bounded")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].endswith(
+        " failed  first diff at x^0, q-exponent 0/2: lhs=2 rhs=1")
+    assert lines[-1] == "15 verified, 1 failed"
+
+
 def test_acceptance_matrix_shape():
     rows = acceptance_matrix()
     assert len(rows) == 216
@@ -495,6 +506,20 @@ def test_bijection_failures_emit_a_failed_document(capsys, tmp_path):
         assert doc["status"] == "failed"
         assert doc["failure"]["kind"] == kind and doc["failure"]["detail"]
         assert json.loads(out_file.read_text()) == doc
+
+
+def test_bijection_failed_sweep_exits_1(capsys, tmp_path):
+    # the first sweep past the certified 56 meets the size-58 rule gap:
+    # the text names it, and --out holds the failed document
+    out_file = tmp_path / "doc.json"
+    code, out, _ = run(capsys, "bijection", "--max-n", "58",
+                       "--out", str(out_file))
+    doc = json.loads(out_file.read_text())
+    assert code == 1
+    assert doc["max_size"] == 58 and doc["status"] == "failed"
+    assert doc["failure"]["kind"] == "no-rule"
+    assert out.splitlines() == ["sweep to size 58: failed",
+                                json.dumps(doc["failure"])]
 
 
 def test_bijection_usage_errors(capsys):
@@ -603,7 +628,7 @@ def test_partition_size_takes_the_motion_cap(capsys, no_work):
                          "1000000000,1000000003")
     assert (code, out) == (2, "")
     assert err == ("error: partition_size=2000000003 exceeds the hard cap %d\n"
-                   % cli.MAX_MOTION_SIZE)
+                   % cli._MOTION_SIZE.cap)
 
 
 @pytest.mark.parametrize("argv", [
