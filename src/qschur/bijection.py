@@ -40,9 +40,8 @@ replay alone accepts it."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .partitions import Partition, is_schur_admissible, schur_counts
 
@@ -98,26 +97,28 @@ def _pair_docks(dock: Partition, start: int, count: int) -> Partition:
     return dock[start + count % 2:start + count:2]
 
 
-@dataclass(frozen=True)
 class MotionData:
     """A minimal configuration plus its motion budgets.
 
     r[i] is the forward displacement of the (i+1)-th smallest singleton,
     rho2[j] / rho1[j] the step count of the (j+1)-th smallest pair of the
     2 mod 3 / 1 mod 3 chain.  All three lists are weakly increasing, so
-    the top mover always moves the most.
+    the top mover always moves the most.  Immutable, and equal and hashed
+    by value; `decode` orders ambiguous pre-images by the repr.
     """
+    __slots__ = _FIELDS = ("n1", "n2", "m", "r", "rho2", "rho1")
     n1: int
     n2: int
     m: int
-    r: tuple[int, ...] = ()
-    rho2: tuple[int, ...] = ()
-    rho1: tuple[int, ...] = ()
+    r: tuple[int, ...]
+    rho2: tuple[int, ...]
+    rho1: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        object.__setattr__(self, "rho2", tuple(self.rho2))
-        object.__setattr__(self, "rho1", tuple(self.rho1))
+    def __init__(self, n1: int, n2: int, m: int, r: Iterable[int] = (),
+                 rho2: Iterable[int] = (), rho1: Iterable[int] = ()):
+        for name, value in zip(self._FIELDS, (n1, n2, m, tuple(r),
+                                              tuple(rho2), tuple(rho1))):
+            object.__setattr__(self, name, value)
         if self.n1 < 0 or self.n2 < 0 or self.m < 0:
             raise ValueError("chain lengths and singleton count must be >= 0")
         for name, lst, want in (("r", self.r, self.m),
@@ -129,6 +130,30 @@ class MotionData:
                 raise ValueError("%s entries must be >= 0" % name)
             if list(lst) != sorted(lst):
                 raise ValueError("%s must be weakly increasing" % name)
+
+    def _values(self) -> tuple:
+        return self.n1, self.n2, self.m, self.r, self.rho2, self.rho1
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "MotionData(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self._FIELDS, self._values()))
+
+    def __reduce__(self):
+        return MotionData, self._values()
 
     @property
     def size(self) -> int:
@@ -147,7 +172,7 @@ class MotionData:
         float, string or bool raises ValueError; nothing is coerced."""
         if not isinstance(d, dict):
             raise ValueError("motion data must be a JSON object")
-        unknown = sorted(map(repr, set(d) - {f.name for f in fields(cls)}))
+        unknown = sorted(map(repr, set(d) - set(cls._FIELDS)))
         if unknown:
             raise ValueError("motion data takes no key %s" % ", ".join(unknown))
         def whole(v: Any) -> int:

@@ -71,7 +71,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import count, takewhile
@@ -634,17 +633,29 @@ class UsageError(ValueError):
     """Bad parameters for a verification request (not a failed identity)."""
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    params: dict[str, Any]
-    status: str
-    first_discrepancy: dict[str, Any] | None
-    elapsed_ms: int = 0
+    """One identity's verdict: status "failed" exactly when a first
+    discrepancy is given.  Equal by value, and unhashable (mutable)."""
+    __hash__ = None
 
-    def __post_init__(self):
-        if (self.status == "failed") != (self.first_discrepancy is not None):
+    def __init__(self, identity: str, params: dict[str, Any], status: str,
+                 first_discrepancy: dict[str, Any] | None, elapsed_ms: int = 0):
+        if (status == "failed") != (first_discrepancy is not None):
             raise ValueError("status must be failed iff a discrepancy is present")
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.first_discrepancy = first_discrepancy
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return "VerificationReport(%s)" % ", ".join(
+            "%s=%r" % pair for pair in self.as_dict().items())
 
     @property
     def verified(self) -> bool:

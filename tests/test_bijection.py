@@ -1,6 +1,10 @@
 """Motion encoding: examples, invariants, and the certification sweep."""
 
 import gc
+import os
+import pickle
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -82,6 +86,35 @@ def test_motion_data_validation():
 def test_motion_data_dict_roundtrip():
     d = MotionData(3, 2, 2, r=(0, 4), rho2=(2,), rho1=(1,))
     assert MotionData.from_dict(d.as_dict()) == d
+
+
+def test_motion_data_is_a_frozen_value_without_dataclasses():
+    # importing the package loads neither dataclasses nor inspect (nor, with
+    # them, ast, dis and tokenize), in a fresh interpreter
+    script = ("import sys\n"
+              "import qschur\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bijection.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    # MotionData stays an immutable value: no field or other attribute can
+    # be set or deleted, it compares and hashes by value, and it keeps the
+    # repr that decode orders ambiguous pre-images by
+    d = MotionData(3, 2, 2, r=[0, 4], rho2=(2,), rho1=(1,))
+    for name in ("n1", "r", "extra"):
+        with pytest.raises(AttributeError, match="cannot assign to field '%s'" % name):
+            setattr(d, name, 0)
+    with pytest.raises(AttributeError, match="cannot delete field 'm'"):
+        del d.m
+    twin = MotionData(3, 2, 2, r=(0, 4), rho2=[2], rho1=[1])
+    assert d == twin and hash(d) == hash(twin) and len({d, twin}) == 1
+    assert d != MotionData(3, 2, 2, r=(1, 3), rho2=(2,), rho1=(1,))
+    assert d != (3, 2, 2, (0, 4), (2,), (1,))
+    assert repr(d) == "MotionData(n1=3, n2=2, m=2, r=(0, 4), rho2=(2,), rho1=(1,))"
+    assert pickle.loads(pickle.dumps(d)) == d
 
 
 @pytest.mark.parametrize("key", ["rho", "R", "n3", "extra"])

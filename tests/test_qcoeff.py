@@ -2,13 +2,17 @@
 trinomial kit."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur.qcoeff import (_parts_series, gauss_binomial, round_trinomial,
-                           t_trinomial)
+from qschur import qcoeff
+from qschur.qcoeff import (_gauss_coeffs, _parts_series, gauss_binomial,
+                           round_trinomial, t_trinomial)
 from qschur.qpoly import QPoly
 
 
@@ -61,6 +65,58 @@ def test_parts_series_multiplies_its_start(T, start, once, free):
 def test_parts_series_rejects_a_negative_window():
     with pytest.raises(ValueError, match="T must be >= 0"):
         _parts_series(-1, [1], [2])
+
+
+def reference_gauss_coeffs(top, bottom):
+    # Reference: the dense table of [top, bottom] from scratch, by
+    # alternating one multiplication by (1 - q^m) with one exact synthetic
+    # division, O(bottom * degree), every intermediate value an integer
+    k = min(bottom, top - bottom)
+    c = [1]
+    for i in range(1, k + 1):
+        m = top - k + i
+        c2 = c + [0] * m
+        for j in range(len(c)):
+            c2[j + m] -= c[j]
+        r = [0] * (len(c2) - i)
+        for j in range(len(r)):
+            r[j] = c2[j] + (r[j - i] if j >= i else 0)
+        c = r
+    return tuple(c)
+
+
+def test_gauss_tables_match_the_reference_and_share_their_halves():
+    # every bottom of every top to 60, 0, top and the bottoms past top/2
+    # included: one tuple per unordered bottom, whose upper half holds the
+    # lower half's int objects in mirror order
+    for top in range(61):
+        for bottom in range(top + 1):
+            table = _gauss_coeffs(top, bottom)
+            assert table == reference_gauss_coeffs(top, bottom), (top, bottom)
+            assert table is _gauss_coeffs(top, top - bottom)
+            assert all(table[i] is table[-1 - i] for i in range(len(table)))
+
+
+def test_gauss_tables_refuse_a_bottom_out_of_range():
+    for top, bottom in ((5, -1), (3, 4)):
+        with pytest.raises(ValueError, match="needs 0 <= bottom <= top"):
+            _gauss_coeffs(top, bottom)
+
+
+def test_gauss_table_build_does_not_recurse():
+    # a bottom deeper than the recursion limit builds: each table is one
+    # loop step from the one below it, at no growing call depth
+    script = ("import math, sys\n"
+              "from qschur.qcoeff import _gauss_coeffs\n"
+              "sys.setrecursionlimit(60)\n"
+              "table = _gauss_coeffs(160, 80)\n"
+              "print(len(table), sum(table) == math.comb(160, 80))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcoeff.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(80 * 80 + 1), "True"]
 
 
 def test_gauss_binomial_edges():

@@ -168,6 +168,19 @@ def test_report_invariant_is_enforced():
         VerificationReport("schur-poly", {}, "verified", {"lhs": "0"})
 
 
+def test_report_is_a_mutable_value():
+    # equal by value, unhashable, and its repr names every field in order
+    rep = verify(IdentityId.SCHUR_POLY, {"N": 3})
+    assert rep == VerificationReport("schur-poly", {"N": 3}, "verified", None)
+    assert rep != VerificationReport("schur-poly", {"N": 4}, "verified", None)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rep)
+    rep.elapsed_ms = 5
+    assert repr(rep) == ("VerificationReport(identity='schur-poly', "
+                         "params={'N': 3}, status='verified', "
+                         "first_discrepancy=None, elapsed_ms=5)")
+
+
 def test_fault_injection_pinpoints_the_exponent():
     rep = verify(IdentityId.SCHUR_POLY, {
         "N": 3, "_perturb": {"delta": 2, "exponent_half_steps": 7}})
