@@ -39,12 +39,13 @@ Every product of binomial tables is a term of `qpoly._packed_sum`, the
 one Kronecker kernel, which sums products of dense nonnegative
 coefficient tables as big integers.  A binomial in q^3 or q^6, or a
 product of two in q^6, is laid on whole q-steps by the cached
-`_spread`; a built side or layer enters as the table `QPoly.table`
-reads off it.  With its subtracted terms the kernel also takes every
-recurrence residual, declared as data in `_RECURRENCES`, where rec-l
-and rec-summand read the one L4 table: a summand enters as its two
-binomial tables, never cached assembled, and a residual that vanishes
-is settled by comparing two integers per class, without unpacking.
+`_spread`; a built side or layer enters as the table `QPoly.table`,
+or for a memoized side `Packed.table`, reads off it.  With its
+subtracted terms the kernel also takes every recurrence residual,
+declared as data in `_RECURRENCES`, where rec-l and rec-summand read the
+one L4 table: a summand enters as its two binomial tables, never cached
+assembled, and a residual that vanishes is settled by comparing two
+integers per class, without unpacking.
 `schur_summand` is the uncached QPoly form of one summand, by
 schoolbook products.
 
@@ -63,7 +64,15 @@ heuristically.
 
 All builders are pure and the expensive ones are memoized, so verify
 calls for distinct parameters can run in parallel workers; each worker
-process simply warms its own caches.
+process simply warms its own caches.  The four sides that later rows
+read again, `lhs_schur`, `rhs_schur`, the dual triple sum `_dual_sum`
+and `t0_half_sum`, are each held in one memo as their `qpoly.Packed`
+form, one int per side and N, and every call builds a fresh `QPoly`
+from it.  The rows that read only a side's table read it straight off
+that int, never through a dict: rec-l and rec-andrews
+(`recurrence_residual`), summation-m (`summation_formula_sides`),
+analytic-schur (`summation_limit_sum`, through `_limit_sum`) and
+q1-triple and q1-quad (`q1_triple_value`).
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from .bijection import _cells, certify_range, max_motions, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (_gauss_coeffs, _parts_series, _round_exponents,
                      _t_exponents, _trinomial_sum, gauss_binomial, t_trinomial)
-from .qpoly import QPoly, XSeries, _packed_sum
+from .qpoly import Packed, QPoly, XSeries, _packed_sum
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -175,10 +184,12 @@ def _pair_sum(v: int, k: int) -> tuple[int, ...]:
     return _table(_packed_sum(terms, 12))[1]
 
 
-def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
+def _triple_sum(N: int, weight: Callable[[int, int, int, int], int],
+                packed: bool = False) -> QPoly | Packed:
     """sum of q^(weight/2) [3V,m]_q [V+floor(n1/2), floor(n1/2)]_{q^6}
     [V+floor(n2/2), floor(n2/2)]_{q^6} over n1, n2, m >= 0 with
-    V = N-m-n1-n2 >= 0, the weight taken in half-steps.
+    V = N-m-n1-n2 >= 0, the weight taken in half-steps; zero for N < 0.
+    With packed set, as its `Packed` form.
 
     Fixing V and s = n1 + n2 fixes m, so the n1/n2 sum folds into one pair
     slice per (V, s) and only the slice meets the base-q binomial.  With
@@ -203,7 +214,7 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
                     shift = min(weight(p1, s - p1, m, N), weight(s - p2, p2, m, N))
                     terms.append((shift, _gauss_coeffs(3 * v, m),
                                   _pair_sum(v, (s - p1 - p2) // 2)))
-    return _packed_sum(terms, 2)
+    return _packed_sum(terms, 2, packed=packed)
 
 
 def _graded_sum(T: int, weight: Callable[[int, int, int], int],
@@ -229,22 +240,32 @@ def _graded_sum(T: int, weight: Callable[[int, int, int], int],
 # the central polynomial identity
 
 @lru_cache(maxsize=None)
+def _lhs_packed(N: int) -> Packed:
+    return _triple_sum(N, _plain_weight, packed=True)
+
+
 def lhs_schur(N: int) -> QPoly:
     """Triple sum side: sum of q^weight_a times [3V,m]_q
     [V+floor(n1/2), floor(n1/2)]_{q^6} [V+floor(n2/2), floor(n2/2)]_{q^6}
     over all cells with V = N-m-n1-n2 >= 0.  Zero for negative N."""
-    if N < 0:
-        return QPoly.zero()
-    return _triple_sum(N, _plain_weight)
+    return QPoly.from_packed(_lhs_packed(N))
+
+
+def _round_walk(N: int, packed: bool = False) -> QPoly | Packed:
+    # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
+    return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
+        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)], packed=packed)
 
 
 @lru_cache(maxsize=None)
+def _rhs_packed(N: int) -> Packed:
+    return _round_walk(N, packed=True)
+
+
 def rhs_schur(N: int) -> QPoly:
     """Round-trinomial side: sum over |j| <= N of q^(j(3j-1)/2) times the
     (N; j; q^3 choose j) round trinomial.  Zero for negative N."""
-    # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
-    return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
-        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)])
+    return QPoly.from_packed(_rhs_packed(N))
 
 
 def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
@@ -319,11 +340,11 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
         at: tuple[int, ...] = (N, m, n1, n2)
         side = _summand_factors
     elif kind in (IdentityId.REC_L, IdentityId.REC_ANDREWS):
-        whole = lhs_schur if kind is IdentityId.REC_L else rhs_schur
+        whole = _lhs_packed if kind is IdentityId.REC_L else _rhs_packed
 
         def side(n: int) -> tuple[int, Sequence[int], Sequence[int]]:
-            lo, table = _table(whole(n))
-            return lo, _ONE, table
+            form = whole(n)
+            return form.lo, _ONE, form.table()
         at = (N,)
     else:
         raise ValueError("not a recurrence id: %s" % kind.value)
@@ -344,26 +365,31 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 # ---------------------------------------------------------------------------
 # dual identity and the T0 suite
 
-def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
+def _t0_half_walk(N: int, T: int | None = None, packed: bool = False) -> QPoly | Packed:
     # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
     # q^(T+1/2) when T is given; every exponent is >= 0
     return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
-        N + j + e for e in _t_exponents(0, N, j, ks, 3)], None if T is None else 2 * T)
+        N + j + e for e in _t_exponents(0, N, j, ks, 3)],
+        None if T is None else 2 * T, packed)
 
 
 @lru_cache(maxsize=None)
+def _t0_packed(N: int) -> Packed:
+    return _t0_half_walk(N, packed=True)
+
+
 def t0_half_sum(N: int) -> QPoly:
     """sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), exact.  This
     is the base-change dual of the round-trinomial side, renormalized by
     q^(N/2) so it is a genuine polynomial."""
-    return _t0_half_walk(N)
+    return QPoly.from_packed(_t0_packed(N))
 
 
 @lru_cache(maxsize=None)
-def _dual_sum(N: int) -> QPoly:
-    # the triple sum at the dual weight: the dual's left side and the
-    # N-layer of both summation formulas
-    return _triple_sum(N, _dual_weight)
+def _dual_sum(N: int) -> Packed:
+    # the triple sum at the dual weight, packed: the dual's left side and
+    # the N-layer of both summation formulas
+    return _triple_sum(N, _dual_weight, packed=True)
 
 
 def dual_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -373,7 +399,7 @@ def dual_sides(N: int) -> tuple[QPoly, QPoly]:
     q^(3N^2/2 + N/2) * lhs_schur(N)(1/q)."""
     if N < 0:
         raise ValueError("dual sides need N >= 0")
-    return _dual_sum(N), t0_half_sum(N)
+    return QPoly.from_packed(_dual_sum(N)), t0_half_sum(N)
 
 
 def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -407,10 +433,12 @@ def t0_limit_product(T: int) -> QPoly:
         p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))
 
 
-def _limit_sum(T: int, k: int, layers: Iterable[tuple[int, int, QPoly]]) -> QPoly:
+def _limit_sum(T: int, k: int,
+               layers: Iterable[tuple[int, int, QPoly | Packed]]) -> QPoly:
     """sum of q^(lead/2) p / (q^k;q^k)_n mod q^(T+1/2) over the (n, lead,
-    p) layers, lead in half-steps: each layer read from q^0 to q^T is the
-    start table of `_parts_series`, the parts k..kn each used freely."""
+    p) layers, lead in half-steps, p a `QPoly` or its `Packed` form: each
+    layer read from q^0 to q^T is the start table of `_parts_series`, the
+    parts k..kn each used freely."""
     if T < 0:
         raise ValueError("T must be >= 0")
     acc = [0] * (T + 1)
@@ -452,8 +480,8 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
     # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
     terms = []
     for N in range(M + 1):
-        lo, dual = _table(_dual_sum(N))
-        terms.append((N * (3 * N - 1) + lo, _spread(3, (M, N)), dual))
+        dual = _dual_sum(N)
+        terms.append((N * (3 * N - 1) + dual.lo, _spread(3, (M, N)), dual.table()))
     lhs = _packed_sum(terms, 2)
     # distinct parts below 3M, none divisible by 3; they sum to 3M^2
     rhs = QPoly.from_table(_parts_series(3 * M * M, once=[
@@ -500,7 +528,7 @@ def q1_triple_value(M: int) -> int:
     C(V+floor(n2/2),V) over cells with V = M-n1-n2-m >= 0; equals 3^M."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    return lhs_schur(M).eval_at_one()
+    return sum(_lhs_packed(M).table())
 
 
 def q1_quad_value(M: int) -> int:
@@ -673,10 +701,10 @@ class VerificationReport:
 
 def _qpoly_discrepancy(lhs: QPoly, rhs: QPoly,
                        x_degree: int | None = None) -> dict[str, Any] | None:
-    diff = lhs - rhs
-    if not diff:
+    # equal sides, as every verified row has, are never subtracted
+    if lhs == rhs:
         return None
-    e = diff.min_half_exponent()
+    e = (lhs - rhs).min_half_exponent()
     return {
         "x_degree": x_degree,
         "exponent_half_steps": e,

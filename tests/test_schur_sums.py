@@ -159,6 +159,57 @@ def test_pair_sum_cache_serves_every_N_and_both_weights():
                                 - weight(n1, s - n1, m, N)) == slope
 
 
+# each memoized side, its packed memo, and a fresh uncached build of it
+MEMOS = {
+    "lhs_schur": (ss._lhs_packed, lambda N: ss._triple_sum(N, ss._plain_weight)),
+    "dual": (ss._dual_sum, lambda N: ss._triple_sum(N, ss._dual_weight)),
+    "rhs_schur": (ss._rhs_packed, ss._round_walk),
+    "t0_half_sum": (ss._t0_packed, ss._t0_half_walk),
+}
+
+
+def test_memoized_sides_equal_fresh_builds():
+    # N up then down in one process, so a stale or mis-keyed memo entry
+    # shows against the uncached walk
+    public = {"lhs_schur": ss.lhs_schur, "rhs_schur": ss.rhs_schur,
+              "t0_half_sum": ss.t0_half_sum,
+              "dual": lambda N: ss.dual_sides(N)[0]}
+    for N in list(range(16)) + list(range(15, -1, -1)):
+        for name, (memo, fresh) in MEMOS.items():
+            want = fresh(N)
+            assert QPoly.from_packed(memo(N)) == want, (name, N)
+            assert public[name](N) == want, (name, N)
+    assert ss.lhs_schur(-1) == ss.rhs_schur(-2) == QPoly.zero()
+
+
+def test_memoized_sides_come_back_as_fresh_equal_values():
+    for side in (ss.lhs_schur, ss.rhs_schur, ss.t0_half_sum,
+                 lambda N: ss.dual_sides(N)[0]):
+        first, second = side(7), side(7)
+        assert first == second and first is not second
+    # a caller that changes its copy leaves the memo as it was
+    mine = ss.lhs_schur(5)
+    mine._c.clear()
+    assert ss.lhs_schur(5) == ss._triple_sum(5, ss._plain_weight)
+
+
+def test_side_readers_read_what_the_polynomials_hold():
+    # the tables rec-l, rec-andrews and summation-m read, the windows of
+    # the summation limit, and the q1-triple value, each straight off a
+    # packed memo, against the same read of the uncached polynomial
+    for N in range(-2, 26):
+        for name, (memo, fresh) in MEMOS.items():
+            form, poly = memo(N), fresh(N)
+            assert (form.lo, tuple(form.table())) == ss._table(poly), (name, N)
+        if N >= 0:
+            assert ss.q1_triple_value(N) == MEMOS["lhs_schur"][1](N).eval_at_one()
+            poly = MEMOS["dual"][1](N)
+            lead = N * (3 * N - 1)
+            for T in (0, 1, N * N, 60, 3 * N * N):
+                window = -lead, 2 * T - lead
+                assert ss._dual_sum(N).table(*window) == poly.table(*window), (N, T)
+
+
 def test_summands_tile_the_sum():
     for N in range(7):
         total = QPoly.zero()
@@ -619,9 +670,13 @@ def test_report_rows_of_cell_products_make_no_polynomial_products(monkeypatch):
     # and a cache kept would show as well
     kinds = {"gf-ali-eq-kursungoz", "gf-even-odd-split", "analytic-schur",
              "gf-bounded", "cor1-bounded-sum", "qt-limit", "rec-summand"}
-    for f in vars(ss).values():
+    cleared = set()
+    for name, f in vars(ss).items():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
+            cleared.add(name)
+    # the four memoized sides among them
+    assert {"_lhs_packed", "_rhs_packed", "_dual_sum", "_t0_packed"} <= cleared
 
     def product(self, other):
         raise AssertionError("QPoly product")
@@ -632,6 +687,17 @@ def test_report_rows_of_cell_products_make_no_polynomial_products(monkeypatch):
     assert {r["check"] for r in rows} == kinds
     for row in rows:
         assert ss.verify(row["check"], row["params"]).verified, row
+
+
+def test_equal_sides_are_never_subtracted(monkeypatch):
+    # a verified row compares its sides for equality alone: the central
+    # identity, and a row of x-graded series against the oracle
+    def subtract(self, other):
+        raise AssertionError("QPoly subtraction")
+
+    monkeypatch.setattr(QPoly, "__sub__", subtract)
+    assert ss.verify("schur-poly", {"N": 10}).verified
+    assert ss.verify("gf-bounded", {"N": 6, "T": 45}).verified
 
 
 def test_verify_wrapper_smoke():
