@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
-from .qpoly import Packed, QPoly, _packed_sum
+from .qpoly import QPoly, _packed_sum
 
 
 def _parts_series(T: int, once: Iterable[int] = (), free: Iterable[int] = (),
@@ -124,14 +124,13 @@ def _t_exponents(n_sub: int, m: int, a: int, ks: range, modulus: int) -> list[in
 
 def _trinomial_sum(m: int, js: Iterable[int], modulus: int,
                    leads: Callable[[int, range], list[int]],
-                   cut: int | None = None, packed: bool = False) -> QPoly | Packed:
+                   cut: int | None = None) -> QPoly:
     """sum of q^(e/2) [m,k] [m-k,k+j] over j in js and every k where both
     binomials, in base q^modulus, are nonzero (none when m < 0), with
     leads(j, ks) the half-steps e of j's k-terms ks; mod q^(cut/2 + 1/2)
     when cut is given, a k-term past the cut never built.  One
     `_packed_sum` from the least e, so e may be negative; [m,k] is the
-    right table, multiplied once per k.  With packed set, the sum comes
-    back as its `Packed` form."""
+    right table, multiplied once per k."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     terms = []
@@ -143,8 +142,7 @@ def _trinomial_sum(m: int, js: Iterable[int], modulus: int,
                               _gauss_coeffs(m, k)))
     base = min([0] + [shift for shift, _, _ in terms])
     return _packed_sum([(shift - base, left, right) for shift, left, right in terms],
-                       2 * modulus, None if cut is None else cut - base,
-                       packed=packed).shift(base)
+                       2 * modulus, None if cut is None else cut - base).shift(base)
 
 
 def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:

@@ -29,14 +29,14 @@ uncached reference forms and the tests.
 Dense tables cross module lines only through three conversions:
 `QPoly.from_table`, `QPoly.table`, and the packed form, `Packed`: a
 polynomial on whole q-steps held as its least half-step, its length, a
-slot width and one int, in the slot layout `_packed_sum` sums in.  No
-other module reads or builds a `QPoly`'s dict.
-`_packed_sum(..., packed=True)` hands a sum over in this form without
-unpacking it, and `QPoly.from_packed` and `Packed.table` read it back.
-`schur_sums` holds its four memoized sides in it (the central left and
-right sides, the dual triple sum and the T0 half sum), so a cached side
-costs one int, not a dict of ints, and a row that reads a side's table
-reads it straight off the int.
+slot width and one int, in `_pack`'s slot layout.  No other module reads
+or builds a `QPoly`'s dict.  `QPoly.packed()` writes the form, on the
+narrowest slot that holds the largest coefficient, and
+`QPoly.from_packed` and `Packed.table` read it back.  `schur_sums` holds
+its four memoized sides in it (the central left and right sides, the
+dual triple sum and the T0 half sum), so a cached side costs one int,
+not a dict of ints, and a row that reads a side's table reads it
+straight off the int.
 """
 
 from __future__ import annotations
@@ -98,27 +98,16 @@ def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
             for i in range(0, n * w, w)]
 
 
-def _values(n: int, pos: int, neg: int, w: int, code: str | None) -> list[int]:
-    # the n slots of pos less those of neg, slot by slot
-    vals = _unpack(pos, n, w, code)
-    return list(map(sub, vals, _unpack(neg, n, w, code))) if neg else vals
-
-
 class Packed(NamedTuple):
     """A polynomial on whole q-steps as one int, its Kronecker form: slot
     i of x, w bytes at bit 8*w*i, holds the coefficient of q^((lo+2i)/2),
     for i < n.  Slots 0 and n - 1 are nonzero and no slot is negative; the
-    zero polynomial has n = 0 and x = 0.  `_packed_sum(..., packed=True)`
-    writes it in `_pack`'s slot layout and `_unpack` reads it, so it is
-    exact at every slot width."""
+    zero polynomial has n = 0 and x = 0.  `QPoly.packed` writes it with
+    `_pack` and `_unpack` reads it, so it is exact at every slot width."""
     lo: int
     n: int
     w: int
     x: int
-
-    def shift(self, half_steps: int) -> "Packed":
-        """Multiply by q^(half_steps / 2)."""
-        return self._replace(lo=self.lo + half_steps) if self.n else self
 
     def table(self, lo: int | None = None, hi: int | None = None) -> list[int]:
         """The coefficients at half-steps lo, lo + 2, ..., hi, zero where
@@ -142,17 +131,6 @@ class Packed(NamedTuple):
         before = i0 - (lo - self.lo) // 2
         vals = _unpack(inside, i1 - i0 + 1, self.w, _SLOT_CODES.get(self.w))
         return [0] * before + vals + [0] * (size - before - len(vals))
-
-
-def _trimmed(lo: int, w: int, x: int) -> Packed:
-    # x, slots of w bytes from half-step lo, as a Packed with the zero
-    # slots at either end dropped
-    if not x:
-        return Packed(0, 0, w, 0)
-    bits = 8 * w
-    low = ((x & -x).bit_length() - 1) // bits
-    x >>= bits * low
-    return Packed(lo + 2 * low, -(-x.bit_length() // bits), w, x)
 
 
 class QPoly:
@@ -203,6 +181,21 @@ class QPoly:
     def from_packed(cls, form: Packed) -> "QPoly":
         """The polynomial a packed form holds."""
         return cls._raw(_put({}, form.table(), form.lo, 2))
+
+    def packed(self) -> Packed:
+        """The packed form of this polynomial, on the narrowest slot that
+        holds its largest coefficient.  A negative coefficient raises
+        ValueError, and so does a term between whole q-steps, as
+        `table` reads them."""
+        if not self._c:
+            return Packed(0, 0, 1, 0)
+        lo = min(self._c)
+        table = self.table(lo, max(self._c))
+        w, code = _slot(max(table))
+        try:
+            return Packed(lo, len(table), w, _pack(table, w, code))
+        except OverflowError:
+            raise ValueError("a packed form needs coefficients >= 0") from None
 
     def table(self, lo: int, hi: int, g: int = 2) -> list[int]:
         """The coefficients at half-steps lo, lo + g, ..., hi, zero where
@@ -371,8 +364,8 @@ class QPoly:
 
 def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                 g: int, cut: int | None = None,
-                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = (),
-                packed: bool = False) -> QPoly | Packed:
+                minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = ()
+                ) -> QPoly:
     """Exact sum of q^(shift/2) L R over the (shift, L, R) terms, less the
     same sum over the minus terms, where L and R are dense coefficient
     tables on stride g half-steps (L[i] is the coefficient of q^(g*i/2)),
@@ -398,14 +391,7 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
     unpacked; only an unequal class is cut back into slots.  A negative
     entry or shift raises ValueError.  A product AB of signed tables goes
     in split by sign, A = A+ - A- (A- the absolute value of the negative
-    part, [] when empty): A+B+ and A-B- less A+B- and A-B+.
-
-    With packed set, g must be even and the sum comes back as its
-    `Packed` form, on the sum's slot width, without unpacking a class
-    that has no subtracted terms: with g = 2 the one class's integer is
-    the form, and more classes are interleaved byte by byte.  A sum whose
-    classes differ in parity has terms between the form's steps, and one
-    with a negative coefficient cannot be packed: both raise ValueError."""
+    part, [] when empty): A+B+ and A-B- less A+B- and A-B+."""
     kept = []
     bounds = [0, 0]
     top = 0
@@ -447,53 +433,20 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                              + (lefts[key] * _pack(right, w, code) << 8 * w * i))
     except OverflowError:
         raise ValueError("packed sum needs entries >= 0") from None
-    classes: dict[int, tuple[int, int, int]] = {}  # residue -> n, pos, neg
+    out: dict[int, int] = {}
     for r, n in ends.items():
         pos, neg = sums.pop((0, r), 0), sums.pop((1, r), 0)
         if cut is not None and r + g * (n - 1) > cut:
             n = (cut - r) // g + 1
             mask = (1 << 8 * w * n) - 1
             pos, neg = pos & mask, neg & mask
-        if pos != neg:
-            classes[r] = n, pos, neg
-    if packed:
-        return _packed_classes(classes, g, w, code)
-    out: dict[int, int] = {}
-    for r, (n, pos, neg) in classes.items():
-        _put(out, _values(n, pos, neg, w, code), r, g)
+        if pos == neg:
+            continue
+        vals = _unpack(pos, n, w, code)
+        if neg:
+            vals = list(map(sub, vals, _unpack(neg, n, w, code)))
+        _put(out, vals, r, g)
     return QPoly._raw(out)
-
-
-def _packed_classes(classes: dict[int, tuple[int, int, int]], g: int, w: int,
-                    code: str | None) -> Packed:
-    # The residue classes of a `_packed_sum` as one Packed on the sum's
-    # slot width.  Slot i of class r is the form's slot (r - lo)/2 + i*g/2:
-    # with g = 2 the one class's integer is the form as it stands, and
-    # more classes are laid into one buffer, w strided byte copies each.
-    if g % 2:
-        raise ValueError("a packed form needs an even stride")
-    if not classes:
-        return Packed(0, 0, w, 0)
-    lo = min(classes)
-    if any((r - lo) % 2 for r in classes):
-        raise ValueError("a term lies between the packed form's steps")
-    try:
-        ints = {r: (n, _pack(_values(n, pos, neg, w, code), w, code) if neg else pos)
-                for r, (n, pos, neg) in classes.items()}
-    except OverflowError:
-        raise ValueError("a packed form needs coefficients >= 0") from None
-    if g == 2:
-        (_, x), = ints.values()
-        return _trimmed(lo, w, x)
-    step = g // 2 * w  # bytes from one slot of a class to its next
-    out = bytearray(max((r - lo) // 2 * w + step * (n - 1) + w
-                        for r, (n, _) in ints.items()))
-    for r, (n, x) in ints.items():
-        buf = x.to_bytes(n * w, "little")
-        start = (r - lo) // 2 * w
-        for b in range(w):
-            out[start + b:start + b + step * (n - 1) + 1:step] = buf[b::w]
-    return _trimmed(lo, w, int.from_bytes(out, "little"))
 
 
 class XSeries:

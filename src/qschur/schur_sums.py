@@ -66,10 +66,11 @@ All builders are pure and the expensive ones are memoized, so verify
 calls for distinct parameters can run in parallel workers; each worker
 process simply warms its own caches.  The four sides that later rows
 read again, `lhs_schur`, `rhs_schur`, the dual triple sum `_dual_sum`
-and `t0_half_sum`, are each held in one memo as their `qpoly.Packed`
-form, one int per side and N, and every call builds a fresh `QPoly`
-from it.  The rows that read only a side's table read it straight off
-that int, never through a dict: rec-l and rec-andrews
+and `t0_half_sum`, are each built once as a `QPoly` by their walk and
+held in one memo as its `QPoly.packed()` form, one int per side and N
+on the narrowest slot that holds the side, and every call builds a
+fresh `QPoly` from it.  The rows that read only a side's table read it
+straight off that int, never through a dict: rec-l and rec-andrews
 (`recurrence_residual`), summation-m (`summation_formula_sides`),
 analytic-schur (`summation_limit_sum`, through `_limit_sum`) and
 q1-triple and q1-quad (`q1_triple_value`).
@@ -184,12 +185,10 @@ def _pair_sum(v: int, k: int) -> tuple[int, ...]:
     return _table(_packed_sum(terms, 12))[1]
 
 
-def _triple_sum(N: int, weight: Callable[[int, int, int, int], int],
-                packed: bool = False) -> QPoly | Packed:
+def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
     """sum of q^(weight/2) [3V,m]_q [V+floor(n1/2), floor(n1/2)]_{q^6}
     [V+floor(n2/2), floor(n2/2)]_{q^6} over n1, n2, m >= 0 with
     V = N-m-n1-n2 >= 0, the weight taken in half-steps; zero for N < 0.
-    With packed set, as its `Packed` form.
 
     Fixing V and s = n1 + n2 fixes m, so the n1/n2 sum folds into one pair
     slice per (V, s) and only the slice meets the base-q binomial.  With
@@ -214,7 +213,7 @@ def _triple_sum(N: int, weight: Callable[[int, int, int, int], int],
                     shift = min(weight(p1, s - p1, m, N), weight(s - p2, p2, m, N))
                     terms.append((shift, _gauss_coeffs(3 * v, m),
                                   _pair_sum(v, (s - p1 - p2) // 2)))
-    return _packed_sum(terms, 2, packed=packed)
+    return _packed_sum(terms, 2)
 
 
 def _graded_sum(T: int, weight: Callable[[int, int, int], int],
@@ -241,7 +240,7 @@ def _graded_sum(T: int, weight: Callable[[int, int, int], int],
 
 @lru_cache(maxsize=None)
 def _lhs_packed(N: int) -> Packed:
-    return _triple_sum(N, _plain_weight, packed=True)
+    return _triple_sum(N, _plain_weight).packed()
 
 
 def lhs_schur(N: int) -> QPoly:
@@ -251,15 +250,15 @@ def lhs_schur(N: int) -> QPoly:
     return QPoly.from_packed(_lhs_packed(N))
 
 
-def _round_walk(N: int, packed: bool = False) -> QPoly | Packed:
+def _round_walk(N: int) -> QPoly:
     # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
     return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
-        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)], packed=packed)
+        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)])
 
 
 @lru_cache(maxsize=None)
 def _rhs_packed(N: int) -> Packed:
-    return _round_walk(N, packed=True)
+    return _round_walk(N).packed()
 
 
 def rhs_schur(N: int) -> QPoly:
@@ -365,17 +364,17 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
 # ---------------------------------------------------------------------------
 # dual identity and the T0 suite
 
-def _t0_half_walk(N: int, T: int | None = None, packed: bool = False) -> QPoly | Packed:
+def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
     # sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), mod
     # q^(T+1/2) when T is given; every exponent is >= 0
     return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
         N + j + e for e in _t_exponents(0, N, j, ks, 3)],
-        None if T is None else 2 * T, packed)
+        None if T is None else 2 * T)
 
 
 @lru_cache(maxsize=None)
 def _t0_packed(N: int) -> Packed:
-    return _t0_half_walk(N, packed=True)
+    return _t0_half_walk(N).packed()
 
 
 def t0_half_sum(N: int) -> QPoly:
@@ -389,7 +388,7 @@ def t0_half_sum(N: int) -> QPoly:
 def _dual_sum(N: int) -> Packed:
     # the triple sum at the dual weight, packed: the dual's left side and
     # the N-layer of both summation formulas
-    return _triple_sum(N, _dual_weight, packed=True)
+    return _triple_sum(N, _dual_weight).packed()
 
 
 def dual_sides(N: int) -> tuple[QPoly, QPoly]:

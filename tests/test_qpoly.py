@@ -363,14 +363,9 @@ def test_table_refuses_a_term_between_its_steps():
     assert QPoly({-1: 4, 0: 1, 5: 1, 8: 1}).table(0, 4) == [1, 0, 0]
 
 
-def packed_table(table, lo):
-    # sum of table[i] q^((lo + 2i)/2) as a packed form, written by the one
-    # writer, a packed sum
-    return _packed_sum([(0, table, [1])], 2, packed=True).shift(lo)
-
-
-# bit lengths of a table's sum that take each slot route of a packed
-# form: 1, 2, 4 and 8 bytes through `array`, 25 bytes through `bytes`
+# bit lengths of a table's largest entry that take each slot route of a
+# packed form: 1, 2, 4 and 8 bytes through `array`, 25 bytes through
+# `bytes`
 ROUTE_BITS = {8: 1, 16: 2, 32: 4, 64: 8, 200: 25}
 
 
@@ -391,14 +386,15 @@ def packed_tables(draw):
 @given(packed_tables(), st.integers(-40, 40), st.integers(-3, 30))
 def test_packed_form_reads_back_as_the_table(case, lo, span):
     table, start = case
-    form = packed_table(table, start)
     poly = QPoly.from_table(table, start)
+    form = poly.packed()
     assert QPoly.from_packed(form) == poly
-    # slots 0 and n - 1 hold the least and the largest term
+    # slots 0 and n - 1 hold the least and the largest term, each slot as
+    # wide as the largest entry needs
+    assert form.w == _slot(max(table, default=0))[0]
     if poly:
         assert form.lo == poly.min_half_exponent()
         assert form.lo + 2 * (form.n - 1) == poly.max_half_exponent()
-        assert form.w == _slot(sum(table))[0]
     else:
         assert (form.n, form.x) == (0, 0)
     assert form.table() == poly.table(form.lo, form.lo + 2 * form.n - 2)
@@ -416,65 +412,29 @@ def test_packed_form_reads_back_as_the_table(case, lo, span):
 @pytest.mark.parametrize("bits, width", sorted(ROUTE_BITS.items()))
 def test_packed_form_on_every_slot_route(bits, width):
     top = 2 ** bits - 1
-    table = [0, top // 2, 0, 1, top // 3, 0, 0]
-    form = packed_table(table, -5)
-    assert (form.lo, form.n, form.w) == (-3, 4, width)
-    assert _slot(top) == (width, _SLOT_CODES.get(width))
+    table = [0, top, 0, 1, top // 3, 0, 0]
     poly = QPoly.from_table(table, -5)
+    form = poly.packed()
+    assert (form.lo, form.n, form.w) == (-3, 4, width)
+    assert _slot(max(table)) == (width, _SLOT_CODES.get(width))
     assert QPoly.from_packed(form) == poly
     assert form.table(-9, 11) == poly.table(-9, 11)
-    assert form.shift(4).table() == form.table()
-    assert QPoly.from_packed(form.shift(4)) == poly.shift(4)
 
 
 def test_packed_form_refuses_negative_coefficients_and_odd_steps():
-    # a sum with a negative coefficient, on narrow and on wide slots
-    for g, minus in ((2, [(0, [0, 1], [1])]), (6, [(2, [1], [1])]),
-                     (2, [(0, [2 ** 200 + 2], [1])])):
+    # a negative coefficient on the array route (narrow slots, whatever
+    # its size) and on the bytes route (slots wider than 8 bytes)
+    narrow = _SLOT_CODES[1]
+    for table, code in (([1, -1], narrow), ([-5], narrow),
+                        ([1, -2 ** 100], narrow), ([2 ** 200, 0, -1], None)):
+        assert _slot(max(table))[1] == code
         with pytest.raises(ValueError, match="coefficients >= 0"):
-            _packed_sum([(0, [1], [1]), (0, [2 ** 200], [1])], g,
-                        minus=minus, packed=True)
-    with pytest.raises(ValueError, match="entries >= 0"):
-        packed_table([1, -1], 0)
-    # terms between whole q-steps
-    with pytest.raises(ValueError, match="between the packed form's steps"):
-        _packed_sum([(0, [1], [1]), (3, [1], [1])], 6, packed=True)
-    with pytest.raises(ValueError, match="even stride"):
-        _packed_sum([(0, [1], [1])], 3, packed=True)
+            QPoly.from_table(table, 4).packed()
+    # a term between whole q-steps
     with pytest.raises(ValueError, match="between the table's steps"):
-        packed_table([1, 2, 3], 0).table(1, 3)
-
-
-@example((6, [(0, [1, 2], [3]), (8, [4], [5, 6]), (14, [], [1]),
-              (4, [1], [])], None))                       # three classes
-@example((2, [(4, [0, 255], [1, 0])], None))             # zero slots at the ends
-@example((12, [(0, [2 ** 100], [3]), (4, [1], [1])], 30))  # wide slots, cut
-@given(packed_sum_terms().filter(lambda case: case[0] % 2 == 0))
-def test_packed_sum_form_against_the_dict_route(case):
-    g, terms, cut = case
-    # the shifts of one parity, so every term lies on whole q-steps
-    terms = [(2 * (shift // 2), left, right) for shift, left, right in terms]
-    form = _packed_sum(terms, g, cut, packed=True)
-    assert QPoly.from_packed(form) == _packed_sum(terms, g, cut)
-    signed = _packed_sum(terms, g, cut, minus=terms[:1], packed=True)
-    assert QPoly.from_packed(signed) == _packed_sum(terms, g, cut, minus=terms[:1])
-
-
-def test_packed_sums_are_never_cut_into_slots(monkeypatch):
-    # the integer a one-class sum ends with is the form, its empty low
-    # slot trimmed off; three classes mod 6 on slots wider than 8 bytes
-    # are interleaved as bytes
-    monkeypatch.setattr(qpoly, "_unpack", None)
-    form = _packed_sum([(2, [0, 3], [1, 1]), (4, [1], [2])], 2, packed=True)
-    assert (form.lo, form.n, form.w) == (4, 2, 1)
-    assert form.x == 5 + (3 << 8)
-    big = 1 << 70
-    terms = [(2, [big, 1], [1]), (4, [3], [big, 0, 5]), (6, [7], [1])]
-    form = _packed_sum(terms, 6, packed=True)
-    assert (form.lo, form.n, form.w) == (2, 8, 10)
-    monkeypatch.undo()
-    assert form.table() == [big, 3 * big, 7, 1, 0, 0, 0, 15]
-    assert QPoly.from_packed(form) == _packed_sum(terms, 6)
+        QPoly({0: 1, 3: 1}).packed()
+    with pytest.raises(ValueError, match="between the table's steps"):
+        QPoly.from_table([1, 2, 3]).packed().table(1, 3)
 
 
 def test_xseries_strata_and_sum():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
 from qschur.qcoeff import gauss_binomial
-from qschur.qpoly import QPoly, XSeries
+from qschur.qpoly import QPoly, XSeries, _slot
 from test_qcoeff import naive_parts_series, t_by_reversal
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -196,11 +196,13 @@ def test_memoized_sides_come_back_as_fresh_equal_values():
 def test_side_readers_read_what_the_polynomials_hold():
     # the tables rec-l, rec-andrews and summation-m read, the windows of
     # the summation limit, and the q1-triple value, each straight off a
-    # packed memo, against the same read of the uncached polynomial
+    # packed memo, against the same read of the uncached polynomial; each
+    # memo on the narrowest slot that holds its largest coefficient
     for N in range(-2, 26):
         for name, (memo, fresh) in MEMOS.items():
             form, poly = memo(N), fresh(N)
             assert (form.lo, tuple(form.table())) == ss._table(poly), (name, N)
+            assert form.w == _slot(max(form.table(), default=0))[0], (name, N)
         if N >= 0:
             assert ss.q1_triple_value(N) == MEMOS["lhs_schur"][1](N).eval_at_one()
             poly = MEMOS["dual"][1](N)
