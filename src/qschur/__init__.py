@@ -17,7 +17,7 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
 from .partitions import (Partition, distinct_pm1_counts, format_partition,
                          is_schur_admissible, parse_partition, schur_counts,
                          schur_gf_oracle)
-from .qcoeff import gauss_binomial, round_trinomial, t_trinomial
+from .qcoeff import gauss_binomial, t_trinomial
 from .qpoly import QPoly, XSeries
 from .schur_sums import (IdentityId, UsageError, VerificationReport,
                          ali_gf_truncated, bounded_gf, cor1_bounded_sum,
@@ -40,7 +40,7 @@ __all__ = [
     "gauss_binomial", "is_schur_admissible", "kursungoz_gf_truncated",
     "lhs_schur", "max_motions", "minimal_configuration",
     "parse_partition", "q1_quad_value", "q1_triple_value", "qt_limit_sum",
-    "recurrence_residual", "rhs_schur", "round_trinomial", "schur_counts",
+    "recurrence_residual", "rhs_schur", "schur_counts",
     "schur_gf_oracle", "schur_product_truncated", "schur_summand",
     "summation_formula_sides", "summation_limit_sum", "t0_binomial_sides",
     "t0_half_sum", "t0_half_sum_truncated", "t0_limit_product",

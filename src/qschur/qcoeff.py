@@ -1,4 +1,4 @@
-"""Partition products, Gaussian binomials and two q-trinomial families.
+"""Partition products, Gaussian binomials and the T_n q-trinomials.
 
 Every q-product of the package counts partitions into a fixed multiset
 of parts, and one private kernel, `_parts_series`, builds them all as
@@ -14,11 +14,12 @@ The public functions return exact `QPoly` values.  Bases other than q
 itself are handled by an integer `modulus` argument: modulus 3 reads the
 whole expression in q^3, modulus 6 in q^6, and so on.
 
-Both trinomial families, and the round-trinomial side and T0 half sums
-of `schur_sums`, are one k-walk, `_trinomial_sum`: the k-terms of a list
+The T_n family, and the round-trinomial side and T0 half sums of
+`schur_sums`, are one k-walk, `_trinomial_sum`: the k-terms of a list
 of j, each two dense binomial tables under its exponent, summed by one
-`qpoly._packed_sum`.  Each exponent is stated once, `_round_exponents`
-and `_t_exponents`; the T_n family is the round one at q -> 1/q.
+`qpoly._packed_sum`.  The T_n exponent is stated once, `_t_exponents`;
+the round one, q^(k(k+b)) in base q^modulus, lives in its one reader,
+`schur_sums._round_walk`.  The T_n family is the round one at q -> 1/q.
 
 Caching: `_gauss_coeffs` keeps one table per unordered bottom, one tuple
 for [top, k] and [top, top-k].  It builds [top, k], k <= top/2, in a loop
@@ -112,11 +113,6 @@ def gauss_binomial(top: int, bottom: int, modulus: int = 1) -> QPoly:
     return QPoly.from_table(_gauss_coeffs(top, bottom), 0, 2 * modulus)
 
 
-def _round_exponents(b: int, ks: range, modulus: int) -> list[int]:
-    # the round family's k-term exponents, in half-steps
-    return [2 * modulus * k * (k + b) for k in ks]
-
-
 def _t_exponents(n_sub: int, m: int, a: int, ks: range, modulus: int) -> list[int]:
     # the T_n family's k-term exponents, in half-steps
     return [modulus * (m - a - 2 * k) * (m - a - 2 * k - n_sub) for k in ks]
@@ -145,17 +141,11 @@ def _trinomial_sum(m: int, js: Iterable[int], modulus: int,
                        2 * modulus, None if cut is None else cut - base).shift(base)
 
 
-def round_trinomial(m: int, b: int, a: int, modulus: int = 1) -> QPoly:
-    """Round q-trinomial: sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a], base
-    q^modulus, over every k where both binomials are nonzero; 0 for m < 0."""
-    return _trinomial_sum(m, [a], modulus,
-                          lambda j, ks: _round_exponents(b, ks, modulus))
-
-
 def t_trinomial(n_sub: int, m: int, a: int, modulus: int = 1) -> QPoly:
     """T_n family: sum_k q^(modulus*(m-a-2k)(m-a-2k-n)/2) [m,k] [m-k,k+a],
-    base q^modulus, over the k of the round family: the b = a-n round one
-    at q -> 1/q times q^(modulus*(m(m-n)-a(a-n))/2).  Carries half-step
-    exponents whenever modulus*(m-a)(m-a-n) is odd."""
+    base q^modulus, over every k where both binomials are nonzero: the
+    round trinomial sum_k q^(modulus*k(k+b)) [m,k] [m-k,k+a] at b = a-n,
+    taken at q -> 1/q, times q^(modulus*(m(m-n)-a(a-n))/2).  Carries
+    half-step exponents whenever modulus*(m-a)(m-a-n) is odd."""
     return _trinomial_sum(m, [a], modulus,
                           lambda j, ks: _t_exponents(n_sub, m, j, ks, modulus))

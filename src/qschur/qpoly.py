@@ -24,7 +24,8 @@ one big integer per side and residue class of the shifts.  Every sum of
 products the package builds goes through it: the triple and trinomial
 sums, the windowed cell series and the recurrence residuals.
 `QPoly.__mul__` is the plain schoolbook convolution, kept for the
-uncached reference forms and the tests.
+uncached `schur_sums.schur_summand`, the tests' reference forms and the
+multiply spans of perfbench.
 
 Dense tables cross module lines only through three conversions:
 `QPoly.from_table`, `QPoly.table`, and the packed form, `Packed`: a
@@ -32,7 +33,8 @@ polynomial on whole q-steps held as its least half-step, its length, a
 slot width and one int, in `_pack`'s slot layout.  No other module reads
 or builds a `QPoly`'s dict.  `QPoly.packed()` writes the form, on the
 narrowest slot that holds the largest coefficient, and
-`QPoly.from_packed` and `Packed.table` read it back.  `schur_sums` holds
+`QPoly.from_packed` and `Packed.table` read it back whole, over the
+form's own span; a window is read off a `QPoly`.  `schur_sums` holds
 its four memoized sides in it (the central left and right sides, the
 dual triple sum and the T0 half sum), so a cached side costs one int,
 not a dict of ints, and a row that reads a side's table reads it
@@ -109,28 +111,10 @@ class Packed(NamedTuple):
     w: int
     x: int
 
-    def table(self, lo: int | None = None, hi: int | None = None) -> list[int]:
-        """The coefficients at half-steps lo, lo + 2, ..., hi, zero where
-        there is no term, as `QPoly.table` reads them: a term inside
-        [lo, hi] between those steps raises ValueError.  By default the
-        form's own span.  Only the slots inside the window are unpacked."""
-        lo = self.lo if lo is None else lo
-        hi = self.lo + 2 * self.n - 2 if hi is None else hi
-        size = max(0, (hi - lo) // 2 + 1)
-        # the slots i0..i1 that lie inside [lo, hi]
-        i0 = max(0, (lo - self.lo + 1) // 2)
-        i1 = min(self.n - 1, (hi - self.lo) // 2)
-        if i1 < i0:
-            return [0] * size
-        bits = 8 * self.w
-        inside = (self.x >> bits * i0) & ((1 << bits * (i1 - i0 + 1)) - 1)
-        if (lo - self.lo) % 2:
-            if inside:
-                raise ValueError("a term lies between the table's steps")
-            return [0] * size
-        before = i0 - (lo - self.lo) // 2
-        vals = _unpack(inside, i1 - i0 + 1, self.w, _SLOT_CODES.get(self.w))
-        return [0] * before + vals + [0] * (size - before - len(vals))
+    def table(self) -> list[int]:
+        """The coefficients at half-steps lo, lo + 2, ..., lo + 2n - 2: the
+        form's own span, in one `_unpack`."""
+        return _unpack(self.x, self.n, self.w, _SLOT_CODES.get(self.w))
 
 
 class QPoly:
@@ -160,11 +144,6 @@ class QPoly:
         if coeff == 0:
             return cls._raw({})
         return cls._raw({half_steps: coeff})
-
-    @classmethod
-    def q_power(cls, n: int) -> "QPoly":
-        """q^n for integer n (possibly negative)."""
-        return cls._raw({2 * n: 1})
 
     @classmethod
     def from_q_coeffs(cls, coeffs: Mapping[int, int]) -> "QPoly":
@@ -197,19 +176,16 @@ class QPoly:
         except OverflowError:
             raise ValueError("a packed form needs coefficients >= 0") from None
 
-    def table(self, lo: int, hi: int, g: int = 2) -> list[int]:
-        """The coefficients at half-steps lo, lo + g, ..., hi, zero where
+    def table(self, lo: int, hi: int) -> list[int]:
+        """The coefficients at half-steps lo, lo + 2, ..., hi, zero where
         there is no term.  A term inside [lo, hi] between those steps
         would be lost, so it raises ValueError."""
         c = self._c
-        out = list(map(c.get, range(lo, hi + 1, g), repeat(0)))
+        out = list(map(c.get, range(lo, hi + 1, 2), repeat(0)))
         if (len(out) - out.count(0) != len(c)
-                and any((e - lo) % g for e in c if lo <= e <= hi)):
+                and any((e - lo) % 2 for e in c if lo <= e <= hi)):
             raise ValueError("a term lies between the table's steps")
         return out
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -223,10 +199,6 @@ class QPoly:
 
     def coefficient(self, half_steps: int) -> int:
         return self._c.get(half_steps, 0)
-
-    def coefficient_q(self, n: int) -> int:
-        """Coefficient of q^n, n an integer q-exponent."""
-        return self._c.get(2 * n, 0)
 
     def min_half_exponent(self) -> int | None:
         return min(self._c) if self._c else None
@@ -243,9 +215,6 @@ class QPoly:
 
     # Mutable-by-construction dict inside; structural equality only.
     __hash__ = None  # type: ignore[assignment]
-
-    def __neg__(self) -> "QPoly":
-        return QPoly._raw({e: -v for e, v in self._c.items()})
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
@@ -299,12 +268,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def substitute_q_power(self, k: int) -> "QPoly":
-        """Map q to q^k for nonzero integer k; k = -1 is the q -> 1/q dual."""
-        if k == 0:
-            raise ValueError("substitute_q_power requires k != 0")
-        return QPoly._raw({k * e: v for e, v in self._c.items()})
-
     def shift(self, half_steps: int) -> "QPoly":
         """Multiply by q^(half_steps / 2)."""
         if not half_steps:
@@ -322,16 +285,9 @@ class QPoly:
         c = {e: v for e, v in self._c.items() if e <= cut}
         return QPoly._raw(c) if len(c) != len(self._c) else self
 
-    def eval_at_one(self) -> int:
-        return sum(self._c.values())
-
     def to_pairs(self) -> list[list]:
         """Serialization form: [[half-step exponent, coeff as str], ...]."""
         return [[e, str(self._c[e])] for e in sorted(self._c)]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable]) -> "QPoly":
-        return cls._raw({int(e): int(v) for e, v in pairs if int(v)})
 
     def __str__(self) -> str:
         """Terms in ascending powers, e.g. ``1 + q - 2*q^(3/2)``; ``0`` when
@@ -453,8 +409,7 @@ class XSeries:
     """Finite family of q-truncated QPoly strata graded by a power of x.
 
     All strata share one truncation bound (in q-units) fixed at
-    construction; combining two series with different bounds is an error,
-    never a silent re-truncation.
+    construction, and each stratum given is cut to it.
     """
 
     __slots__ = ("_trunc", "_s")
@@ -473,10 +428,6 @@ class XSeries:
                     s[int(x)] = p
         self._s = s
 
-    @classmethod
-    def term(cls, trunc: int, x_degree: int, p: QPoly) -> "XSeries":
-        return cls(trunc, {x_degree: p})
-
     @property
     def truncation(self) -> int:
         return self._trunc
@@ -493,26 +444,6 @@ class XSeries:
         return self._trunc == other._trunc and self._s == other._s
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        if self._trunc != other._trunc:
-            raise ValueError(
-                "truncation bounds differ: %d vs %d"
-                % (self._trunc, other._trunc))
-        s = dict(self._s)
-        for x, p in other._s.items():
-            q = s.get(x)
-            r = p if q is None else q + p
-            if r:
-                s[x] = r
-            else:
-                s.pop(x, None)
-        out = XSeries.__new__(XSeries)
-        out._trunc = self._trunc
-        out._s = s
-        return out
 
     def at_x_one(self) -> QPoly:
         acc = QPoly.zero()

@@ -71,9 +71,10 @@ held in one memo as its `QPoly.packed()` form, one int per side and N
 on the narrowest slot that holds the side, and every call builds a
 fresh `QPoly` from it.  The rows that read only a side's table read it
 straight off that int, never through a dict: rec-l and rec-andrews
-(`recurrence_residual`), summation-m (`summation_formula_sides`),
-analytic-schur (`summation_limit_sum`, through `_limit_sum`) and
-q1-triple and q1-quad (`q1_triple_value`).
+(`recurrence_residual`), summation-m (`summation_formula_sides`) and
+q1-triple and q1-quad (`q1_triple_value`).  analytic-schur
+(`summation_limit_sum`) reads a window of each dual layer, so it builds
+the layer's `QPoly` (N <= 6 at T = 60) and reads the window off that.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 # weight_a (re-exported) and _cells live with the motion bijection
 from .bijection import _cells, certify_range, max_motions, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
-from .qcoeff import (_gauss_coeffs, _parts_series, _round_exponents,
-                     _t_exponents, _trinomial_sum, gauss_binomial, t_trinomial)
+from .qcoeff import (_gauss_coeffs, _parts_series, _t_exponents,
+                     _trinomial_sum, gauss_binomial, t_trinomial)
 from .qpoly import Packed, QPoly, XSeries, _packed_sum
 
 # ---------------------------------------------------------------------------
@@ -251,9 +252,10 @@ def lhs_schur(N: int) -> QPoly:
 
 
 def _round_walk(N: int) -> QPoly:
-    # q^(j(3j-1)/2) times the k-terms of round_trinomial(N, j, j, 3)
+    # q^(j(3j-1)/2) times the k-terms q^(3k(k+j)) [N,k]_{q^3}
+    # [N-k,k+j]_{q^3} of the (N; j; q^3 choose j) round trinomial
     return _trinomial_sum(N, range(-N, N + 1), 3, lambda j, ks: [
-        j * (3 * j - 1) + e for e in _round_exponents(j, ks, 3)])
+        j * (3 * j - 1) + 6 * k * (k + j) for k in ks])
 
 
 @lru_cache(maxsize=None)
@@ -432,12 +434,11 @@ def t0_limit_product(T: int) -> QPoly:
         p for p in range(1, T + 1) if p % 3 == 2 or p % 6 == 1]))
 
 
-def _limit_sum(T: int, k: int,
-               layers: Iterable[tuple[int, int, QPoly | Packed]]) -> QPoly:
+def _limit_sum(T: int, k: int, layers: Iterable[tuple[int, int, QPoly]]) -> QPoly:
     """sum of q^(lead/2) p / (q^k;q^k)_n mod q^(T+1/2) over the (n, lead,
-    p) layers, lead in half-steps, p a `QPoly` or its `Packed` form: each
-    layer read from q^0 to q^T is the start table of `_parts_series`, the
-    parts k..kn each used freely."""
+    p) layers, lead in half-steps: each layer's `QPoly.table` from q^0 to
+    q^T is the start table of `_parts_series`, the parts k..kn each used
+    freely."""
     if T < 0:
         raise ValueError("T must be >= 0")
     acc = [0] * (T + 1)
@@ -494,8 +495,9 @@ def summation_limit_sum(T: int) -> QPoly:
     times the dual-weight triple sum, so the loop stops at the first N
     with N(3N-1)/2 > T.  Equals schur_product_truncated(T), as the
     analytic-schur row checks."""
-    return _limit_sum(T, 3, ((N, N * (3 * N - 1), _dual_sum(N)) for N in
-                             takewhile(lambda N: N * (3 * N - 1) <= 2 * T, count())))
+    return _limit_sum(T, 3, ((N, N * (3 * N - 1), QPoly.from_packed(_dual_sum(N)))
+                             for N in takewhile(lambda N: N * (3 * N - 1) <= 2 * T,
+                                                count())))
 
 
 @lru_cache(maxsize=None)
@@ -731,16 +733,20 @@ def _discrepancy(lhs: Any, rhs: Any) -> dict[str, Any] | None:
 
 def _perturb(side: Any, hook: dict) -> Any:
     # Testing hook: {"_perturb": {"exponent_half_steps": e, "delta": d}}
-    # adds d*q^(e/2) to the first left side (d to a count) before
-    # comparing, so report plumbing can be exercised against a guaranteed
-    # discrepancy.  A text side already names a failure and is kept.
+    # adds d*q^(e/2) to the first left side (to its x^0 stratum for a
+    # series, d to a count) before comparing, so report plumbing can be
+    # exercised against a guaranteed discrepancy.  A text side already
+    # names a failure and is kept.
     if isinstance(side, str):
         return side
     if isinstance(side, int):
         return side + int(hook["delta"])
     poly = QPoly.monomial(int(hook["delta"]), int(hook["exponent_half_steps"]))
     if isinstance(side, XSeries):
-        return side + XSeries.term(side.truncation, 0, poly)
+        # to stratum 0, present or not; the constructor cuts it to the window
+        strata = {x: side.stratum(x) for x in side.x_degrees()}
+        strata[0] = side.stratum(0) + poly
+        return XSeries(side.truncation, strata)
     return side + poly
 
 

@@ -13,6 +13,7 @@ from qschur import schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
 from qschur.qcoeff import gauss_binomial
 from qschur.qpoly import QPoly, XSeries, _slot
+from reference import naive_trinomial, substitute
 from test_qcoeff import naive_parts_series, t_by_reversal
 
 # frozen coefficient lists of lhs_schur(0..3), ascending q-powers
@@ -68,28 +69,14 @@ def test_triple_sum_kernel_matches_naive_walk(N):
     assert ss.summation_formula_sides(N)[0] == summed
 
 
-def naive_trinomial_walk(N, lead_half):
-    # Reference for the trinomial sides: the sum over (j, k) of
-    # [N,k]_{q^3} [N-k,k+j]_{q^3} shifted by lead_half(j, k) half-steps,
-    # grouped by k: each k's shifted [N-k,k+j]_{q^3} summed over j, then
-    # one schoolbook product with [N,k]_{q^3}
-    total = QPoly.zero()
-    for k in range(N + 1):
-        inner = QPoly.zero()
-        for j in range(-N, N + 1):
-            inner = inner + gauss_binomial(N - k, k + j, 3).shift(lead_half(j, k))
-        total = total + gauss_binomial(N, k, 3) * inner
-    return total
-
-
 def test_wide_slot_sums_match_naive_walks():
     # rhs_schur(41) sums to 3^41 > 2^64 at q = 1, so its packed sum runs
     # on slots wider than 8 bytes
     assert 3 ** 41 > 2 ** 64
-    assert ss.rhs_schur(41) == naive_trinomial_walk(
-        41, lambda j, k: j * (3 * j - 1) + 6 * k * (k + j))
-    assert ss.t0_half_sum(12) == naive_trinomial_walk(
-        12, lambda j, k: 12 + j + 3 * (12 - j - 2 * k) ** 2)
+    assert ss.rhs_schur(41) == naive_trinomial(
+        41, range(-41, 42), 3, lambda j, k: j * (3 * j - 1) + 6 * k * (k + j))
+    assert ss.t0_half_sum(12) == naive_trinomial(
+        12, range(-12, 13), 3, lambda j, k: 12 + j + 3 * (12 - j - 2 * k) ** 2)
     # the triple sum's bound 3^N needs 4-byte slots at N = 20, 8 at 21
     assert 3 ** 20 < 2 ** 32 < 3 ** 21
     for N in (20, 21):
@@ -204,12 +191,14 @@ def test_side_readers_read_what_the_polynomials_hold():
             assert (form.lo, tuple(form.table())) == ss._table(poly), (name, N)
             assert form.w == _slot(max(form.table(), default=0))[0], (name, N)
         if N >= 0:
-            assert ss.q1_triple_value(N) == MEMOS["lhs_schur"][1](N).eval_at_one()
+            assert ss.q1_triple_value(N) == sum(
+                v for _, v in MEMOS["lhs_schur"][1](N).items())
             poly = MEMOS["dual"][1](N)
             lead = N * (3 * N - 1)
             for T in (0, 1, N * N, 60, 3 * N * N):
                 window = -lead, 2 * T - lead
-                assert ss._dual_sum(N).table(*window) == poly.table(*window), (N, T)
+                assert (QPoly.from_packed(ss._dual_sum(N)).table(*window)
+                        == poly.table(*window)), (N, T)
 
 
 def test_summands_tile_the_sum():
@@ -223,20 +212,20 @@ def test_summands_tile_the_sum():
 
 
 def test_summand_out_of_range_is_zero():
-    assert ss.schur_summand(-1, 0, 0, 0).is_zero()
-    assert ss.schur_summand(3, -1, 0, 0).is_zero()
-    assert ss.schur_summand(2, 0, 2, 1).is_zero()   # V < 0
-    assert ss.schur_summand(1, 3, 0, 0).is_zero()   # m > 3V
+    assert not ss.schur_summand(-1, 0, 0, 0)
+    assert not ss.schur_summand(3, -1, 0, 0)
+    assert not ss.schur_summand(2, 0, 2, 1)   # V < 0
+    assert not ss.schur_summand(1, 3, 0, 0)   # m > 3V
 
 
 @pytest.mark.parametrize("N", range(2, 12))
 def test_rhs_recurrence(N):
-    assert ss.recurrence_residual(ss.IdentityId.REC_ANDREWS, N).is_zero()
+    assert not ss.recurrence_residual(ss.IdentityId.REC_ANDREWS, N)
 
 
 @pytest.mark.parametrize("N", range(4, 12))
 def test_lhs_recurrence(N):
-    assert ss.recurrence_residual(ss.IdentityId.REC_L, N).is_zero()
+    assert not ss.recurrence_residual(ss.IdentityId.REC_L, N)
 
 
 def test_termwise_recurrence_small_sweep():
@@ -247,7 +236,7 @@ def test_termwise_recurrence_small_sweep():
                 for n2 in range(N + 5 - m - n1):
                     r = ss.recurrence_residual(
                         ss.IdentityId.REC_SUMMAND, N, m=m, n1=n1, n2=n2)
-                    if not r.is_zero():
+                    if r:
                         bad.append((N, m, n1, n2))
     assert bad == []
 
@@ -268,7 +257,8 @@ def reference_residual(kind, N, m=None, n1=None, n2=None, shift_6n=-5,
     # QPoly products, the summands from the uncached schur_summand.  The
     # mutation knobs move the q^(6N-5) term to q^(6N + shift_6n) and drop
     # the q^(12N-24) term.
-    q = QPoly.q_power
+    def q(n):
+        return QPoly.monomial(1, 2 * n)
     one_q_q2 = QPoly.from_q_coeffs({0: 1, 1: 1, 2: 1})
     last = q(12 * N - 24) if with_12n else QPoly.zero()
     if kind == "rec-andrews":
@@ -413,7 +403,7 @@ def test_dual_transform(N):
     lhs, rhs = ss.dual_sides(N)
     assert lhs == rhs
     # the dual weight is the plain one seen from q -> 1/q
-    assert lhs == ss.lhs_schur(N).substitute_q_power(-1).shift(3 * N * N + N)
+    assert lhs == substitute(ss.lhs_schur(N), -1).shift(3 * N * N + N)
 
 
 @pytest.mark.parametrize("N", range(0, 13))
@@ -527,8 +517,8 @@ def test_a_changed_summation_limit_fails_the_analytic_row(monkeypatch):
     T = 60
     limit = ss.summation_limit_sum
     monkeypatch.setattr(ss, "summation_limit_sum",
-                        lambda T: limit(T) + QPoly.q_power(T))
-    c = ss.schur_product_truncated(T).coefficient_q(T)
+                        lambda T: limit(T) + QPoly.monomial(1, 2 * T))
+    c = ss.schur_product_truncated(T).coefficient(2 * T)
     report = ss.verify("analytic-schur", {"T": T})
     assert report.status == "failed"
     assert report.first_discrepancy == {
@@ -578,7 +568,7 @@ def test_product_side_counts_by_size():
     prod = ss.schur_product_truncated(T)
     counts = schur_counts(T)
     for n in range(T + 1):
-        assert prod.coefficient_q(n) == counts[n]
+        assert prod.coefficient(2 * n) == counts[n]
 
 
 @pytest.mark.parametrize("T", [0, 1, 2, 7, 24])
@@ -719,6 +709,31 @@ def test_verify_reports_forced_mismatch():
     assert fd is not None
     assert fd["exponent_half_steps"] == 4
     assert fd["lhs"] != fd["rhs"]
+
+
+def test_perturb_adds_one_monomial_to_stratum_zero():
+    # the fault hook on a series: delta q^(e/2) on the x^0 stratum, made
+    # if absent and dropped if it cancels; every other stratum and the
+    # window kept, and a monomial past the window dropped
+    bounded = ss.bounded_gf(4, 16)
+    assert bounded.stratum(0) == QPoly.one()
+    bare = XSeries(5, {1: QPoly.monomial(2, 4)})
+    for side in (bounded, bare):
+        T = side.truncation
+        for delta, e in ((3, 6), (-2, 2 * T), (-1, 0), (5, -3)):
+            out = ss._perturb(side, {"delta": delta, "exponent_half_steps": e})
+            assert out.truncation == T
+            assert out.stratum(0) == side.stratum(0) + QPoly.monomial(delta, e)
+            assert set(out.x_degrees()) - {0} == set(side.x_degrees()) - {0}
+            for x in side.x_degrees():
+                if x:
+                    assert out.stratum(x) == side.stratum(x)
+        for e in (2 * T + 1, 2 * T + 2, 4 * T):
+            assert ss._perturb(side, {"delta": 7, "exponent_half_steps": e}) == side
+    assert ss._perturb(bounded, {"delta": -1, "exponent_half_steps": 0}
+                       ).x_degrees() == bounded.x_degrees()[1:]
+    assert ss._perturb(bare, {"delta": 1, "exponent_half_steps": 0}
+                       ).x_degrees() == [0, 1]
 
 
 def test_verify_rejects_bad_params():
