@@ -32,6 +32,8 @@ after `report`, 23 MB at `schur-poly --N 60` and 20 MB at
 `t0-binom --N 80`, half or less of what one table per request took.  A
 row only ever grows, by slice assignment, so threads racing on it leave
 equal tables; under `--jobs` each worker process grows its own cache.
+Each table is registered in the kernel's held memo (`qpoly._hold`) as
+it is built, so a sum reads its coefficient sum and its pack from there.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
-from .qpoly import QPoly, _packed_sum
+from .qpoly import QPoly, _hold, _packed_sum
 
 
 def _parts_series(T: int, once: Iterable[int] = (), free: Iterable[int] = (),
@@ -70,6 +72,7 @@ def _parts_series(T: int, once: Iterable[int] = (), free: Iterable[int] = (),
 # _ROWS[top][k] is the table of [top, k], for k from 0 up to the largest
 # bottom <= top/2 built so far
 _ROWS: dict[int, list[tuple[int, ...]]] = {}
+_ONE = _hold((1,))  # [top, 0] for every top, and 1 as a dense table
 
 
 def _gauss_coeffs(top: int, bottom: int) -> tuple[int, ...]:
@@ -79,12 +82,12 @@ def _gauss_coeffs(top: int, bottom: int) -> tuple[int, ...]:
     k = min(bottom, top - bottom)
     if k < 0:
         raise ValueError("needs 0 <= bottom <= top")
-    row = _ROWS.setdefault(top, [(1,)])
+    row = _ROWS.setdefault(top, [_ONE])
     while len(row) <= k:
         i = len(row)
         # a slice, not append: a table another thread put at i first is
         # replaced by an equal one, never pushed up a bottom
-        row[i:i + 1] = [_gauss_step(row[i - 1], top, i)]
+        row[i:i + 1] = [_hold(_gauss_step(row[i - 1], top, i))]
     return row[k]
 
 

@@ -27,6 +27,21 @@ sums, the windowed cell series and the recurrence residuals.
 uncached `schur_sums.schur_summand`, the tests' reference forms and the
 multiply spans of perfbench.
 
+The kernel reads the tables of the package's process-lifetime caches
+from a held memo, `_HELD`: the binomial rows of `qcoeff._gauss_coeffs`
+and the tables of `schur_sums._pair_sum`, `_spread` and `_t0_table`,
+each registered by `_hold` when its cache builds it.  A held table
+brings its coefficient sum, which sizes the slots, and its pack at the
+last slot width an exact sum used, so a later term reads both instead of
+summing and packing the table again: one `report` packs 6.8K tables
+where it packed 36.8K.  Only packs on the array route (slots of 8 bytes
+or less) from exact sums are held, to keep the memo's memory to what
+the report's speed needs.  Whole process on a 2-vCPU Xeon VM, CPython
+3.11, holding bytes-route packs too took `verify --identity schur-poly
+--N 60` from 67 to 89 MB max RSS and `t0-binom --N 80` from 61 to
+81 MB, and holding the packs of windowed sums too took
+`cor1-bounded-sum --N 40` from 47 to 58 MB.
+
 Dense tables cross module lines only through three conversions:
 `QPoly.from_table`, `QPoly.table`, and the packed form, `Packed`: a
 polynomial on whole q-steps held as its least half-step, its length, a
@@ -318,6 +333,25 @@ class QPoly:
         return "QPoly(%s)" % self
 
 
+# id(table) -> [table, sum(table), (w, table packed w bytes a slot) or
+# None]: the held memo, one entry per table a process-lifetime cache
+# registered with `_hold`.  The entry holds its table, so no id it keys
+# can pass to another object while it lives, even once the cache that
+# built the table is cleared.  The width and its int are one tuple,
+# replaced whole, so a thread never reads a width with another width's
+# int.
+_HELD: dict[int, list] = {}
+
+
+def _hold(table: tuple[int, ...]) -> tuple[int, ...]:
+    """table, registered in the held memo for the life of the process:
+    `_packed_sum` then reads its sum, and its pack at the last array slot
+    width an exact sum used, instead of rebuilding them per term.  Only a
+    cache's own immutable tables belong here."""
+    _HELD[id(table)] = [table, sum(table), None]
+    return table
+
+
 def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
                 g: int, cut: int | None = None,
                 minus: Iterable[tuple[int, Sequence[int], Sequence[int]]] = ()
@@ -347,8 +381,15 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
     unpacked; only an unequal class is cut back into slots.  A negative
     entry or shift raises ValueError.  A product AB of signed tables goes
     in split by sign, A = A+ - A- (A- the absolute value of the negative
-    part, [] when empty): A+B+ and A-B- less A+B- and A-B+."""
-    kept = []
+    part, [] when empty): A+B+ and A-B- less A+B- and A-B+.
+
+    A table is packed once a sum, and a held table (`_hold`) brings its
+    sum, and its pack when an earlier sum left one at this width, from
+    the held memo; an exact sum on the array route leaves its held
+    tables' packs there.  A window that cuts a table makes a new object,
+    so its prefix is summed and packed like any other table."""
+    # id(L) -> (L, [(least slot, group key) of each term L is left of])
+    kept: dict[int, tuple[Sequence[int], list]] = {}
     bounds = [0, 0]
     top = 0
     # (side, residue, id(R)) -> [least slot, R cut to its room]; side 0
@@ -370,23 +411,44 @@ def _packed_sum(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]],
             if left and cut_right:
                 i, r = divmod(shift, g)
                 key = side, r, id(right)
-                kept.append((i, key, left))
+                use = kept.get(id(left))
+                if use is None:
+                    use = kept[id(left)] = left, []
+                use[1].append((i, key))
                 group = groups.setdefault(key, [i, cut_right])
                 if i < group[0]:
                     group[:] = i, cut_right
                 ends[r] = max(ends.get(r, 0), i + len(left) + len(right) - 1)
-                sl, sr = sum(left), sum(cut_right)
+                held = _HELD.get(id(left))
+                sl = held[1] if held else sum(left)
+                held = _HELD.get(id(cut_right))
+                sr = held[1] if held else sum(cut_right)
                 bounds[side] += sl * sr
                 top = max(top, sl, sr)
     w, code = _slot(max(*bounds, top))
+    # packs are held from exact sums on the array route alone
+    store = cut is None and code is not None
+
+    def pack(table: Sequence[int]) -> int:
+        held = _HELD.get(id(table))
+        rec = held[2] if held else None
+        if rec and rec[0] == w:
+            return rec[1]
+        x = _pack(table, w, code)
+        if held and store:
+            held[2] = w, x
+        return x
+
     lefts = dict.fromkeys(groups, 0)
     sums: dict[tuple[int, int], int] = {}    # (side, residue) -> packed sum
     try:
-        for i, key, left in kept:
-            lefts[key] += _pack(left, w, code) << 8 * w * (i - groups[key][0])
+        for left, uses in kept.values():
+            x = pack(left)
+            for i, key in uses:
+                lefts[key] += x << 8 * w * (i - groups[key][0])
         for key, (i, right) in groups.items():
             sums[key[:2]] = (sums.get(key[:2], 0)
-                             + (lefts[key] * _pack(right, w, code) << 8 * w * i))
+                             + (lefts[key] * pack(right) << 8 * w * i))
     except OverflowError:
         raise ValueError("packed sum needs entries >= 0") from None
     out: dict[int, int] = {}

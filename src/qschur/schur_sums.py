@@ -75,6 +75,10 @@ straight off that int, never through a dict: rec-l and rec-andrews
 q1-triple and q1-quad (`q1_triple_value`).  analytic-schur
 (`summation_limit_sum`) reads a window of each dual layer, so it builds
 the layer's `QPoly` (N <= 6 at T = 60) and reads the window off that.
+The table caches `_pair_sum`, `_spread` and `_t0_table` register each
+table they build in the kernel's held memo (`qpoly._hold`), as
+`qcoeff._gauss_coeffs` does its rows; the memo keeps a table alive past
+its cache's `cache_clear`.
 """
 
 from __future__ import annotations
@@ -91,9 +95,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 # weight_a (re-exported) and _cells live with the motion bijection
 from .bijection import _cells, certify_range, max_motions, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
-from .qcoeff import (_gauss_coeffs, _parts_series, _t_exponents,
+from .qcoeff import (_ONE, _gauss_coeffs, _parts_series, _t_exponents,
                      _trinomial_sum, gauss_binomial, t_trinomial)
-from .qpoly import Packed, QPoly, XSeries, _packed_sum
+from .qpoly import Packed, QPoly, XSeries, _hold, _packed_sum
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -151,9 +155,6 @@ def _table(p: QPoly) -> tuple[int, tuple[int, ...]]:
     return lo, tuple(p.table(lo, p.max_half_exponent()))
 
 
-_ONE = (1,)  # 1 as a dense table
-
-
 @lru_cache(maxsize=None)
 def _spread(k: int, *binomials: tuple[int, int]) -> tuple[int, ...]:
     """The product of [top, bottom]_{q^k} over the (top, bottom) pairs
@@ -167,7 +168,7 @@ def _spread(k: int, *binomials: tuple[int, int]) -> tuple[int, ...]:
     base = tables[0] if tables else _ONE
     out = [0] * (k * len(base) - k + 1)
     out[::k] = base
-    return tuple(out)
+    return _hold(tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +184,7 @@ def _pair_sum(v: int, k: int) -> tuple[int, ...]:
         terms.append((4 * b, *pair))
         if a != b:
             terms.append((4 * a, *pair))
-    return _table(_packed_sum(terms, 12))[1]
+    return _hold(_table(_packed_sum(terms, 12))[1])
 
 
 def _triple_sum(N: int, weight: Callable[[int, int, int, int], int]) -> QPoly:
@@ -504,7 +505,8 @@ def summation_limit_sum(T: int) -> QPoly:
 def _t0_table(m: int, a: int) -> tuple[int, tuple[int, ...]]:
     # T0(m; q choose a) as (least half-step, dense whole-step table), the
     # right factor of every Warnaar left side with L >= m
-    return _table(t_trinomial(0, m, a, 1))
+    lead, table = _table(t_trinomial(0, m, a, 1))
+    return lead, _hold(table)
 
 
 def warnaar_sides(L: int, a: int) -> tuple[QPoly, QPoly]:

@@ -2,6 +2,8 @@
 
 import math
 import operator
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -309,6 +311,146 @@ def test_signed_packed_sum_on_wide_slots(monkeypatch):
     monkeypatch.setattr(qpoly, "_unpack", None)
     assert _packed_sum(terms, 2, minus=terms[::-1]) == QPoly.zero()
     assert _packed_sum(terms, 2, cut=5, minus=terms) == QPoly.zero()
+
+
+def kernel_bound(terms, g, cut):
+    # (sum of sum(L) sum(R), largest table sum) over the terms a window
+    # keeps, each table cut to its own room: what `_packed_sum` sizes its
+    # slots by for one side
+    total = top = 0
+    for shift, left, right in terms:
+        if cut is not None:
+            if shift > cut:
+                continue
+            room = (cut - shift) // g + 1
+            left, right = left[:room], right[:room]
+        if left and right:
+            total += sum(left) * sum(right)
+            top = max(top, sum(left), sum(right))
+    return total, top
+
+
+# the slot widths a held table walks through, 9 standing for the bytes
+# route, and back to 1; each width's least bound
+WIDTH_WALK = (1, 2, 4, 8, 9, 1)
+WIDTH_FLOOR = {1: 0, 2: 1 << 8, 4: 1 << 16, 8: 1 << 32, 9: 1 << 64}
+
+
+@st.composite
+def held_width_walk(draw):
+    """(g, pool, steps): tables to hold, and for each width of WIDTH_WALK
+    an exact sum and then a windowed one over them, with added and
+    subtracted terms, each (terms, minus, cut).  A scale term (c) (1)
+    lifts each sum's bound into its width.  A tailed table ends in entries
+    too wide for the slot its head picks; it enters windowed sums only,
+    at a shift whose room ends before its tail."""
+    g = draw(st.sampled_from((1, 2, 3)))
+    head = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+    light = [tuple(draw(head)) for _ in range(draw(st.integers(1, 3)))]
+    tailed = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(head)
+        tail = draw(st.lists(st.integers(1 << 8, 1 << 70), min_size=1, max_size=2))
+        tailed.append((len(h), tuple(h + tail)))
+    term = st.tuples(st.integers(0, 12), st.sampled_from(light), st.sampled_from(light))
+    steps = []
+    for width in WIDTH_WALK:
+        for windowed in (False, True):
+            terms = draw(st.lists(term, max_size=3))
+            minus = draw(st.lists(term, max_size=3))
+            cut = draw(st.integers(0, 24)) if windowed else None
+            if windowed:
+                for n, table in tailed:
+                    terms.append((max(0, cut - g * (n - 1)), table,
+                                  draw(st.sampled_from(light))))
+            total = kernel_bound(terms, g, cut)[0]
+            c = draw(st.integers(max(0, WIDTH_FLOOR[width] - total),
+                                 (1 << 8 * width) - 1 - total))
+            steps.append((terms + [(0, (c,), (1,))], minus, cut))
+    return g, light + [t for _, t in tailed], steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(held_width_walk())
+def test_held_tables_are_exact_at_every_width_window_and_side(walk):
+    # one set of held tables serves sums whose slots go 1, 2, 4, 8 bytes,
+    # the bytes route and 1 byte again; each sum, windowed or exact, must
+    # equal the schoolbook one and size its slots from the prefixes its
+    # window keeps, never from a held table's uncut sum
+    g, pool, steps = walk
+    bounds = []
+    slot = qpoly._slot
+
+    def recording(bound):
+        bounds.append(bound)
+        return slot(bound)
+
+    for table in pool:
+        qpoly._hold(table)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qpoly, "_slot", recording)
+            for terms, minus, cut in steps:
+                assert (_packed_sum(terms, g, cut, minus)
+                        == naive_packed_sum(terms, g, cut) - naive_packed_sum(minus, g, cut))
+                assert bounds.pop() == max(*kernel_bound(terms, g, cut),
+                                           *kernel_bound(minus, g, cut))
+    finally:
+        for table in pool:
+            del qpoly._HELD[id(table)]
+
+
+def test_held_packs_stay_whole_under_threads():
+    # two threads sum over the same held tables on four slot widths, in
+    # opposite orders, while the interpreter switches threads as often as
+    # it can: a width read with another width's int would give a wrong sum
+    tables = [qpoly._hold(tuple(range(1, n + 2))) for n in range(4)]
+    cases = []
+    for scale in (1, 300, 1 << 20, 1 << 40):    # 1, 2, 4 and 8 byte slots
+        terms = [(2 * i, t, tables[i - 1]) for i, t in enumerate(tables)]
+        terms.append((0, (scale,), (1,)))
+        cases.append((terms, naive_packed_sum(terms, 2)))
+    wrong = []
+
+    def run(mine):
+        # a torn read may also overflow a slot; the thread reports it
+        try:
+            for _ in range(3000):
+                for terms, want in mine:
+                    if _packed_sum(terms, 2) != want:
+                        wrong.append(terms[-1])
+        except Exception as e:
+            wrong.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(mine,)) for mine in (cases, cases[::-1])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        for table in tables:
+            del qpoly._HELD[id(table)]
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_fresh_tables_never_enter_the_held_memo():
+    # only a cache's own tables are held: tuples and lists made for one
+    # call leave the memo as they found it, in exact, windowed and signed
+    # sums on both slot routes
+    size = len(qpoly._HELD)
+    shared = [7, 1]
+    for big in (1, 1 << 70):
+        terms = [(0, (1, 2), [3, big]), (2, [5], shared), (3, (6, 7), shared)]
+        assert _packed_sum(terms, 2) == naive_packed_sum(terms, 2)
+        assert _packed_sum(terms, 2, cut=3) == naive_packed_sum(terms, 2, cut=3)
+        assert (_packed_sum(terms, 1, minus=terms[1:])
+                == naive_packed_sum(terms[:1], 1))
+    assert len(qpoly._HELD) == size
 
 
 def test_big_coefficients_survive_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur import schur_sums as ss
+from qschur import qcoeff, qpoly, schur_sums as ss
 from qschur.partitions import schur_counts, schur_gf_oracle
 from qschur.qcoeff import gauss_binomial
 from qschur.qpoly import QPoly, XSeries, _slot
@@ -679,6 +679,56 @@ def test_report_rows_of_cell_products_make_no_polynomial_products(monkeypatch):
     assert {r["check"] for r in rows} == kinds
     for row in rows:
         assert ss.verify(row["check"], row["params"]).verified, row
+
+
+def row_sides(rows):
+    # the (left, right) pairs each row compares
+    out = []
+    for row in rows:
+        ident, params = ss.check_params(row["check"], row["params"])
+        out.append(list(ss._REGISTRY[ident][1](params)))
+    return out
+
+
+def test_rows_after_every_cache_clear_equal_their_values_before():
+    # the held memo keeps each cache's table alive past the cache's clear,
+    # so no id it holds can pass to a table built later.  These rows read
+    # tables of every cache that holds them: `_gauss_coeffs`' rows,
+    # `_pair_sum`, `_spread` and `_t0_table`, in exact and windowed sums
+    kinds = {"schur-poly", "dual", "rec-l", "rec-summand", "t0-binom",
+             "summation-m", "warnaar", "gf-bounded"}
+    rows = [r for r in ss.acceptance_matrix() if r["check"] in kinds]
+    before = row_sides(rows)
+    assert all(left == right for pairs in before for left, right in pairs)
+    for _ in range(3):
+        for f in vars(ss).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        qcoeff._ROWS.clear()
+        assert row_sides(rows) == before
+        assert all(id(held[0]) == key for key, held in qpoly._HELD.items())
+
+
+def test_a_second_report_pass_repacks_no_held_table_at_its_held_width(monkeypatch):
+    # a held table is packed again only for a sum on another slot width
+    # than its held pack's; the rows of a second pass alternate widths, so
+    # some are, but none is packed where its held pack would serve
+    repacked = []
+    pack = qpoly._pack
+
+    def counting(table, w, code):
+        held = qpoly._HELD.get(id(table))
+        if held and held[2] and held[2][0] == w:
+            repacked.append((len(table), w))
+        return pack(table, w, code)
+
+    monkeypatch.setattr(qpoly, "_pack", counting)
+    rows = ss.acceptance_matrix()
+    for _ in range(2):
+        for row in rows:
+            assert ss.verify(row["check"], row["params"]).verified, row
+        assert any(held[2] for held in qpoly._HELD.values())
+    assert repacked == []
 
 
 def test_equal_sides_are_never_subtracted(monkeypatch):
