@@ -238,24 +238,26 @@ def _verify_rows(rows: list[dict[str, Any]], args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    sweeps = {name: _parse_range(getattr(args, name), name)
-              for name in ("N", "M", "L", "a") if getattr(args, name) is not None}
+    # each given parameter's values: a range, or one value
+    given = {name: _parse_range(getattr(args, name), name)
+             for name in ("N", "M", "L", "a") if getattr(args, name) is not None}
     if args.t is not None:
-        sweeps["t"] = [args.t]
+        given["t"] = [args.t]
     elif args.identity == IdentityId.QT_LIMIT.value:
         # --t takes one value; without it, every t the report sweeps
-        sweeps["t"] = list(swept_values(IdentityId.QT_LIMIT, "t"))
-    fixed = {name: value for name, value in (("T", args.T), ("max", args.max_n))
-             if value is not None}
+        given["t"] = list(swept_values(IdentityId.QT_LIMIT, "t"))
+    given.update((name, [value]) for name, value in (("T", args.T), ("max", args.max_n))
+                 if value is not None)
     # both ends of every range (ranges ascend), before the product is built
     for end in (-1, 0):
-        check_params(args.identity, {
-            **fixed, **{name: values[end] for name, values in sweeps.items()}},
-            capped=True)
-    rows = [{"check": args.identity, "params": fixed}]
-    for name, values in sweeps.items():
-        rows = [{"check": args.identity, "params": {**row["params"], name: v}}
-                for row in rows for v in values]
+        _, resolved = check_params(args.identity, {
+            name: values[end] for name, values in given.items()}, capped=True)
+    # each row's params in declaration order, the order report prints them in
+    rows = [{"check": args.identity, "params": {}}]
+    for name in resolved:
+        if name in given:
+            rows = [{"check": args.identity, "params": {**row["params"], name: v}}
+                    for row in rows for v in given[name]]
     return _verify_rows(rows, args)
 
 

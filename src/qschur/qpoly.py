@@ -42,18 +42,16 @@ the report's speed needs.  Whole process on a 2-vCPU Xeon VM, CPython
 81 MB, and holding the packs of windowed sums too took
 `cor1-bounded-sum --N 40` from 47 to 58 MB.
 
-Dense tables cross module lines only through three conversions:
-`QPoly.from_table`, `QPoly.table`, and the packed form, `Packed`: a
-polynomial on whole q-steps held as its least half-step, its length, a
-slot width and one int, in `_pack`'s slot layout.  No other module reads
-or builds a `QPoly`'s dict.  `QPoly.packed()` writes the form, on the
-narrowest slot that holds the largest coefficient, and
-`QPoly.from_packed` and `Packed.table` read it back whole, over the
-form's own span; a window is read off a `QPoly`.  `schur_sums` holds
-its four memoized sides in it (the central left and right sides, the
-dual triple sum and the T0 half sum), so a cached side costs one int,
-not a dict of ints, and a row that reads a side's table reads it
-straight off the int.
+Dense tables cross module lines only through two conversions,
+`QPoly.from_table` and `QPoly.table`; no other module reads or builds a
+`QPoly`'s dict.  `_compact` stores a table of coefficients >= 0 in the
+narrowest unsigned `array` typecode that `_slot` picks for its largest
+entry, or as a tuple once an entry needs more than 8 bytes.
+`schur_sums` holds its four memoized sides that way (the central left
+and right sides, the dual triple sum and the T0 half sum), and the rows
+that read a side pass its table straight to `_packed_sum`, `sum` or
+`QPoly.from_table`.  Packed ints live only inside `_packed_sum` and its
+held memo.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import sys
 from array import array
 from itertools import count, repeat
 from operator import sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Unsigned array typecodes by item size, for the slot widths `_packed_sum`
 # moves through `array` in C; wider slots go through `bytes`.
@@ -115,21 +113,15 @@ def _unpack(x: int, n: int, w: int, code: str | None) -> list[int]:
             for i in range(0, n * w, w)]
 
 
-class Packed(NamedTuple):
-    """A polynomial on whole q-steps as one int, its Kronecker form: slot
-    i of x, w bytes at bit 8*w*i, holds the coefficient of q^((lo+2i)/2),
-    for i < n.  Slots 0 and n - 1 are nonzero and no slot is negative; the
-    zero polynomial has n = 0 and x = 0.  `QPoly.packed` writes it with
-    `_pack` and `_unpack` reads it, so it is exact at every slot width."""
-    lo: int
-    n: int
-    w: int
-    x: int
-
-    def table(self) -> list[int]:
-        """The coefficients at half-steps lo, lo + 2, ..., lo + 2n - 2: the
-        form's own span, in one `_unpack`."""
-        return _unpack(self.x, self.n, self.w, _SLOT_CODES.get(self.w))
+def _compact(table: Sequence[int]) -> Sequence[int]:
+    """table as an array in the narrowest unsigned typecode that `_slot`
+    picks for its largest entry, or as a tuple once an entry needs more
+    than 8 bytes; the empty table is an array of 1-byte items.  A
+    negative entry raises ValueError."""
+    if table and min(table) < 0:
+        raise ValueError("a compact table needs entries >= 0")
+    code = _slot(max(table, default=0))[1]
+    return array(code, table) if code else tuple(table)
 
 
 class QPoly:
@@ -170,26 +162,6 @@ class QPoly:
         """sum of table[i] q^((lo + g*i)/2): a dense table of int
         coefficients on stride g half-steps from lo; zeros are dropped."""
         return cls._raw(_put({}, table, lo, g))
-
-    @classmethod
-    def from_packed(cls, form: Packed) -> "QPoly":
-        """The polynomial a packed form holds."""
-        return cls._raw(_put({}, form.table(), form.lo, 2))
-
-    def packed(self) -> Packed:
-        """The packed form of this polynomial, on the narrowest slot that
-        holds its largest coefficient.  A negative coefficient raises
-        ValueError, and so does a term between whole q-steps, as
-        `table` reads them."""
-        if not self._c:
-            return Packed(0, 0, 1, 0)
-        lo = min(self._c)
-        table = self.table(lo, max(self._c))
-        w, code = _slot(max(table))
-        try:
-            return Packed(lo, len(table), w, _pack(table, w, code))
-        except OverflowError:
-            raise ValueError("a packed form needs coefficients >= 0") from None
 
     def table(self, lo: int, hi: int) -> list[int]:
         """The coefficients at half-steps lo, lo + 2, ..., hi, zero where

@@ -39,8 +39,8 @@ Every product of binomial tables is a term of `qpoly._packed_sum`, the
 one Kronecker kernel, which sums products of dense nonnegative
 coefficient tables as big integers.  A binomial in q^3 or q^6, or a
 product of two in q^6, is laid on whole q-steps by the cached
-`_spread`; a built side or layer enters as the table `QPoly.table`,
-or for a memoized side `Packed.table`, reads off it.  With its
+`_spread`; a built side or layer enters as the table `QPoly.table`
+reads off it, and a memoized side as its memo table.  With its
 subtracted terms the kernel also takes every recurrence residual,
 declared as data in `_RECURRENCES`, where rec-l and rec-summand read the
 one L4 table: a summand enters as its two binomial tables, never cached
@@ -65,20 +65,24 @@ heuristically.
 All builders are pure and the expensive ones are memoized, so verify
 calls for distinct parameters can run in parallel workers; each worker
 process simply warms its own caches.  The four sides that later rows
-read again, `lhs_schur`, `rhs_schur`, the dual triple sum `_dual_sum`
+read again, `lhs_schur`, `rhs_schur`, the dual triple sum `_dual_table`
 and `t0_half_sum`, are each built once as a `QPoly` by their walk and
-held in one memo as its `QPoly.packed()` form, one int per side and N
-on the narrowest slot that holds the side, and every call builds a
-fresh `QPoly` from it.  The rows that read only a side's table read it
-straight off that int, never through a dict: rec-l and rec-andrews
-(`recurrence_residual`), summation-m (`summation_formula_sides`) and
-q1-triple and q1-quad (`q1_triple_value`).  analytic-schur
-(`summation_limit_sum`) reads a window of each dual layer, so it builds
-the layer's `QPoly` (N <= 6 at T = 60) and reads the window off that.
+held in one memo as (least half-step, dense table), the table in
+`qpoly._compact` form: an array on the narrowest unsigned typecode that
+holds the side, or a tuple once a coefficient needs more than 8 bytes.
+A memo table is shared and never mutated, and every call of a public
+side builds a fresh `QPoly` from it.  The rows that read only a side's
+table pass it on as it is, never through a dict: rec-l and rec-andrews
+(`recurrence_residual`) and summation-m (`summation_formula_sides`) to
+the kernel, and q1-triple and q1-quad (`q1_triple_value`) to `sum`.
+analytic-schur (`summation_limit_sum`) reads a window of each dual
+layer, so it builds the layer's `QPoly` (N <= 6 at T = 60) and reads
+the window off that.
 The table caches `_pair_sum`, `_spread` and `_t0_table` register each
 table they build in the kernel's held memo (`qpoly._hold`), as
 `qcoeff._gauss_coeffs` does its rows; the memo keeps a table alive past
-its cache's `cache_clear`.
+its cache's `cache_clear`.  The four sides' memo tables are not
+registered there: their held packs would only add memory.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ from .bijection import _cells, certify_range, max_motions, weight_a
 from .partitions import distinct_pm1_counts, schur_counts, schur_gf_oracle
 from .qcoeff import (_ONE, _gauss_coeffs, _parts_series, _t_exponents,
                      _trinomial_sum, gauss_binomial, t_trinomial)
-from .qpoly import Packed, QPoly, XSeries, _hold, _packed_sum
+from .qpoly import QPoly, XSeries, _compact, _hold, _packed_sum
 
 # ---------------------------------------------------------------------------
 # quadratic weights
@@ -153,6 +157,18 @@ def _table(p: QPoly) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     lo = p.min_half_exponent()
     return lo, tuple(p.table(lo, p.max_half_exponent()))
+
+
+def _side_table(p: QPoly) -> tuple[int, Sequence[int]]:
+    # a memoized side: `_table` of p, its table in `_compact` form
+    lo, table = _table(p)
+    return lo, _compact(table)
+
+
+def _side(memo: tuple[int, Sequence[int]]) -> QPoly:
+    # a fresh polynomial from a memoized side
+    lo, table = memo
+    return QPoly.from_table(table, lo)
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +257,15 @@ def _graded_sum(T: int, weight: Callable[[int, int, int], int],
 # the central polynomial identity
 
 @lru_cache(maxsize=None)
-def _lhs_packed(N: int) -> Packed:
-    return _triple_sum(N, _plain_weight).packed()
+def _lhs_table(N: int) -> tuple[int, Sequence[int]]:
+    return _side_table(_triple_sum(N, _plain_weight))
 
 
 def lhs_schur(N: int) -> QPoly:
     """Triple sum side: sum of q^weight_a times [3V,m]_q
     [V+floor(n1/2), floor(n1/2)]_{q^6} [V+floor(n2/2), floor(n2/2)]_{q^6}
     over all cells with V = N-m-n1-n2 >= 0.  Zero for negative N."""
-    return QPoly.from_packed(_lhs_packed(N))
+    return _side(_lhs_table(N))
 
 
 def _round_walk(N: int) -> QPoly:
@@ -260,14 +276,14 @@ def _round_walk(N: int) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def _rhs_packed(N: int) -> Packed:
-    return _round_walk(N).packed()
+def _rhs_table(N: int) -> tuple[int, Sequence[int]]:
+    return _side_table(_round_walk(N))
 
 
 def rhs_schur(N: int) -> QPoly:
     """Round-trinomial side: sum over |j| <= N of q^(j(3j-1)/2) times the
     (N; j; q^3 choose j) round trinomial.  Zero for negative N."""
-    return QPoly.from_packed(_rhs_packed(N))
+    return _side(_rhs_table(N))
 
 
 def schur_summand(N: int, m: int, n1: int, n2: int) -> QPoly:
@@ -342,11 +358,11 @@ def recurrence_residual(kind: "IdentityId | str", N: int,
         at: tuple[int, ...] = (N, m, n1, n2)
         side = _summand_factors
     elif kind in (IdentityId.REC_L, IdentityId.REC_ANDREWS):
-        whole = _lhs_packed if kind is IdentityId.REC_L else _rhs_packed
+        whole = _lhs_table if kind is IdentityId.REC_L else _rhs_table
 
         def side(n: int) -> tuple[int, Sequence[int], Sequence[int]]:
-            form = whole(n)
-            return form.lo, _ONE, form.table()
+            lo, table = whole(n)
+            return lo, _ONE, table
         at = (N,)
     else:
         raise ValueError("not a recurrence id: %s" % kind.value)
@@ -376,22 +392,22 @@ def _t0_half_walk(N: int, T: int | None = None) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def _t0_packed(N: int) -> Packed:
-    return _t0_half_walk(N).packed()
+def _t0_half_table(N: int) -> tuple[int, Sequence[int]]:
+    return _side_table(_t0_half_walk(N))
 
 
 def t0_half_sum(N: int) -> QPoly:
     """sum over |j| <= N of q^((N+j)/2) T0(N; q^3 choose j), exact.  This
     is the base-change dual of the round-trinomial side, renormalized by
     q^(N/2) so it is a genuine polynomial."""
-    return QPoly.from_packed(_t0_packed(N))
+    return _side(_t0_half_table(N))
 
 
 @lru_cache(maxsize=None)
-def _dual_sum(N: int) -> Packed:
-    # the triple sum at the dual weight, packed: the dual's left side and
-    # the N-layer of both summation formulas
-    return _triple_sum(N, _dual_weight).packed()
+def _dual_table(N: int) -> tuple[int, Sequence[int]]:
+    # the triple sum at the dual weight: the dual's left side and the
+    # N-layer of both summation formulas
+    return _side_table(_triple_sum(N, _dual_weight))
 
 
 def dual_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -401,7 +417,7 @@ def dual_sides(N: int) -> tuple[QPoly, QPoly]:
     q^(3N^2/2 + N/2) * lhs_schur(N)(1/q)."""
     if N < 0:
         raise ValueError("dual sides need N >= 0")
-    return QPoly.from_packed(_dual_sum(N)), t0_half_sum(N)
+    return _side(_dual_table(N)), t0_half_sum(N)
 
 
 def t0_binomial_sides(N: int) -> tuple[QPoly, QPoly]:
@@ -481,8 +497,8 @@ def summation_formula_sides(M: int) -> tuple[QPoly, QPoly]:
     # q^(3N^2/2) against the dual's q^(N/2): N(3N-1) half-steps
     terms = []
     for N in range(M + 1):
-        dual = _dual_sum(N)
-        terms.append((N * (3 * N - 1) + dual.lo, _spread(3, (M, N)), dual.table()))
+        lo, dual = _dual_table(N)
+        terms.append((N * (3 * N - 1) + lo, _spread(3, (M, N)), dual))
     lhs = _packed_sum(terms, 2)
     # distinct parts below 3M, none divisible by 3; they sum to 3M^2
     rhs = QPoly.from_table(_parts_series(3 * M * M, once=[
@@ -496,7 +512,7 @@ def summation_limit_sum(T: int) -> QPoly:
     times the dual-weight triple sum, so the loop stops at the first N
     with N(3N-1)/2 > T.  Equals schur_product_truncated(T), as the
     analytic-schur row checks."""
-    return _limit_sum(T, 3, ((N, N * (3 * N - 1), QPoly.from_packed(_dual_sum(N)))
+    return _limit_sum(T, 3, ((N, N * (3 * N - 1), _side(_dual_table(N)))
                              for N in takewhile(lambda N: N * (3 * N - 1) <= 2 * T,
                                                 count())))
 
@@ -531,7 +547,7 @@ def q1_triple_value(M: int) -> int:
     C(V+floor(n2/2),V) over cells with V = M-n1-n2-m >= 0; equals 3^M."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    return sum(_lhs_packed(M).table())
+    return sum(_lhs_table(M)[1])
 
 
 def q1_quad_value(M: int) -> int:

@@ -382,6 +382,24 @@ def test_report_parallel_equals_serial(capsys):
     assert doc1["entries"] == doc2["entries"]
 
 
+@pytest.mark.parametrize("identity, argv", [
+    ("qt-limit", ["--T", "50", "--t", "1"]),
+    ("gf-bounded", ["--T", "45", "--N", "3"]),
+    ("t0-limit", ["--T", "40", "--N", "40"]),
+])
+def test_verify_prints_a_row_as_report_does(capsys, identity, argv):
+    # verify builds each row's params in declaration order, as report
+    # does, whatever order the options come in: the JSON entries agree
+    # key for key, and the text lines word for word
+    _, report, _ = run_json(capsys, "report", "--identity", identity)
+    _, verify, _ = run_json(capsys, "verify", "--identity", identity, *argv)
+    [entry] = verify["entries"]
+    assert json.dumps(entry) in [json.dumps(e) for e in report["entries"]]
+    _, report_text, _ = run(capsys, "report", "--identity", identity)
+    _, verify_text, _ = run(capsys, "verify", "--identity", identity, *argv)
+    assert verify_text.splitlines()[0] in report_text.splitlines()
+
+
 def test_report_fault_injection_fails_loudly(capsys, monkeypatch):
     monkeypatch.setenv("QSCHUR_FAULT_INJECT", "1")
     code, doc, _ = run_json(capsys, "report", "--identity", "summation-m")

@@ -4,13 +4,14 @@ import math
 import operator
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur import qpoly
-from qschur.qpoly import QPoly, XSeries, _SLOT_CODES, _packed_sum, _slot
+from qschur.qpoly import QPoly, XSeries, _SLOT_CODES, _compact, _packed_sum, _slot
 from reference import substitute
 
 
@@ -511,65 +512,65 @@ def test_table_refuses_a_term_between_its_steps():
     assert QPoly({-1: 4, 0: 1, 5: 1, 8: 1}).table(0, 4) == [1, 0, 0]
 
 
-# bit lengths of a table's largest entry that take each slot route of a
-# packed form: 1, 2, 4 and 8 bytes through `array`, 25 bytes through
-# `bytes`
+# bit lengths of a table's largest entry that take each form of
+# `_compact`, the packed form of a memoized side: 1, 2, 4 and 8 bytes an
+# item as an `array`, 25 bytes as a tuple
 ROUTE_BITS = {8: 1, 16: 2, 32: 4, 64: 8, 200: 25}
 
 
 @st.composite
 def packed_tables(draw):
-    """(table, lo): nonnegative entries below 2^bits for one route's bits,
-    up to 2^200, zeros at either end, any least half-step."""
+    """A table of nonnegative entries below 2^bits for one form's bits, up
+    to 2^200, zeros at either end; or the empty table."""
     bits = draw(st.sampled_from(sorted(ROUTE_BITS)))
     inner = draw(st.lists(st.integers(0, 2 ** bits - 1), max_size=10))
     zeros = st.lists(st.just(0), max_size=3)
-    return draw(zeros) + inner + draw(zeros), draw(st.integers(-25, 25))
+    return draw(zeros) + inner + draw(zeros)
 
 
-@example(([0, 0, 2 ** 200 - 1, 0, 5, 0], -7))   # zeros at both ends
-@example(([0, 0], 4))                          # the zero polynomial
-@given(packed_tables())
-def test_packed_form_reads_back_as_the_table(case):
-    table, start = case
-    poly = QPoly.from_table(table, start)
-    form = poly.packed()
-    assert QPoly.from_packed(form) == poly
-    # slots 0 and n - 1 hold the least and the largest term, each slot as
-    # wide as the largest entry needs
-    assert form.w == _slot(max(table, default=0))[0]
-    if poly:
-        assert form.lo == poly.min_half_exponent()
-        assert form.lo + 2 * (form.n - 1) == poly.max_half_exponent()
+def assert_compact(form, table):
+    # form holds table's items, as an array on the narrowest unsigned
+    # typecode that holds its largest entry, or as a tuple past 8 bytes
+    w, code = _slot(max(table, default=0))
+    assert list(form) == list(table)
+    if code is None:
+        assert type(form) is tuple and w > 8
     else:
-        assert (form.n, form.x) == (0, 0)
-    assert form.table() == poly.table(form.lo, form.lo + 2 * form.n - 2)
+        assert isinstance(form, array)
+        assert (form.typecode, form.itemsize) == (code, w)
+
+
+@example([0, 0, 2 ** 200 - 1, 0, 5, 0])   # zeros at both ends
+@example([0, 0])                         # the zero polynomial
+@example([])                             # the empty table
+@given(packed_tables())
+def test_packed_form_reads_back_as_the_table(table):
+    assert_compact(_compact(table), table)
+    assert_compact(_compact(tuple(table)), table)
 
 
 @pytest.mark.parametrize("bits, width", sorted(ROUTE_BITS.items()))
 def test_packed_form_on_every_slot_route(bits, width):
     top = 2 ** bits - 1
     table = [0, top, 0, 1, top // 3, 0, 0]
-    poly = QPoly.from_table(table, -5)
-    form = poly.packed()
-    assert (form.lo, form.n, form.w) == (-3, 4, width)
+    form = _compact(table)
     assert _slot(max(table)) == (width, _SLOT_CODES.get(width))
-    assert QPoly.from_packed(form) == poly
-    assert form.table() == poly.table(-3, 3) == [top, 0, 1, top // 3]
+    assert_compact(form, table)
 
 
 def test_packed_form_refuses_negative_coefficients_and_odd_steps():
-    # a negative coefficient on the array route (narrow slots, whatever
-    # its size) and on the bytes route (slots wider than 8 bytes)
+    # a negative entry as an array (narrow items, whatever its size) and
+    # as a tuple (entries wider than 8 bytes)
     narrow = _SLOT_CODES[1]
     for table, code in (([1, -1], narrow), ([-5], narrow),
                         ([1, -2 ** 100], narrow), ([2 ** 200, 0, -1], None)):
         assert _slot(max(table))[1] == code
-        with pytest.raises(ValueError, match="coefficients >= 0"):
-            QPoly.from_table(table, 4).packed()
-    # a term between whole q-steps
+        with pytest.raises(ValueError, match="entries >= 0"):
+            _compact(table)
+    # a side's table is read on whole q-steps, so a term between them
+    # is refused before it reaches the form
     with pytest.raises(ValueError, match="between the table's steps"):
-        QPoly({0: 1, 3: 1}).packed()
+        _compact(QPoly({0: 1, 3: 1}).table(0, 4))
 
 
 def test_xseries_strata_and_sum():

@@ -5,6 +5,8 @@ Expected values fall in three groups: frozen low-order polynomials
 and counts replayed against the brute-force enumerators.
 """
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,13 +148,18 @@ def test_pair_sum_cache_serves_every_N_and_both_weights():
                                 - weight(n1, s - n1, m, N)) == slope
 
 
-# each memoized side, its packed memo, and a fresh uncached build of it
+# each memoized side, its memo of (least half-step, compact table), and a
+# fresh uncached build of it
 MEMOS = {
-    "lhs_schur": (ss._lhs_packed, lambda N: ss._triple_sum(N, ss._plain_weight)),
-    "dual": (ss._dual_sum, lambda N: ss._triple_sum(N, ss._dual_weight)),
-    "rhs_schur": (ss._rhs_packed, ss._round_walk),
-    "t0_half_sum": (ss._t0_packed, ss._t0_half_walk),
+    "lhs_schur": (ss._lhs_table, lambda N: ss._triple_sum(N, ss._plain_weight)),
+    "dual": (ss._dual_table, lambda N: ss._triple_sum(N, ss._dual_weight)),
+    "rhs_schur": (ss._rhs_table, ss._round_walk),
+    "t0_half_sum": (ss._t0_half_table, ss._t0_half_walk),
 }
+# the least N whose four sides all take a coefficient past 8 bytes, so
+# their memo tables are tuples: lhs_schur and rhs_schur sum to 3^N at
+# q = 1 and the dual triple sum and the T0 half sum to 3^N as well
+WIDE_N = 47
 
 
 def test_memoized_sides_equal_fresh_builds():
@@ -164,7 +171,7 @@ def test_memoized_sides_equal_fresh_builds():
     for N in list(range(16)) + list(range(15, -1, -1)):
         for name, (memo, fresh) in MEMOS.items():
             want = fresh(N)
-            assert QPoly.from_packed(memo(N)) == want, (name, N)
+            assert ss._side(memo(N)) == want, (name, N)
             assert public[name](N) == want, (name, N)
     assert ss.lhs_schur(-1) == ss.rhs_schur(-2) == QPoly.zero()
 
@@ -183,21 +190,34 @@ def test_memoized_sides_come_back_as_fresh_equal_values():
 def test_side_readers_read_what_the_polynomials_hold():
     # the tables rec-l, rec-andrews and summation-m read, the windows of
     # the summation limit, and the q1-triple value, each straight off a
-    # packed memo, against the same read of the uncached polynomial; each
-    # memo on the narrowest slot that holds its largest coefficient
-    for N in range(-2, 26):
-        for name, (memo, fresh) in MEMOS.items():
-            form, poly = memo(N), fresh(N)
-            assert (form.lo, tuple(form.table())) == ss._table(poly), (name, N)
-            assert form.w == _slot(max(form.table(), default=0))[0], (name, N)
-        if N >= 0:
+    # memo, against the same read of the uncached polynomial; each memo
+    # table an array on the narrowest unsigned typecode that holds its
+    # largest coefficient, or a tuple past 8 bytes, and none in the
+    # kernel's held memo.  At WIDE_N each triple sum is read against a
+    # fresh build of the other side of its identity, which takes a sixth
+    # of the time, and each fresh build serves two memos
+    peers = {"lhs_schur": "rhs_schur", "dual": "t0_half_sum"}
+    for N in [*range(-2, 26), WIDE_N]:
+        polys = {}
+        for name, (memo, _) in MEMOS.items():
+            build = peers.get(name, name) if N == WIDE_N else name
+            if build not in polys:
+                polys[build] = MEMOS[build][1](N)
+            (lo, table), poly = memo(N), polys[build]
+            assert (lo, tuple(table)) == ss._table(poly), (name, N)
+            code = _slot(max(table, default=0))[1]
+            assert getattr(table, "typecode", None) == code, (name, N)
+            assert isinstance(table, array if code else tuple), (name, N)
+            assert (code is None) == (N >= WIDE_N), (name, N)
+            assert id(table) not in qpoly._HELD, (name, N)
+        if 0 <= N < 26:
             assert ss.q1_triple_value(N) == sum(
                 v for _, v in MEMOS["lhs_schur"][1](N).items())
             poly = MEMOS["dual"][1](N)
             lead = N * (3 * N - 1)
             for T in (0, 1, N * N, 60, 3 * N * N):
                 window = -lead, 2 * T - lead
-                assert (QPoly.from_packed(ss._dual_sum(N)).table(*window)
+                assert (ss._side(ss._dual_table(N)).table(*window)
                         == poly.table(*window)), (N, T)
 
 
@@ -668,7 +688,7 @@ def test_report_rows_of_cell_products_make_no_polynomial_products(monkeypatch):
             f.cache_clear()
             cleared.add(name)
     # the four memoized sides among them
-    assert {"_lhs_packed", "_rhs_packed", "_dual_sum", "_t0_packed"} <= cleared
+    assert {"_lhs_table", "_rhs_table", "_dual_table", "_t0_half_table"} <= cleared
 
     def product(self, other):
         raise AssertionError("QPoly product")
