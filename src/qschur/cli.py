@@ -9,7 +9,10 @@ exact coefficients, and `report` runs the whole verification matrix.
 rows (partition counts, the bounded-sum corollary, the bijection sweep)
 included, and `series` the series declared beside it.  Each parameter's
 rules, its hard cap included, are declared there and checked by one
-validator, with the caps bound, before any work.  `enumerate` and
+validator, with the caps bound, before any work.  Each parameter a row
+declares is an option of `verify`, and each one a series declares an
+option of `series`, spelled `--` and its name with `_` written as `-`;
+neither subcommand lists one by hand.  `enumerate` and
 `bijection --max-n` take the rules of the rows they mirror, and
 `--largest-part` those of the oracle series; only `--jobs`, `--motions`
 data and the size of a `--partition` have caps of their own, declared
@@ -50,25 +53,43 @@ from .bijection import (DecodeError, MotionData, MotionRuleError,
 from .partitions import (distinct_pm1_counts, format_partition,
                          parse_partition, schur_counts)
 from .qpoly import XSeries
-from .schur_sums import (_SERIES, IdentityId, UsageError, _Param, _resolve,
-                         acceptance_matrix, check_params, swept_values, verify)
+from .schur_sums import (_REGISTRY, _SERIES, IdentityId, UsageError, _identity,
+                         _Param, _resolve, acceptance_matrix, check_params,
+                         swept_values, verify)
 
 _MOTION_SIZE = _Param(0, cap=10_000)  # the size --motions and --partition take
 _JOBS = _Param(1, cap=32)                # worker processes
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
+# the parameters that registry rows, and that series, declare, in the order
+# first declared: one option each of `verify` and of `series`
+_VERIFY_PARAMS = tuple(dict.fromkeys(
+    name for declared, _ in _REGISTRY.values() for name in declared))
+_SERIES_PARAMS = tuple(dict.fromkeys(
+    name for _, declared in _SERIES.values() for name in declared))
 
-def _parse_range(text: str, name: str) -> range:
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse_range(text: str, option: str) -> range:
     # a range, not a list: its ends are checked before any value is built
     match = _RANGE_RE.match(text)
     if not match:
-        raise UsageError("--%s must be an integer or a..b range, got %r" % (name, text))
+        raise UsageError("%s must be an integer or a..b range, got %r" % (option, text))
     lo = int(match.group(1))
     hi = int(match.group(2)) if match.group(2) is not None else lo
     if hi < lo:
-        raise UsageError("--%s range is empty: %s" % (name, text))
+        raise UsageError("%s range is empty: %s" % (option, text))
     return range(lo, hi + 1)
+
+
+def _given(args: argparse.Namespace, names: tuple[str, ...]) -> dict[str, range]:
+    # each parameter whose option is given, and the range its value reads as
+    return {name: _parse_range(getattr(args, name), _option(name))
+            for name in names if getattr(args, name) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +259,31 @@ def _verify_rows(rows: list[dict[str, Any]], args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # each given parameter's values: a range, or one value
-    given = {name: _parse_range(getattr(args, name), name)
-             for name in ("N", "M", "L", "a") if getattr(args, name) is not None}
-    if args.t is not None:
-        given["t"] = [args.t]
-    elif args.identity == IdentityId.QT_LIMIT.value:
-        # --t takes one value; without it, every t the report sweeps
-        given["t"] = list(swept_values(IdentityId.QT_LIMIT, "t"))
-    given.update((name, [value]) for name, value in (("T", args.T), ("max", args.max_n))
-                 if value is not None)
+    ident = _identity(args.identity)
+    declared = _REGISTRY[ident][0]
+    given = _given(args, _VERIFY_PARAMS)
+    for name, spec in declared.items():
+        # capped at its last swept value (qt-limit's t), a parameter takes
+        # on the CLI only values the report sweeps: left out, each of them
+        if name not in given and spec.cap == spec.last:
+            given[name] = swept_values(ident, name)
     # both ends of every range (ranges ascend), before the product is built
     for end in (-1, 0):
-        _, resolved = check_params(args.identity, {
-            name: values[end] for name, values in given.items()}, capped=True)
+        check_params(ident, {name: values[end] for name, values in given.items()},
+                     capped=True)
     # each row's params in declaration order, the order report prints them in
-    rows = [{"check": args.identity, "params": {}}]
-    for name in resolved:
+    params: list[dict[str, int]] = [{}]
+    for name in declared:
         if name in given:
-            rows = [{"check": args.identity, "params": {**row["params"], name: v}}
-                    for row in rows for v in given[name]]
-    return _verify_rows(rows, args)
+            params = [{**p, name: v} for p in params for v in given[name]]
+    return _verify_rows([{"check": ident.value, "params": p} for p in params], args)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = acceptance_matrix()
     if args.identity is not None:
-        rows = [r for r in rows if r["check"] == args.identity]
-        # every registry identity has rows, so an empty filter is a bad name
-        if not rows:
-            raise UsageError("unknown identity %r" % (args.identity,))
+        check = _identity(args.identity).value
+        rows = [r for r in rows if r["check"] == check]
     if os.environ.get("QSCHUR_FAULT_INJECT") and rows:
         rows[0] = {"check": rows[0]["check"],
                    "params": {**rows[0]["params"],
@@ -367,18 +383,16 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    name = args.name
-    span = None if args.N is None else _parse_range(args.N, "N")
-    given = {option: value for option, value in (
-        ("N", span[0] if span else None), ("T", args.T),
-        ("largest_part", args.largest_part)) if value is not None}
-    builder, declared = _SERIES[name]
-    params = _resolve("series %r" % name, declared, given, capped=True)
-    if span is not None and len(span) != 1:
-        raise UsageError("series takes a single --N")
+    given = _given(args, _SERIES_PARAMS)
+    for name, values in given.items():
+        if len(values) != 1:
+            raise UsageError("series takes a single %s" % _option(name))
+    builder, declared = _SERIES[args.name]
+    params = _resolve("series %r" % args.name, declared,
+                      {name: values[0] for name, values in given.items()}, capped=True)
     result = builder(*params.values())
 
-    doc: dict[str, Any] = {"series": name}
+    doc: dict[str, Any] = {"series": args.name}
     doc.update((o, v) for o, v in params.items() if o != "largest_part")
     if isinstance(result, XSeries):
         doc["strata"] = result.to_strata_pairs()
@@ -397,8 +411,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # argument tree
 
 def _build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False everywhere: a prefix such as --m must not stand
-    # for --max-n
+    # allow_abbrev=False everywhere: a prefix such as --ma must not stand
+    # for --max or --max-n
     parser = argparse.ArgumentParser(
         prog="qschur", allow_abbrev=False,
         description="Exact verification of gap-condition partition identities.")
@@ -412,14 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", allow_abbrev=False,
                               help="verify one identity over ranges")
     p_verify.add_argument("--identity", required=True)
-    p_verify.add_argument("--N")
-    p_verify.add_argument("--M")
-    p_verify.add_argument("--L")
-    p_verify.add_argument("--a")
-    p_verify.add_argument("--T", type=int)
-    p_verify.add_argument("--t", type=int,
-                          choices=swept_values(IdentityId.QT_LIMIT, "t"))
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
+    for name in _VERIFY_PARAMS:
+        p_verify.add_argument(_option(name), metavar="A[..B]", help="for " + ", ".join(
+            ident.value for ident, (declared, _) in _REGISTRY.items() if name in declared))
     p_verify.add_argument("--jobs", type=int, default=1)
     common(p_verify)
 
@@ -448,9 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", allow_abbrev=False,
                               help="print a builder's coefficients")
     p_series.add_argument("name", choices=tuple(_SERIES))
-    p_series.add_argument("--N")
-    p_series.add_argument("--T", type=int)
-    p_series.add_argument("--largest-part", dest="largest_part", type=int)
+    for name in _SERIES_PARAMS:
+        p_series.add_argument(_option(name))
     common(p_series)
 
     return parser

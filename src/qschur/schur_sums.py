@@ -915,8 +915,11 @@ _REGISTRY: dict[IdentityId, tuple[dict[str, _Param], Callable[[dict], _Pairs]]] 
         {"N": _Param(0, last=20, cap=80)}, lambda p: [t0_binomial_sides(p["N"])]),
     IdentityId.T0_LIMIT: (
         {"N": _Param(0, 40), "T": _Param(0, 40, cap=MAX_WINDOW)}, _run_t0_limit),
+    # qt-limit's t is capped at its last value, so the CLI takes no t the
+    # report does not sweep, and runs each of them when --t is left out
     IdentityId.QT_LIMIT: (
-        {"t": _Param(_QT_T[0], last=_QT_T[-1]), "T": _Param(0, 50, cap=MAX_WINDOW)},
+        {"t": _Param(_QT_T[0], last=_QT_T[-1], cap=_QT_T[-1]),
+         "T": _Param(0, 50, cap=MAX_WINDOW)},
         _run_qt_limit),
     IdentityId.SUMMATION_M: (
         {"M": _Param(0, last=12, cap=50)},
@@ -989,6 +992,14 @@ def _resolve(label: str, declared: dict[str, _Param], params: dict[str, Any],
     return resolved
 
 
+def _identity(identity: "IdentityId | str") -> IdentityId:
+    """The registry identity of a name; UsageError for an unknown one."""
+    try:
+        return IdentityId(identity)
+    except ValueError:
+        raise UsageError("unknown identity %r" % (identity,)) from None
+
+
 def check_params(identity: "IdentityId | str", params: dict[str, Any],
                  capped: bool = False) -> tuple[IdentityId, dict[str, int]]:
     """Resolve a verification request against the registry: the identity,
@@ -997,10 +1008,7 @@ def check_params(identity: "IdentityId | str", params: dict[str, Any],
     than an underscore-prefixed testing hook), a missing or non-integer
     value, a value below its declared minimum, or, when capped (the CLI's
     hard caps), a value past its declared cap."""
-    try:
-        ident = IdentityId(identity)
-    except ValueError:
-        raise UsageError("unknown identity %r" % (identity,)) from None
+    ident = _identity(identity)
     return ident, _resolve(ident.value, _REGISTRY[ident][0], params, capped)
 
 

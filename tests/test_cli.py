@@ -100,7 +100,7 @@ def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, "verify", "--identity", "cor1-bounded-sum")
     assert code == 2 and out == "" and "missing parameter 'N'" in err
     code, out, err = run(capsys, "verify", "--identity", "schur-counts",
-                         "--max-n", "20")
+                         "--max", "20")
     assert code == 2 and out == "" and "'max'" in err
     # |a| > L leaves both sides zero: refused rather than verified
     code, out, err = run(capsys, "verify", "--identity", "warnaar",
@@ -121,7 +121,7 @@ def test_verify_runs_the_composite_rows(capsys):
 
 def test_verify_sweeps_the_declared_t_of_qt_limit(capsys, monkeypatch):
     declared = ss._REGISTRY[ss.IdentityId.QT_LIMIT][0]
-    for spec in (declared["t"], ss._Param(1, last=1)):
+    for spec in (declared["t"], ss._Param(1, last=1, cap=1)):
         monkeypatch.setitem(declared, "t", spec)
         code, doc, _ = run_json(capsys, "verify", "--identity", "qt-limit",
                                 "--T", "5")
@@ -129,10 +129,9 @@ def test_verify_sweeps_the_declared_t_of_qt_limit(capsys, monkeypatch):
         assert [e["params"] for e in doc["entries"]] == [
             {"T": 5, "t": t} for t in range(spec.minimum, spec.last + 1)]
     # --t and the runner read the same declaration: t = 2 is now outside it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "qt-limit", "--t", "2", "--T", "5"])
-    assert exc.value.code == 2
-    assert "invalid choice: 2" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "--identity", "qt-limit",
+                         "--t", "2", "--T", "5")
+    assert (code, out) == (2, "") and "t=2 exceeds the hard cap 1" in err
     with pytest.raises(ss.UsageError, match="t must be 1"):
         ss.verify("qt-limit", {"t": 2, "T": 5})
 
@@ -154,11 +153,6 @@ def no_work(monkeypatch):
         monkeypatch.setitem(ss._SERIES, name, (work, declared))
 
 
-# the verify option each capped parameter travels under; t has no cap of
-# its own, as argparse takes only its declared values, and no option
-# reaches rec-summand's m, n1 and n2
-VERIFY_OPTIONS = {"N": "--N", "M": "--M", "L": "--L", "a": "--a", "T": "--T",
-                  "max": "--max-n"}
 # the subcommands that take the rules of a row for their --max-n
 MIRRORS = {("schur-counts", "max_n"): "enumerate",
            ("bijection-sweep", "max_size"): "bijection"}
@@ -166,9 +160,11 @@ MIRRORS = {("schur-counts", "max_n"): "enumerate",
 
 def capped_options():
     """(argv, option, declaration) for every parameter a CLI option reaches,
-    the argv giving every other parameter the caller must give."""
+    the argv giving every other parameter the caller must give: each
+    declared parameter under the option the CLI builds for it, and the
+    options that mirror a row's rules."""
     def required(declared, skip):
-        return ["--%s=%d" % (name.replace("_", "-"), spec.minimum)
+        return ["%s=%d" % (cli._option(name), spec.minimum)
                 for name, spec in declared.items()
                 if name != skip and spec.default is None and not spec.optional]
 
@@ -176,15 +172,12 @@ def capped_options():
         for name, spec in declared.items():
             if (ident.value, name) in MIRRORS:
                 yield [MIRRORS[ident.value, name]], "--max-n", spec
-            elif name in VERIFY_OPTIONS:
-                yield (["verify", "--identity", ident.value,
-                        *required(declared, name)], VERIFY_OPTIONS[name], spec)
-            else:
-                assert name in ("t", "m", "n1", "n2"), (ident, name)
+            yield (["verify", "--identity", ident.value,
+                    *required(declared, name)], cli._option(name), spec)
     for series, (_, declared) in ss._SERIES.items():
         for name, spec in declared.items():
             yield (["series", series, *required(declared, name)],
-                   "--" + name.replace("_", "-"), spec)
+                   cli._option(name), spec)
     # enumerate's largest part takes the oracle series' declaration
     yield (["enumerate", "--max-n=0", "--class=schur"], "--largest-part",
            ss._SERIES["oracle"][1]["largest_part"])
@@ -206,7 +199,7 @@ def test_every_declared_cap_holds_on_the_cli_path(capsys, no_work):
             assert "exceeds the hard cap %d" % spec.cap in err, (argv, option)
         # the library is held to no cap
         assert spec.check(option, spec.cap + 1) == spec.cap + 1
-    assert walked == 34
+    assert walked == 40
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,6 +230,30 @@ def test_steep_rows_take_caps_of_their_own(capsys, no_work, identity, option, ca
                          "%s=%d" % (option, cap + 1))
     assert (code, out) == (2, "")
     assert err == "error: %s=%d exceeds the hard cap %d\n" % (option[2:], cap + 1, cap)
+
+
+def test_every_declared_parameter_is_reachable_from_verify(capsys):
+    # each identity with every parameter it declares given at once, under
+    # -- and its name with _ as -, each one above its minimum (0 where it
+    # declares none): cheap, and valid together, rec-summand's cell,
+    # warnaar's a with its L and t0-limit's T <= N included.  Each value
+    # reaches its row under its own name, in declaration order
+    unreached = []
+    for ident, (declared, _) in ss._REGISTRY.items():
+        params = {name: (spec.minimum or 0) + 1 for name, spec in declared.items()}
+        argv = ["verify", "--identity", ident.value, "--format", "json",
+                *("--%s=%d" % (name.replace("_", "-"), v) for name, v in params.items())]
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # an option argparse does not know
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code != 0:
+            unreached.append((argv, code, err))
+            continue
+        [entry] = json.loads(out)["entries"]
+        assert list(entry["params"].items()) == list(params.items()), argv
+    assert unreached == []
 
 
 @pytest.fixture
@@ -348,15 +365,20 @@ def test_worker_death_exits_2_without_hang_or_traceback():
 
 
 @pytest.mark.parametrize("argv", [
+    # t is capped at its last declared value, 2
     ["verify", "--identity", "qt-limit", "--t", "3"],
-    # no option is read by a prefix of its name: --m is not --max-n
-    ["verify", "--identity", "rec-summand", "--N", "4", "--m", "1"],
+    # no option is read by a prefix of its name: --ma is neither --max
+    # nor --max-n
+    ["verify", "--identity", "schur-counts", "--ma", "10"],
     ["report", "--iden", "dual", "--for", "json"],
 ], ids=["t-outside-choices", "m-is-not-max-n", "report-prefixes"])
 def test_argparse_rejections_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # refused by argparse or, past it, by the declarations: exit 2 either way
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

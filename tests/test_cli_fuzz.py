@@ -4,8 +4,9 @@ Exit code 0, 1 or 2; never a traceback; exit 1 only when the JSON
 document reports a failure.  Values are drawn cheap (indices <= 6,
 windows <= 20, sweep sizes <= 16), mixed with malformed tokens, negatives
 and values just over a hard cap, which must be rejected before any work.
-The two commands that run the partition oracle also draw a window just
-over its cap.
+`verify` draws from every option the CLI builds from the registry, each
+past the largest cap a row declares for it.  The two commands that run
+the partition oracle also draw a window just over its cap.
 """
 
 import json
@@ -15,8 +16,9 @@ from io import StringIO
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qschur import cli
 from qschur.cli import main
-from qschur.schur_sums import MAX_INDEX, MAX_WINDOW, IdentityId
+from qschur.schur_sums import _REGISTRY, MAX_INDEX, MAX_WINDOW, IdentityId
 
 JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "0x3", "3..1", "..2",
                         "1..", "٣"])
@@ -31,8 +33,19 @@ INDEX = ints(-2, 6, MAX_INDEX + 1)
 WINDOW = ints(-1, 20, MAX_WINDOW + 1)
 # the partition oracle's window takes the index cap instead
 ORACLE_OVER = "--T=%d" % (MAX_INDEX + 1)
-RANGE = st.one_of(INDEX, st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
-    lambda ab: "%d..%d" % ab), st.just("0..%d" % (MAX_INDEX + 1)))
+PAIRS = st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
+    lambda ab: "%d..%d" % ab)
+RANGE = st.one_of(INDEX, PAIRS, st.just("0..%d" % (MAX_INDEX + 1)))
+
+
+def declared_values(name):
+    # cheap values and ranges, and a value and a range one past the
+    # largest cap any row declares for the parameter, refused on every row
+    over = 1 + max(declared[name].cap for declared, _ in _REGISTRY.values()
+                   if name in declared)
+    return st.one_of(ints(-2, 6, over), PAIRS, st.just("0..%d" % over))
+
+
 JOBS = st.sampled_from(["-1", "0", "1", "2", "x"])
 # identities whose whole report filter runs in milliseconds
 CHEAP_ROWS = ["q1-quad", "exponent-diff", "schur-counts", "cor1-bounded-sum",
@@ -77,8 +90,13 @@ ARGV = st.one_of(
     *map(st.just, GAP + USAGE),
     command("verify", identity=st.sampled_from(
         [i.value for i in IdentityId] + ["no-such-thing"]),
-        N=RANGE, M=RANGE, L=RANGE, a=RANGE, T=WINDOW,
-        t=st.sampled_from(["1", "2", "3", "x"]), **{"max-n": INDEX}, jobs=JOBS),
+        **{cli._option(name)[2:]: declared_values(name)
+           for name in cli._VERIFY_PARAMS}, jobs=JOBS),
+    # only the options the identity declares, so some draws verify
+    st.sampled_from(list(_REGISTRY.items())).flatmap(
+        lambda entry: command("verify", identity=st.just(entry[0].value),
+                              **{cli._option(name)[2:]: declared_values(name)
+                                 for name in entry[1][0]}, jobs=JOBS)),
     # report always filters: the whole matrix is not cheap
     st.tuples(st.sampled_from(CHEAP_ROWS), options(jobs=JOBS)).map(
         lambda t: ["report", "--identity=" + t[0], *t[1]]),

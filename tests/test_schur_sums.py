@@ -193,9 +193,10 @@ def test_side_readers_read_what_the_polynomials_hold():
     # memo, against the same read of the uncached polynomial; each memo
     # table an array on the narrowest unsigned typecode that holds its
     # largest coefficient, or a tuple past 8 bytes, and none in the
-    # kernel's held memo.  At WIDE_N each triple sum is read against a
-    # fresh build of the other side of its identity, which takes a sixth
-    # of the time, and each fresh build serves two memos
+    # kernel's held memo.  Each fresh build is made once per N.  At WIDE_N
+    # each triple sum is read against a fresh build of the other side of
+    # its identity, which takes a sixth of the time, and each fresh build
+    # serves two memos
     peers = {"lhs_schur": "rhs_schur", "dual": "t0_half_sum"}
     for N in [*range(-2, 26), WIDE_N]:
         polys = {}
@@ -212,8 +213,8 @@ def test_side_readers_read_what_the_polynomials_hold():
             assert id(table) not in qpoly._HELD, (name, N)
         if 0 <= N < 26:
             assert ss.q1_triple_value(N) == sum(
-                v for _, v in MEMOS["lhs_schur"][1](N).items())
-            poly = MEMOS["dual"][1](N)
+                v for _, v in polys["lhs_schur"].items())
+            poly = polys["dual"]
             lead = N * (3 * N - 1)
             for T in (0, 1, N * N, 60, 3 * N * N):
                 window = -lead, 2 * T - lead
